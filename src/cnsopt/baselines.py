@@ -56,9 +56,8 @@ class BaselineSpec:
 
 def loss_subgradient(problem, x, batch):
     """Mean minimal-norm subgradient of the nonsmooth loss over the batch."""
-    data = problem.data
-    rows = data.features[batch]
-    y = data.labels[batch]
+    rows = problem.features[batch]
+    y = problem.data.labels[batch]
     scores = rows @ x
     if problem.loss == HINGE:
         weights = np.where(y * scores < 1.0, -y, 0.0)

@@ -21,7 +21,7 @@ from .datasets import (
     make_synthetic,
     parse_libsvm,
 )
-from .errors import TuningError
+from .errors import CnsError, TuningError
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, ABSOLUTE
 from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
@@ -346,9 +346,10 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
     subset of the training data.
 
     Runs each candidate for a few epochs on ``subset_fraction`` of the samples;
-    divergent candidates are skipped; raises TuningError if all diverge. The
-    tuned knob is ``eta0`` for the baselines and ``step_scale`` for the
-    continuation methods.
+    candidates that raise a CnsError (divergence included) or a
+    FloatingPointError are skipped, any other exception propagates; raises
+    TuningError if every candidate is skipped. The tuned knob is ``eta0`` for
+    the baselines and ``step_scale`` for the continuation methods.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -371,7 +372,7 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
             )
             try:
                 x, _ = driver(sub_problem, ccfg)
-            except Exception:
+            except (CnsError, FloatingPointError):
                 continue
         else:
             spec = bl.BaselineSpec(
@@ -385,7 +386,7 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
             )
             try:
                 x = bl.run_baseline(sub_problem, spec, budget).x
-            except Exception:
+            except (CnsError, FloatingPointError):
                 continue
         value = objective_original(sub_problem, x)
         if not math.isfinite(value):

@@ -25,9 +25,14 @@ class SparseDataset:
     ``features`` is an (n, d) CSR matrix (what the LIBSVM parser produces) or a
     dense ndarray (what the desk-scale synthetic generators produce; row
     slicing on dense arrays is an order of magnitude faster, which matters in
-    stochastic inner loops). Labels are exactly +/-1 for classification and
-    arbitrary reals for regression. Instances are immutable after construction
-    and safe to share between concurrent runs.
+    stochastic inner loops). A ``CompositeProblem`` solves on a dense copy of
+    CSR features (``CompositeProblem.features``, built on first use) when that
+    copy takes no more bytes than the CSR's data, indices and indptr together,
+    so the copy costs at most the CSR's own size again; sparser CSR input is
+    solved as is, and the dataset itself always keeps the caller's matrix.
+    Labels are exactly +/-1 for classification and arbitrary reals for
+    regression. Instances are immutable after construction and safe to share
+    between concurrent runs.
     """
 
     features: "sparse.csr_matrix | np.ndarray"
@@ -88,7 +93,9 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     ``source`` may be a path (gzip detected by suffix), a file-like object, or
     an iterable of lines. ``n_features`` overrides the inferred dimension
     (useful to align a test split with its training split). Classification
-    files using {0,1} labels are remapped to {-1,+1}, and the remap is logged.
+    files using {0,1} labels are remapped to {-1,+1}, and the remap is logged;
+    any other classification label that is not +1/-1 raises LibsvmFormatError
+    at its line.
     """
     stream, owned = _open_maybe_gzip(source, "r")
     labels = []
@@ -96,6 +103,7 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     indices = []
     indptr = [0]
     max_index = 0
+    first_non_pm1 = None  # (lineno, token) of the first label other than +1/-1
     try:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
@@ -103,9 +111,12 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
                 continue
             tokens = line.split()
             try:
-                labels.append(float(tokens[0]))
+                label = float(tokens[0])
             except ValueError:
                 raise LibsvmFormatError(lineno, f"bad label {tokens[0]!r}") from None
+            if first_non_pm1 is None and abs(label) != 1.0:
+                first_non_pm1 = (lineno, tokens[0])
+            labels.append(label)
             prev = 0
             for token in tokens[1:]:
                 idx_str, _, val_str = token.partition(":")
@@ -137,11 +148,15 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
         raise LibsvmFormatError(0, "no samples in input")
     d = n_features if n_features is not None else max_index
     y = np.asarray(labels, dtype=float)
-    if task == CLASSIFICATION:
-        uniq = set(np.unique(y))
-        if uniq <= {0.0, 1.0} and 0.0 in uniq:
-            log.info("mapping {0,1} labels to {-1,+1} (%d zeros)", int(np.sum(y == 0.0)))
-            y = np.where(y == 0.0, -1.0, 1.0)
+    if task == CLASSIFICATION and first_non_pm1 is not None:
+        if not np.all((y == 0.0) | (y == 1.0)):
+            lineno, token = first_non_pm1
+            raise LibsvmFormatError(
+                lineno, f"classification label {token!r} is not +1/-1 in a file "
+                "that is not all 0/1"
+            )
+        log.info("mapping {0,1} labels to {-1,+1} (%d zeros)", int(np.sum(y == 0.0)))
+        y = np.where(y == 0.0, -1.0, 1.0)
     mat = sparse.csr_matrix(
         (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32), indptr),
         shape=(len(labels), d),
@@ -167,11 +182,13 @@ def serialize_libsvm(dataset, target):
         if not sparse.issparse(mat):
             mat = sparse.csr_matrix(mat)
             mat.sort_indices()
-        for i in range(dataset.n):
-            row = mat.getrow(i)
-            parts = [_format_label(dataset.labels[i], dataset.task)]
-            for j, v in zip(row.indices, row.data):
-                parts.append(f"{j + 1}:{repr(float(v))}")
+        indptr = mat.indptr.tolist()
+        cols = (mat.indices + 1).tolist()
+        vals = mat.data.tolist()
+        for i, label in enumerate(dataset.labels.tolist()):
+            lo, hi = indptr[i], indptr[i + 1]
+            parts = [_format_label(label, dataset.task)]
+            parts += [f"{j}:{v!r}" for j, v in zip(cols[lo:hi], vals[lo:hi])]
             stream.write(" ".join(parts) + "\n")
     finally:
         if owned:

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import smoothing
 from .datasets import CLASSIFICATION, REGRESSION, SparseDataset
@@ -75,8 +76,25 @@ class CompositeProblem:
         return self.reg.nu2
 
     @cached_property
+    def features(self):
+        """The design matrix the kernels read, built on first use.
+
+        CSR input is copied to a dense array when the copy takes no more
+        bytes than the CSR's own data, indices and indptr, so it costs at
+        most the input's size again; dense row slices and matvecs are several
+        times cheaper than CSR ones. Genuinely sparse input is read as is.
+        ``data`` stays the caller's matrix either way.
+        """
+        feats = self.data.features
+        if sparse.issparse(feats):
+            csr_bytes = feats.data.nbytes + feats.indices.nbytes + feats.indptr.nbytes
+            if feats.shape[0] * feats.shape[1] * feats.dtype.itemsize <= csr_bytes:
+                return feats.toarray()
+        return feats
+
+    @cached_property
     def max_row_sq_norm(self):
-        return smoothing.max_row_sq_norm(self.data.features)
+        return smoothing.max_row_sq_norm(self.features)
 
 
 @dataclass(frozen=True)

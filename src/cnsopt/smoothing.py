@@ -149,21 +149,25 @@ def smoothing_gap(spec, gamma):
     return gamma * spec.d_u
 
 
+def _batch_rows(problem, x, batch=None):
+    """``(rows, labels)`` of the batch's samples, or of all samples when
+    ``batch`` is None, after checking x's shape and the batch's indices."""
+    if x.shape != (problem.d,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.d},)")
+    feats, y = problem.features, problem.data.labels
+    if batch is None:
+        return feats, y
+    batch = np.asarray(batch)
+    if batch.size and (batch.min() < 0 or batch.max() >= problem.n):
+        raise ValueError("batch index out of range")
+    return feats[batch], y[batch]
+
+
 def margins(problem, x, batch=None):
     """Per-sample map: margins y_i z_i'x for hinge, residuals y_i - z_i'x for absolute.
 
     ``batch`` restricts to a subset of sample indices (validated)."""
-    data = problem.data
-    if x.shape != (data.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({data.d},)")
-    feats = data.features
-    y = data.labels
-    if batch is not None:
-        batch = np.asarray(batch)
-        if batch.size and (batch.min() < 0 or batch.max() >= data.n):
-            raise ValueError("batch index out of range")
-        feats = feats[batch]
-        y = y[batch]
+    feats, y = _batch_rows(problem, x, batch)
     scores = feats @ x
     if problem.loss == HINGE:
         return y * scores
@@ -208,17 +212,7 @@ def vr_gradient_kernel(rows, y, loss, gamma, x, snapshot, full_gradient):
 
 def loss_gradient(sp, x, batch=None):
     """Gradient of the averaged smoothed loss alone (no ridge term)."""
-    data = sp.base.data
-    if x.shape != (data.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({data.d},)")
-    feats = data.features
-    y = data.labels
-    if batch is not None:
-        batch = np.asarray(batch)
-        if batch.size and (batch.min() < 0 or batch.max() >= data.n):
-            raise ValueError("batch index out of range")
-        feats = feats[batch]
-        y = y[batch]
+    feats, y = _batch_rows(sp.base, x, batch)
     return gradient_kernel(feats, y, sp.base.loss, x, sp.gamma)
 
 

@@ -202,12 +202,11 @@ def run_prox_svrg(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs):
     spec = spec or SolverSpec(solver=PROX_SVRG)
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
     eta = spec.theta * spec.step_scale / lipschitz_constant(sp)
-    data = sp.base.data
-    n = data.n
+    n = sp.base.n
     b = min(spec.batch_size, n)
     m = _epoch_length(spec, n)
     reg, lam, loss, gamma = sp.base.reg, sp.lam, sp.base.loss, sp.gamma
-    feats, labels = data.features, data.labels
+    feats, labels = sp.base.features, sp.base.data.labels
     state = {}
 
     def step(t, x):
@@ -237,12 +236,11 @@ def run_acc_prox_svrg(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs
     eta = spec.step_scale / L
     if mu_eff is None:
         mu_eff = sp.base.mu + sp.lam
-    data = sp.base.data
-    n = data.n
+    n = sp.base.n
     b = min(spec.batch_size, n)
     m = _epoch_length(spec, n)
     reg, lam, loss, gamma = sp.base.reg, sp.lam, sp.base.loss, sp.gamma
-    feats, labels = data.features, data.labels
+    feats, labels = sp.base.features, sp.base.data.labels
     if mu_eff > 0:
         q = min(1.0, mu_eff / L)
         beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))

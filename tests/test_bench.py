@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from cnsopt import (
+    DivergenceError,
     RunConfig,
     SyntheticSpec,
     TuningError,
     compare_report,
+    make_synthetic,
     run_experiment,
+    serialize_libsvm,
     tune_stepsize,
 )
+from cnsopt import bench
 from cnsopt.bench import TraceRow, gap_slope, read_trace, render_report, write_trace
 from cnsopt.bench import test_metric as eval_metric
 from cnsopt.cli import build_run_config, main, read_config_file
@@ -155,6 +159,50 @@ def test_tune_stepsize_all_divergent():
     cfg = _config(method="poly-sgd", iterations=40)
     with pytest.raises(TuningError):
         tune_stepsize(cfg, [1e300])
+
+
+@pytest.mark.parametrize("method", ("cns-a", "fobos"))
+def test_tune_stepsize_propagates_bugs(monkeypatch, method):
+    def broken(*args, **kwargs):
+        raise KeyError("bug in a candidate run")
+
+    monkeypatch.setattr(bench, "cns_strongly_convex", broken)
+    monkeypatch.setattr(bench.bl, "run_baseline", broken)
+    with pytest.raises(KeyError):
+        tune_stepsize(_config(method=method, iterations=40), [0.5, 1.0])
+
+
+def test_tune_stepsize_skips_cns_errors(monkeypatch):
+    calls = []
+
+    def diverge_first(problem, ccfg, **kwargs):
+        calls.append(ccfg.solver.step_scale)
+        if len(calls) == 1:
+            raise DivergenceError("diverged")
+        return np.zeros(problem.d), []
+
+    monkeypatch.setattr(bench, "cns_strongly_convex", diverge_first)
+    assert tune_stepsize(_config(), [0.5, 1.0]) == 1.0
+    assert calls == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("method", ("cns-a", "cns-na", "fobos"))
+@pytest.mark.parametrize("loss", ("hinge", "absolute"))
+def test_libsvm_run_matches_in_memory_run(tmp_path, method, loss):
+    task = "classification" if loss == "hinge" else "regression"
+    spec = SyntheticSpec(n=120, d=10, task=task, noise=0.2, separation=1.2, seed=0)
+    path = tmp_path / "train.libsvm"
+    serialize_libsvm(make_synthetic(spec)[0], str(path))
+    # absolute loss + pure l1 takes the general convex driver
+    reg = dict(nu1=0.01, nu2=0.05) if loss == "hinge" else dict(nu1=0.01, nu2=0.0, lam1=1e-3)
+    common = dict(method=method, loss=loss, eta0=0.5, iterations=60, **reg)
+    in_memory = run_experiment(_config(synthetic=spec, **common))
+    from_file = run_experiment(_config(synthetic=None, dataset=str(path), **common))
+
+    def columns(rows):
+        return [(r.cumulative_iterations, r.stage, r.objective_original, r.nnz) for r in rows]
+
+    assert columns(from_file) == columns(in_memory)
 
 
 # --- CLI ------------------------------------------------------------------

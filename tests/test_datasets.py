@@ -75,6 +75,20 @@ def test_parse_zero_one_label_remap(caplog):
     assert any("mapping {0,1} labels" in rec.message for rec in caplog.records)
 
 
+def test_parse_bad_classification_label_names_its_line():
+    with pytest.raises(LibsvmFormatError) as err:
+        parse_libsvm(["+1 1:1.0", "", "2 1:1.0"])
+    assert err.value.lineno == 3
+    assert "'2'" in str(err.value)
+
+
+def test_parse_mixed_signed_and_zero_one_labels_rejected():
+    # -1 rules out a pure {0,1} file, so the first 0 is the bad label
+    with pytest.raises(LibsvmFormatError) as err:
+        parse_libsvm(["1 1:1.0", "-1 1:1.0", "0 1:1.0", "1 1:2.0"])
+    assert err.value.lineno == 3
+
+
 def test_parse_regression_keeps_labels():
     ds = parse_libsvm(["3.25 1:1.0", "-7.5 1:2.0"], task=REGRESSION)
     assert list(ds.labels) == [3.25, -7.5]
@@ -99,6 +113,31 @@ def test_round_trip_canonical_form():
         assert libsvm_dumps(ds2) == text
         assert np.array_equal(ds2.labels, ds.labels)
         assert (ds2.features != ds.features).nnz == 0
+
+
+def test_serialize_golden_csr():
+    mat = sparse.csr_matrix(
+        (np.array([0.1, -2.5, 1 / 3, -1e-300, 12345.678901234567]),
+         np.array([0, 3, 1, 2, 3], dtype=np.int32),
+         np.array([0, 2, 2, 5])),
+        shape=(3, 4),
+    )
+    ds = SparseDataset(mat, np.array([-0.5, 3.0, 1e-17]), REGRESSION)
+    assert libsvm_dumps(ds) == (
+        "-0.5 1:0.1 4:-2.5\n"
+        "3.0\n"
+        "1e-17 2:0.3333333333333333 3:-1e-300 4:12345.678901234567\n"
+    )
+
+
+def test_serialize_golden_dense():
+    rows = np.array([[0.0, -0.1, 2.0], [0.0, 0.0, 0.0], [np.pi, 0.0, -7.25]])
+    ds = SparseDataset(rows, np.array([1.0, -1.0, 1.0]), CLASSIFICATION)
+    assert libsvm_dumps(ds) == (
+        "+1 2:-0.1 3:2.0\n"
+        "-1\n"
+        "+1 1:3.141592653589793 3:-7.25\n"
+    )
 
 
 def test_gzip_round_trip(tmp_path):

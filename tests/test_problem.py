@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from cnsopt import (
     ABSOLUTE,
@@ -13,6 +14,7 @@ from cnsopt import (
     objective_smoothed,
     smoothing_gap,
 )
+from cnsopt.smoothing import lipschitz_constant
 
 
 def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
@@ -143,3 +145,30 @@ def test_smoothed_problem_validation():
         SmoothedProblem(prob, 0.0)
     with pytest.raises(ValueError):
         SmoothedProblem(prob, 0.1, lam=-1.0)
+
+
+def test_features_densifies_csr_with_dense_values():
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(40, 6))
+    mat = sparse.csr_matrix(rows)
+    data = SparseDataset(mat, rng.normal(size=40), "regression")
+    prob = CompositeProblem(data, ABSOLUTE, Regularizer(nu1=0.1))
+    assert "features" not in vars(prob)  # built on first use
+    assert isinstance(prob.features, np.ndarray)
+    assert np.array_equal(prob.features, rows)
+    assert prob.data.features is mat
+    # same Lipschitz constant, bit for bit, as the in-memory dense problem
+    dense = _problem(rows, data.labels, ABSOLUTE, nu1=0.1)
+    assert prob.max_row_sq_norm == dense.max_row_sq_norm
+    sp, sp_dense = SmoothedProblem(prob, 0.01), SmoothedProblem(dense, 0.01)
+    assert lipschitz_constant(sp) == lipschitz_constant(sp_dense)
+
+
+def test_features_keeps_sparse_csr():
+    mat = sparse.random(200, 100, density=0.01, format="csr", random_state=3)
+    labels = np.random.default_rng(9).normal(size=200)
+    prob = CompositeProblem(SparseDataset(mat, labels, "regression"), ABSOLUTE, Regularizer())
+    assert prob.features is mat
+    assert prob.data.features is mat
+    x = np.ones(100)
+    assert objective_original(prob, x) == pytest.approx(np.mean(np.abs(labels - mat @ x)))
