@@ -68,10 +68,6 @@ from .solvers import (
     SolverRun,
     SolverSpec,
     required_t1,
-    run_acc_prox_svrg,
-    run_apg,
-    run_prox_gd,
-    run_prox_svrg,
     run_solver,
 )
 

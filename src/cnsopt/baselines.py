@@ -8,17 +8,14 @@ at a zero residual or coordinate).
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import sample_minibatch
-from .errors import DivergenceError
-from .problem import objective_original
 from .prox import prox_l1, prox_regularizer
 from .smoothing import HINGE
-from .solvers import SolverRun
+from .solvers import drive
 
 FOBOS = "fobos"
 RDA = "rda"
@@ -66,45 +63,6 @@ def loss_subgradient(problem, x, batch):
     return (rows.T @ weights) / len(y)
 
 
-def _baseline_loop(problem, spec, budget, update, result, *, callback=None,
-                   callback_every=None, record_every=None):
-    if budget < 1:
-        raise ValueError(f"iteration budget must be >= 1, got {budget}")
-    rng = np.random.default_rng(spec.seed)
-    n = problem.n
-    b = min(spec.batch_size, n)
-    trace = []
-    elapsed = 0.0
-    tick = time.perf_counter()
-    # divergence is detected and raised; silence the overflow noise on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, budget + 1):
-            batch = sample_minibatch(n, b, rng)
-            update(t, batch)
-            out = result()
-            if not np.isfinite(out).all():
-                raise DivergenceError(
-                    f"{spec.method}: non-finite iterate at iteration {t}"
-                )
-            want_record = record_every is not None and (
-                t % record_every == 0 or t == budget
-            )
-            want_callback = (
-                callback is not None
-                and callback_every is not None
-                and t % callback_every == 0
-            )
-            if want_record or want_callback:
-                elapsed += time.perf_counter() - tick
-                if want_record:
-                    trace.append((t, elapsed, objective_original(problem, out)))
-                if want_callback:
-                    callback(t, out, elapsed)
-                tick = time.perf_counter()
-    elapsed += time.perf_counter() - tick
-    return SolverRun(x=result(), iterations=budget, trace=trace, elapsed=elapsed)
-
-
 def _step_size(spec, problem, t):
     if spec.strongly_convex:
         mu = problem.mu
@@ -114,17 +72,22 @@ def _step_size(spec, problem, t):
     return spec.eta0 / math.sqrt(t)
 
 
+def _start(problem, x0):
+    return np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
+
+
 def run_fobos(problem, spec, budget, x0=None, **kwargs):
     """Forward-backward splitting: subgradient step on the loss, prox on r."""
-    x = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    state = {"x": x}
+    rng = np.random.default_rng(spec.seed)
+    b = min(spec.batch_size, problem.n)
 
-    def update(t, batch):
+    def step(t, x):
+        batch = sample_minibatch(problem.n, b, rng)
         eta = _step_size(spec, problem, t)
-        g = loss_subgradient(problem, state["x"], batch)
-        state["x"] = prox_regularizer(state["x"] - eta * g, eta, problem.reg)
+        g = loss_subgradient(problem, x, batch)
+        return prox_regularizer(x - eta * g, eta, problem.reg)
 
-    return _baseline_loop(problem, spec, budget, update, lambda: state["x"], **kwargs)
+    return drive(step, _start(problem, x0), budget, context=f"{spec.method}: ", **kwargs)
 
 
 def run_rda(problem, spec, budget, x0=None, **kwargs):
@@ -136,36 +99,39 @@ def run_rda(problem, spec, budget, x0=None, **kwargs):
     strongly convex schedule the regularizer's own modulus does the damping
     and beta_t = 0.
     """
-    x = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    gbar = np.zeros(problem.d)
-    state = {"x": x, "gbar": gbar}
+    rng = np.random.default_rng(spec.seed)
+    b = min(spec.batch_size, problem.n)
+    state = {"gbar": np.zeros(problem.d)}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
     if spec.strongly_convex and nu2 <= 0:
         raise ValueError("strongly convex RDA schedule needs nu2 > 0")
 
-    def update(t, batch):
-        g = loss_subgradient(problem, state["x"], batch)
+    def step(t, x):
+        batch = sample_minibatch(problem.n, b, rng)
+        g = loss_subgradient(problem, x, batch)
         state["gbar"] = ((t - 1) * state["gbar"] + g) / t
         beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
         quad = nu2 + beta_t / t
-        state["x"] = -prox_l1(state["gbar"], nu1) / quad
+        return -prox_l1(state["gbar"], nu1) / quad
 
-    return _baseline_loop(problem, spec, budget, update, lambda: state["x"], **kwargs)
+    return drive(step, _start(problem, x0), budget, context=f"{spec.method}: ", **kwargs)
 
 
 def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
     """Stochastic subgradient on the full objective with polynomial-decay averaging.
 
     No prox: the regularizer enters through its subgradient, so l1 weights do
-    not sparsify the iterates. Returns the running average, which weights
+    not sparsify the iterates. Reports the running average, which weights
     iterate t by (exponent + 1)/(t + exponent).
     """
-    x = np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
-    state = {"x": x, "avg": x.copy()}
+    rng = np.random.default_rng(spec.seed)
+    b = min(spec.batch_size, problem.n)
+    state = {"x": _start(problem, x0)}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
     k = spec.averaging_exponent
 
-    def update(t, batch):
+    def step(t, avg):
+        batch = sample_minibatch(problem.n, b, rng)
         g = loss_subgradient(problem, state["x"], batch)
         if nu1:
             g = g + nu1 * np.sign(state["x"])
@@ -174,9 +140,9 @@ def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
         eta = _step_size(spec, problem, t)
         state["x"] = state["x"] - eta * g
         w = (k + 1.0) / (t + k)
-        state["avg"] = (1.0 - w) * state["avg"] + w * state["x"]
+        return (1.0 - w) * avg + w * state["x"]
 
-    return _baseline_loop(problem, spec, budget, update, lambda: state["avg"], **kwargs)
+    return drive(step, state["x"], budget, context=f"{spec.method}: ", **kwargs)
 
 
 _RUNNERS = {FOBOS: run_fobos, RDA: run_rda, POLY_SGD: run_poly_sgd}

@@ -153,6 +153,30 @@ def continuation_config(cfg, spec=None):
     )
 
 
+def baseline_spec_for(cfg):
+    """The baselines' step, averaging and sampling settings from a RunConfig;
+    the 1/(mu t) schedules are used when the regularizer has a ridge part."""
+    return bl.BaselineSpec(
+        method=cfg.method,
+        eta0=cfg.eta0,
+        rda_scale=cfg.rda_scale,
+        averaging_exponent=cfg.averaging_exponent,
+        batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        strongly_convex=cfg.nu2 > 0,
+    )
+
+
+def pick_driver(problem, lam1):
+    """The strongly convex driver when the problem has its own modulus and no
+    stage ridge weight is asked for, else the general convex one.
+
+    The drivers are looked up when called, so a wrapped module global (as the
+    span tracer installs) is the one returned.
+    """
+    return cns_strongly_convex if problem.mu > 0 and lam1 == 0 else cns_general_convex
+
+
 def run_experiment(cfg):
     """Execute the configured method, returning TraceRows (and writing CSV).
 
@@ -182,10 +206,10 @@ def run_experiment(cfg):
     x0 = np.zeros(problem.d)
     if cfg.method in (CNS_A, CNS_NA, FIXED_GAMMA):
         snapshot(0, x0, 0.0, 0)
-        ccfg = continuation_config(cfg)
-        driver = cns_strongly_convex if problem.mu > 0 and cfg.lam1 == 0 else cns_general_convex
+        driver = pick_driver(problem, cfg.lam1)
         try:
-            x, reports = driver(problem, ccfg, callback=snapshot, callback_every=cfg.cadence)
+            x, reports = driver(problem, continuation_config(cfg), callback=snapshot,
+                                callback_every=cfg.cadence)
             total = sum(r.budget for r in reports)
             elapsed = sum(r.wall_time for r in reports)
             if not rows or rows[-1].cumulative_iterations != total:
@@ -197,18 +221,9 @@ def run_experiment(cfg):
             TraceRow(0.0, 0, -1, objective_original(problem, x0),
                      test_metric(eval_data, cfg.loss, x0), 0)
         )
-        spec = bl.BaselineSpec(
-            method=cfg.method,
-            eta0=cfg.eta0,
-            rda_scale=cfg.rda_scale,
-            averaging_exponent=cfg.averaging_exponent,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            strongly_convex=cfg.nu2 > 0,
-        )
         try:
             run = bl.run_baseline(
-                problem, spec, cfg.iterations,
+                problem, baseline_spec_for(cfg), cfg.iterations,
                 callback=lambda t, x, e: snapshot(t, x, e, -1),
                 callback_every=cfg.cadence,
             )
@@ -364,26 +379,13 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
     for candidate in grid:
         if cfg.method in (CNS_A, CNS_NA, FIXED_GAMMA):
             trial = replace(cfg, step_scale=candidate, t1=max(1, budget // max(cfg.stages, 1)))
-            ccfg = continuation_config(trial)
-            driver = (
-                cns_strongly_convex
-                if sub_problem.mu > 0 and trial.lam1 == 0
-                else cns_general_convex
-            )
+            driver = pick_driver(sub_problem, trial.lam1)
             try:
-                x, _ = driver(sub_problem, ccfg)
+                x, _ = driver(sub_problem, continuation_config(trial))
             except (CnsError, FloatingPointError):
                 continue
         else:
-            spec = bl.BaselineSpec(
-                method=cfg.method,
-                eta0=candidate,
-                rda_scale=candidate,
-                averaging_exponent=cfg.averaging_exponent,
-                batch_size=cfg.batch_size,
-                seed=cfg.seed,
-                strongly_convex=cfg.nu2 > 0,
-            )
+            spec = baseline_spec_for(replace(cfg, eta0=candidate, rda_scale=candidate))
             try:
                 x = bl.run_baseline(sub_problem, spec, budget).x
             except (CnsError, FloatingPointError):

@@ -26,6 +26,7 @@ from .bench import (
     write_trace,
 )
 from .datasets import CLASSIFICATION, REGRESSION, SyntheticSpec, make_synthetic, serialize_libsvm
+from .errors import CnsError
 
 _SYNTH_KEYS = ("synth_n", "synth_d", "synth_sparsity", "synth_noise", "synth_norm_lo", "synth_norm_hi")
 
@@ -147,22 +148,26 @@ def _cmd_run(args):
     return 0
 
 
-def _run_one_file(path):
-    ns = argparse.Namespace(**{f.name: None for f in fields(RunConfig)})
-    ns.config = path
-    for key in _SYNTH_KEYS:
-        setattr(ns, key, None)
-    cfg = build_run_config(ns)
+def _sweep_one(path):
+    cfg = build_run_config(argparse.Namespace(config=path))
     rows = run_experiment(cfg)
-    return path, cfg.output, rows[-1].objective_original
+    return cfg.output, rows[-1].objective_original
 
 
 def _cmd_sweep(args):
-    workers = default_worker_count()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for path, output, objective in pool.map(_run_one_file, args.configs):
+    """Run every config; a config that fails is reported and the rest still run."""
+    failed = 0
+    with ProcessPoolExecutor(max_workers=default_worker_count()) as pool:
+        futures = [pool.submit(_sweep_one, path) for path in args.configs]
+        for path, future in zip(args.configs, futures):
+            try:
+                output, objective = future.result()
+            except (CnsError, ValueError, OSError) as exc:
+                failed += 1
+                print(f"{path}: failed: {exc}")
+                continue
             print(f"{path}: objective {objective:.6g}" + (f" -> {output}" if output else ""))
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_tune(args):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError
 from .problem import SmoothedProblem, objective_original, objective_smoothed
-from .solvers import ACCELERATED, SolverSpec, run_apg, run_solver
+from .solvers import ACCELERATED, APG, SolverSpec, run_solver
 
 OPTION_I = "I"
 OPTION_II = "II"
@@ -157,7 +157,7 @@ def measure_stage_reduction(problem, sp, x_before, x_after, oracle_budget, mu_ef
         mu_eff = problem.mu + sp.lam
     before = objective_smoothed(sp, x_before)
     after = objective_smoothed(sp, x_after)
-    oracle = run_apg(sp, x_after, oracle_budget, mu_eff=mu_eff)
+    oracle = run_solver(SolverSpec(solver=APG), sp, x_after, oracle_budget, mu_eff=mu_eff)
     star = min(objective_smoothed(sp, oracle.x), after)
     denom = before - star
     if denom <= 1e-14:
@@ -273,10 +273,11 @@ def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
     if lam1 is None:
         lam1 = 0.0 if problem.mu > 0 else 1e-5
 
+    apg = SolverSpec(solver=APG)
     gamma_s, lam_s = gamma1, lam1
     while gamma_s > gamma:
         sp = SmoothedProblem(problem, gamma_s, lam_s)
-        x = run_apg(sp, x, warm_iterations, mu_eff=problem.mu + lam_s).x
+        x = run_solver(apg, sp, x, warm_iterations, mu_eff=problem.mu + lam_s).x
         best = min(best, objective_original(problem, x))
         gamma_s /= 2.0
         lam_s /= 2.0
@@ -286,6 +287,6 @@ def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
         best = min(best, objective_original(problem, xt))
 
     sp = SmoothedProblem(problem, gamma, 0.0)
-    run = run_apg(sp, x, iterations, mu_eff=problem.mu,
-                  callback=track, callback_every=check_every)
+    run = run_solver(apg, sp, x, iterations, mu_eff=problem.mu,
+                     callback=track, callback_every=check_every)
     return min(best, objective_original(problem, run.x))

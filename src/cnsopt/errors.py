@@ -35,3 +35,8 @@ class LibsvmFormatError(CnsError):
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so the error survives a process pool
+        return type(self), (self.lineno, self.message)

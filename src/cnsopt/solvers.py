@@ -8,14 +8,13 @@ deterministic; stochastic ones are deterministic given their seed.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import smoothing
 from .datasets import sample_minibatch
 from .errors import DivergenceError, InfeasibleBudgetError
-from .problem import objective_smoothed
 from .prox import prox_regularizer
 from .smoothing import lipschitz_constant
 
@@ -90,29 +89,25 @@ class SolverSpec:
 class SolverRun:
     """Result of one inner solve.
 
-    ``trace`` holds (iteration, elapsed_seconds, stage_objective) checkpoints;
-    ``elapsed`` is optimization wall time with checkpoint evaluation and
-    callbacks fenced out.
+    ``elapsed`` is optimization wall time with callbacks fenced out.
     """
 
     x: np.ndarray
     iterations: int
-    trace: list = field(default_factory=list)
     elapsed: float = 0.0
 
 
-def _drive(step, sp, x0, budget, *, callback=None, callback_every=None,
-           record_every=None, context=""):
-    """Shared iteration loop: timing, divergence checks, traces, callbacks."""
-    d = sp.base.d
+def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
+    """Shared iteration loop: timing, divergence checks, callbacks.
+
+    ``step(t, x)`` returns the iterate to report after inner iteration t; the
+    loop checks it for finiteness and passes it to the next step.
+    """
     x = np.array(x0, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({d},)")
     if budget < 1:
         raise ValueError(f"iteration budget must be >= 1, got {budget}")
     if not np.isfinite(x).all():
         raise DivergenceError(f"{context}non-finite start point")
-    trace = []
     elapsed = 0.0
     tick = time.perf_counter()
     # divergence is detected and raised; silence the overflow noise on the way
@@ -123,72 +118,12 @@ def _drive(step, sp, x0, budget, *, callback=None, callback_every=None,
                 raise DivergenceError(
                     f"{context}non-finite iterate at inner iteration {t}"
                 )
-            want_record = record_every is not None and (
-                t % record_every == 0 or t == budget
-            )
-            want_callback = (
-                callback is not None
-                and callback_every is not None
-                and t % callback_every == 0
-            )
-            if want_record or want_callback:
+            if callback is not None and callback_every is not None and t % callback_every == 0:
                 elapsed += time.perf_counter() - tick
-                if want_record:
-                    trace.append((t, elapsed, objective_smoothed(sp, x)))
-                if want_callback:
-                    callback(t, x, elapsed)
+                callback(t, x, elapsed)
                 tick = time.perf_counter()
     elapsed += time.perf_counter() - tick
-    return SolverRun(x=x, iterations=budget, trace=trace, elapsed=elapsed)
-
-
-def run_prox_gd(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs):
-    """Full-batch proximal gradient with step 1/L (scaled by spec.step_scale)."""
-    spec = spec or SolverSpec(solver=PROX_GD)
-    eta = spec.step_scale / lipschitz_constant(sp)
-    reg, lam = sp.base.reg, sp.lam
-
-    def step(t, x):
-        g = smoothing.loss_gradient(sp, x)
-        return prox_regularizer(x - eta * g, eta, reg, lam)
-
-    return _drive(step, sp, x0, budget, **kwargs)
-
-
-def run_apg(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs):
-    """Accelerated proximal gradient.
-
-    With mu_eff > 0 the momentum is the constant (sqrt(kappa)-1)/(sqrt(kappa)+1);
-    with mu_eff = 0 it falls back to the usual t_k extrapolation sequence
-    (used by the long-run reference oracles on general convex problems).
-    """
-    spec = spec or SolverSpec(solver=APG)
-    L = lipschitz_constant(sp)
-    eta = spec.step_scale / L
-    if mu_eff is None:
-        mu_eff = sp.base.mu + sp.lam
-    reg, lam = sp.base.reg, sp.lam
-    state = {"y": np.array(x0, dtype=float), "tk": 1.0}
-    if mu_eff > 0:
-        q = min(1.0, mu_eff / L)
-        beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
-    else:
-        beta_const = None
-
-    def step(t, x):
-        g = smoothing.loss_gradient(sp, state["y"])
-        x_new = prox_regularizer(state["y"] - eta * g, eta, reg, lam)
-        if beta_const is None:
-            tk = state["tk"]
-            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            beta = (tk - 1.0) / tk_new
-            state["tk"] = tk_new
-        else:
-            beta = beta_const
-        state["y"] = x_new + beta * (x_new - x)
-        return x_new
-
-    return _drive(step, sp, x0, budget, **kwargs)
+    return SolverRun(x=x, iterations=budget, elapsed=elapsed)
 
 
 def _epoch_length(spec, n):
@@ -197,101 +132,82 @@ def _epoch_length(spec, n):
     return math.ceil(n / min(spec.batch_size, n))
 
 
-def run_prox_svrg(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs):
-    """Mini-batch proximal SVRG: full-gradient snapshot per epoch, step theta/L."""
-    spec = spec or SolverSpec(solver=PROX_SVRG)
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    eta = spec.theta * spec.step_scale / lipschitz_constant(sp)
-    n = sp.base.n
-    b = min(spec.batch_size, n)
-    m = _epoch_length(spec, n)
-    reg, lam, loss, gamma = sp.base.reg, sp.lam, sp.base.loss, sp.gamma
-    feats, labels = sp.base.features, sp.base.data.labels
-    state = {}
+def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
+    """Run the inner solver named by ``spec.solver`` on one smoothed stage.
 
-    def step(t, x):
-        if (t - 1) % m == 0:
-            state["snap"] = x.copy()
-            state["full"] = smoothing.loss_gradient(sp, x)
-        batch = sample_minibatch(n, b, rng)
-        rows, yb = feats[batch], labels[batch]
-        v = smoothing.vr_gradient_kernel(
-            rows, yb, loss, gamma, x, state["snap"], state["full"]
-        )
-        return prox_regularizer(x - eta * v, eta, reg, lam)
+    All four are one proximal-gradient step with two switches:
 
-    return _drive(step, sp, x0, budget, **kwargs)
+    - gradient: the full smoothed gradient (prox-gd, apg), or the mini-batch
+      variance-reduced estimate around a full-gradient snapshot refreshed
+      every epoch (prox-svrg, acc-prox-svrg);
+    - momentum (apg, acc-prox-svrg): the constant
+      (sqrt(kappa)-1)/(sqrt(kappa)+1) from ``mu_eff`` (default: the stage
+      modulus) when mu_eff > 0, else the t_k extrapolation sequence;
+      acc-prox-svrg restarts it at every snapshot.
 
-
-def run_acc_prox_svrg(sp, x0, budget, spec=None, mu_eff=None, rng=None, **kwargs):
-    """Momentum-augmented mini-batch proximal SVRG.
-
-    The extrapolation sequence restarts at every snapshot; the momentum
-    coefficient is fixed from the stage condition number (the t_k sequence is
-    used if no strong convexity is available).
+    The step is step_scale/L, times theta for prox-svrg. Stochastic solvers
+    draw from ``rng``, seeded from ``spec.seed`` when not given. SAGA and
+    MISO appear only in the budget calculator, not as runners.
     """
-    spec = spec or SolverSpec(solver=ACC_PROX_SVRG)
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
+    if spec.solver not in (PROX_GD, APG, PROX_SVRG, ACC_PROX_SVRG):
+        raise ValueError(f"{spec.solver!r} is not a runnable solver")
+    variance_reduced = spec.solver in (PROX_SVRG, ACC_PROX_SVRG)
+    momentum = spec.accelerated
     L = lipschitz_constant(sp)
-    eta = spec.step_scale / L
-    if mu_eff is None:
-        mu_eff = sp.base.mu + sp.lam
-    n = sp.base.n
-    b = min(spec.batch_size, n)
-    m = _epoch_length(spec, n)
-    reg, lam, loss, gamma = sp.base.reg, sp.lam, sp.base.loss, sp.gamma
-    feats, labels = sp.base.features, sp.base.data.labels
-    if mu_eff > 0:
-        q = min(1.0, mu_eff / L)
-        beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+    if spec.solver == PROX_SVRG:
+        eta = spec.theta * spec.step_scale / L
     else:
-        beta_const = None
-    state = {"tk": 1.0}
+        eta = spec.step_scale / L
+    reg, lam = sp.base.reg, sp.lam
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (sp.base.d,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({sp.base.d},)")
+    state = {"y": x0.copy(), "tk": 1.0}
+
+    beta_const = None
+    if momentum:
+        if mu_eff is None:
+            mu_eff = sp.base.mu + sp.lam
+        if mu_eff > 0:
+            q = min(1.0, mu_eff / L)
+            beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+
+    if variance_reduced:
+        rng = rng if rng is not None else np.random.default_rng(spec.seed)
+        n = sp.base.n
+        b = min(spec.batch_size, n)
+        m = _epoch_length(spec, n)
+        loss, gamma = sp.base.loss, sp.gamma
+        feats, labels = sp.base.features, sp.base.data.labels
 
     def step(t, x):
-        if (t - 1) % m == 0:
+        if variance_reduced and (t - 1) % m == 0:
             state["snap"] = x.copy()
             state["full"] = smoothing.loss_gradient(sp, x)
-            state["y"] = x.copy()
-            state["tk"] = 1.0
-        y = state["y"]
-        batch = sample_minibatch(n, b, rng)
-        rows, yb = feats[batch], labels[batch]
-        v = smoothing.vr_gradient_kernel(
-            rows, yb, loss, gamma, y, state["snap"], state["full"]
-        )
-        x_new = prox_regularizer(y - eta * v, eta, reg, lam)
-        if beta_const is None:
-            tk = state["tk"]
-            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            beta = (tk - 1.0) / tk_new
-            state["tk"] = tk_new
+            if momentum:
+                state["y"] = x.copy()
+                state["tk"] = 1.0
+        y = state["y"] if momentum else x
+        if variance_reduced:
+            batch = sample_minibatch(n, b, rng)
+            g = smoothing.vr_gradient_kernel(
+                feats[batch], labels[batch], loss, gamma, y, state["snap"], state["full"]
+            )
         else:
-            beta = beta_const
-        state["y"] = x_new + beta * (x_new - x)
+            g = smoothing.loss_gradient(sp, y)
+        x_new = prox_regularizer(y - eta * g, eta, reg, lam)
+        if momentum:
+            if beta_const is None:
+                tk = state["tk"]
+                tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+                beta = (tk - 1.0) / tk_new
+                state["tk"] = tk_new
+            else:
+                beta = beta_const
+            state["y"] = x_new + beta * (x_new - x)
         return x_new
 
-    return _drive(step, sp, x0, budget, **kwargs)
-
-
-_RUNNERS = {
-    PROX_GD: run_prox_gd,
-    APG: run_apg,
-    PROX_SVRG: run_prox_svrg,
-    ACC_PROX_SVRG: run_acc_prox_svrg,
-}
-
-
-def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
-    """Dispatch to the runner named by ``spec.solver``.
-
-    SAGA and MISO appear only in the budget calculator, not as runners.
-    """
-    try:
-        runner = _RUNNERS[spec.solver]
-    except KeyError:
-        raise ValueError(f"{spec.solver!r} is not a runnable solver") from None
-    return runner(sp, x0, budget, spec=spec, mu_eff=mu_eff, rng=rng, **kwargs)
+    return drive(step, x0, budget, **kwargs)
 
 
 def required_t1(solver, kappa, rho, n=None, theta=None, p=None):

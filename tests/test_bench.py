@@ -300,6 +300,33 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "trace0.csv").exists() and (tmp_path / "trace1.csv").exists()
 
 
+@pytest.mark.parametrize("bad_source, reason", (
+    ("synth-n = 60\nbogus-key = 1\n", "unknown config keys"),
+    ("dataset = {bad}\n", "line 2:"),  # a LibsvmFormatError crosses the pool
+))
+def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monkeypatch,
+                                                         bad_source, reason):
+    monkeypatch.setenv("CNSOPT_WORKERS", "2")
+    bad_data = tmp_path / "bad.libsvm"
+    bad_data.write_text("1 1:0.5\n-1 2:x\n")
+    common = ("method = fobos\nloss = hinge\nnu1 = 0.01\nnu2 = 0.05\neta0 = 0.5\n"
+              "iterations = 40\ncadence = 20\nbatch-size = 20\n")
+    texts = {"a.cfg": common + "synth-n = 60\nseed = 1\n",
+             "bad.cfg": common + bad_source.format(bad=bad_data),
+             "b.cfg": common + "synth-n = 60\nseed = 2\n"}
+    paths = []
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    rc = main(["sweep", *paths])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [line.split(": ")[0] for line in lines] == paths
+    assert lines[0].startswith(f"{paths[0]}: objective ")
+    assert lines[1].startswith(f"{paths[1]}: failed: ") and reason in lines[1]
+    assert lines[2].startswith(f"{paths[2]}: objective ")
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cnsopt", "--help"], capture_output=True, text=True

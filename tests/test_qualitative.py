@@ -22,7 +22,7 @@ from cnsopt import (
     make_synthetic,
     objective_original,
     reference_objective,
-    run_apg,
+    run_solver,
 )
 from cnsopt.solvers import SolverSpec
 
@@ -40,7 +40,7 @@ def test_fixed_gamma_floor_ordering():
     x0 = np.zeros(prob.d)
 
     def converged_floor(gamma):
-        run = run_apg(SmoothedProblem(prob, gamma), x0, 40_000)
+        run = run_solver(SolverSpec(solver="apg"), SmoothedProblem(prob, gamma), x0, 40_000)
         return objective_original(prob, run.x) - p_star
 
     floor_coarse = converged_floor(1e-2)

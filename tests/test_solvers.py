@@ -15,14 +15,13 @@ from cnsopt import (
     loss_gradient,
     objective_smoothed,
     required_t1,
-    run_acc_prox_svrg,
-    run_apg,
-    run_prox_gd,
-    run_prox_svrg,
     run_solver,
 )
 from cnsopt.prox import prox_regularizer
 from cnsopt.solvers import SolverSpec
+
+GD = SolverSpec(solver="prox-gd")
+APG = SolverSpec(solver="apg")
 
 
 def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
@@ -38,6 +37,18 @@ def _random_strongly_convex(seed, n=100, d=10, nu1=0.01, nu2=0.1):
     return _problem(rows, labels, HINGE, nu1=nu1, nu2=nu2)
 
 
+def _first_hit(spec, sp, x0, budget, every, reached, **kwargs):
+    """First multiple of ``every`` whose iterate satisfies ``reached``, or inf."""
+    hits = []
+
+    def check(t, x, elapsed):
+        if not hits and reached(x):
+            hits.append(t)
+
+    run_solver(spec, sp, x0, budget, callback=check, callback_every=every, **kwargs)
+    return hits[0] if hits else math.inf
+
+
 def quad_problem(nu2=0.1):
     """1-D absolute-loss instance whose iterates stay in the quadratic branch."""
     # two samples with different leverage; gamma wide enough to hold residuals
@@ -50,7 +61,7 @@ def test_prox_gd_matches_scalar_recursion_oracle():
     sp = SmoothedProblem(prob, gamma)
     x0 = np.array([0.3])
     budget = 40
-    run = run_prox_gd(sp, x0, budget)
+    run = run_solver(GD, sp, x0, budget)
 
     # independent oracle: simulate the scalar recursion directly
     z = np.array([1.0, 0.5])
@@ -70,12 +81,12 @@ def test_prox_gd_contraction_rate():
     L = 1.0 / 2.0
     mu = prob.mu
     # fixed point of the iteration
-    x_star = run_prox_gd(sp, np.array([0.0]), 2000).x[0]
+    x_star = run_solver(GD, sp, np.array([0.0]), 2000).x[0]
     x = 0.3
     bound = 1.0 - mu / L + 1e-9
     prev_err = abs(x - x_star)
     for t in range(20):
-        x = run_prox_gd(sp, np.array([x]), 1).x[0]
+        x = run_solver(GD, sp, np.array([x]), 1).x[0]
         err = abs(x - x_star)
         if prev_err > 1e-13:
             assert err <= bound * prev_err
@@ -86,7 +97,7 @@ def test_zero_budget_rejected():
     prob = quad_problem()
     sp = SmoothedProblem(prob, 2.0)
     with pytest.raises(ValueError):
-        run_prox_gd(sp, np.zeros(1), 0)
+        run_solver(GD, sp, np.zeros(1), 0)
 
 
 def test_prox_gd_reaches_exact_zero_under_strong_l1():
@@ -99,7 +110,7 @@ def test_prox_gd_reaches_exact_zero_under_strong_l1():
     prob2 = CompositeProblem(prob.data, prob.loss, Regularizer(nu1=nu1, nu2=0.1))
     sp2 = SmoothedProblem(prob2, 0.1)
     x0 = 0.01 * rng.normal(size=prob.d)
-    run = run_prox_gd(sp2, x0, 50)
+    run = run_solver(GD, sp2, x0, 50)
     assert np.array_equal(run.x, np.zeros(prob.d))
 
 
@@ -109,18 +120,15 @@ def test_apg_beats_prox_gd_on_quadratic():
     prob = _problem([[1.0, 0.0], [0.0, 0.1]], [0.05, 0.004], ABSOLUTE, nu2=0.001)
     sp = SmoothedProblem(prob, 2.0)
     x0 = np.array([0.3, 0.3])
-    x_star = run_apg(sp, x0, 30_000).x
+    x_star = run_solver(APG, sp, x0, 30_000).x
     f_star = objective_smoothed(sp, x_star)
 
-    def first_hit(runner, tol=1e-10, budget=20_000):
-        run = runner(sp, x0, budget, record_every=5)
-        for t, _, f in run.trace:
-            if f - f_star <= tol:
-                return t
-        return math.inf
+    def first_hit(spec, tol=1e-10):
+        return _first_hit(spec, sp, x0, 20_000, 5,
+                          lambda x: objective_smoothed(sp, x) - f_star <= tol)
 
-    t_apg = first_hit(run_apg)
-    t_gd = first_hit(run_prox_gd)
+    t_apg = first_hit(APG)
+    t_gd = first_hit(GD)
     assert t_apg < t_gd
 
 
@@ -129,8 +137,8 @@ def test_apg_equals_prox_gd_when_kappa_one():
     prob = quad_problem(nu2=0.5)
     sp = SmoothedProblem(prob, 2.0)
     L = 0.5
-    a = run_apg(sp, np.array([0.3]), 25, mu_eff=L)
-    b = run_prox_gd(sp, np.array([0.3]), 25)
+    a = run_solver(APG, sp, np.array([0.3]), 25, mu_eff=L)
+    b = run_solver(GD, sp, np.array([0.3]), 25)
     assert np.array_equal(a.x, b.x)
 
 
@@ -140,8 +148,8 @@ def test_apg_no_worse_than_prox_gd_on_random_instances():
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
         for budget in (20, 60):
-            fa = objective_smoothed(sp, run_apg(sp, x0, budget).x)
-            fg = objective_smoothed(sp, run_prox_gd(sp, x0, budget).x)
+            fa = objective_smoothed(sp, run_solver(APG, sp, x0, budget).x)
+            fg = objective_smoothed(sp, run_solver(GD, sp, x0, budget).x)
             assert fa <= fg + 1e-12
 
 
@@ -180,13 +188,13 @@ def test_svrg_estimator_is_unbiased_by_enumeration():
     assert np.max(np.abs(mean_est - loss_gradient(sp, x))) < 1e-10
 
 
-@pytest.mark.parametrize("runner", (run_prox_svrg, run_acc_prox_svrg))
-def test_stochastic_solvers_bit_deterministic(runner):
+@pytest.mark.parametrize("solver", ("prox-svrg", "acc-prox-svrg"))
+def test_stochastic_solvers_bit_deterministic(solver):
     prob = _random_strongly_convex(5)
     sp = SmoothedProblem(prob, 0.05)
-    spec = SolverSpec(solver="prox-svrg", seed=123)
-    a = runner(sp, np.zeros(prob.d), 73, spec=spec)
-    b = runner(sp, np.zeros(prob.d), 73, spec=spec)
+    spec = SolverSpec(solver=solver, seed=123)
+    a = run_solver(spec, sp, np.zeros(prob.d), 73)
+    b = run_solver(spec, sp, np.zeros(prob.d), 73)
     assert np.array_equal(a.x, b.x)
     assert a.iterations == b.iterations == 73
 
@@ -198,37 +206,33 @@ def test_acc_svrg_reaches_tolerance_faster_than_svrg():
         prob = _random_strongly_convex(seed, n=200, d=10, nu2=0.1)
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
-        star = objective_smoothed(sp, run_apg(sp, x0, 8000).x)
+        star = objective_smoothed(sp, run_solver(APG, sp, x0, 8000).x)
         init_gap = objective_smoothed(sp, x0) - star
         target = star + 1e-6 * init_gap
 
-        def first_hit(runner, spec, checks=range(25, 1501, 25)):
-            for t in checks:
-                run = runner(sp, x0, t, spec=spec,
-                             rng=np.random.default_rng(seed + 1000))
-                if objective_smoothed(sp, run.x) <= target:
-                    return t
-            return math.inf
+        def first_hit(spec):
+            # a seeded run's first t iterates do not depend on its budget, so
+            # checking one long run every 25 steps finds the first budget in
+            # 25, 50, ..., 1500 whose run reaches the target
+            return _first_hit(spec, sp, x0, 1500, 25, lambda x: objective_smoothed(sp, x) <= target,
+                              rng=np.random.default_rng(seed + 1000))
 
-        t_plain = first_hit(run_prox_svrg, SolverSpec(solver="prox-svrg", batch_size=20))
-        t_acc = first_hit(run_acc_prox_svrg, SolverSpec(solver="acc-prox-svrg", batch_size=20))
+        t_plain = first_hit(SolverSpec(solver="prox-svrg", batch_size=20))
+        t_acc = first_hit(SolverSpec(solver="acc-prox-svrg", batch_size=20))
         wins.append(t_acc < t_plain)
     assert np.median(wins) == 1.0
 
 
 def test_solvers_monotone_in_expectation():
     # median final objective over 10 seeds no worse than the start
-    for maker, spec in (
-        (run_prox_svrg, SolverSpec(solver="prox-svrg")),
-        (run_acc_prox_svrg, SolverSpec(solver="acc-prox-svrg")),
-    ):
+    for spec in (SolverSpec(solver="prox-svrg"), SolverSpec(solver="acc-prox-svrg")):
         prob = _random_strongly_convex(0, n=120)
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
         start = objective_smoothed(sp, x0)
         finals = []
         for seed in range(10):
-            run = maker(sp, x0, 100, spec=spec, rng=np.random.default_rng(seed))
+            run = run_solver(spec, sp, x0, 100, rng=np.random.default_rng(seed))
             finals.append(objective_smoothed(sp, run.x))
         assert np.median(finals) <= start
 
@@ -253,7 +257,7 @@ def test_divergence_detection():
     prob = quad_problem()
     sp = SmoothedProblem(prob, 2.0)
     with pytest.raises(DivergenceError):
-        run_prox_gd(sp, np.array([np.inf]), 50)
+        run_solver(GD, sp, np.array([np.inf]), 50)
 
 
 def test_saga_miso_not_runnable():
@@ -352,9 +356,12 @@ def test_solver_spec_validation():
 def test_trace_recording():
     prob = _random_strongly_convex(2)
     sp = SmoothedProblem(prob, 0.1)
-    run = run_prox_gd(sp, np.zeros(prob.d), 25, record_every=10)
-    assert [t for t, _, _ in run.trace] == [10, 20, 25]
-    elapsed = [e for _, e, _ in run.trace]
+    trace = []
+    run_solver(GD, sp, np.zeros(prob.d), 25,
+               callback=lambda t, x, e: trace.append((t, e, objective_smoothed(sp, x))),
+               callback_every=10)
+    assert [t for t, _, _ in trace] == [10, 20]
+    elapsed = [e for _, e, _ in trace]
     assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))
-    objectives = [o for _, _, o in run.trace]
+    objectives = [o for _, _, o in trace]
     assert objectives[-1] <= objectives[0]
