@@ -52,15 +52,13 @@ from .prox import prox_l1, prox_regularizer
 from .smoothing import (
     ABSOLUTE,
     HINGE,
+    LOSSES,
     LossDualSpec,
-    ScalarBranchResult,
     condition_number,
     dual_spec,
     lipschitz_constant,
     loss_gradient,
-    margins,
-    smoothed_absolute,
-    smoothed_hinge,
+    slacks,
     smoothed_loss_gradient,
     smoothing_gap,
 )

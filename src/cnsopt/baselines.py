@@ -3,8 +3,8 @@
 FOBOS and RDA exploit the regularizer through prox / closed-form minimization
 and therefore produce exact zeros under an l1 penalty; polynomial-decay
 averaged SGD treats the whole objective through its subgradient and does not.
-Subgradients at kinks use the minimal-norm element (0 at the hinge margin and
-at a zero residual or coordinate).
+Subgradients at kinks use the minimal-norm element (0 at a zero slack and at a
+zero coordinate).
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import sample_minibatch
 from .prox import prox_l1, prox_regularizer
-from .smoothing import HINGE
+from .smoothing import dual_spec
 from .solvers import drive
 
 FOBOS = "fobos"
@@ -52,14 +52,24 @@ class BaselineSpec:
 
 
 def loss_subgradient(problem, x, batch):
-    """Mean minimal-norm subgradient of the nonsmooth loss over the batch."""
+    """Mean minimal-norm subgradient of the nonsmooth loss over the batch.
+
+    The loss's derivative in the slack a is clip(sign(a), u_lo, u_hi), the
+    minimal-norm dual point (both dual intervals lie in [-1, 1]); it is
+    negated here, like the smoothed kernels' weights, since da/ds is -y or -1.
+    """
+    spec = dual_spec(problem.loss)
     rows = problem.features[batch]
     y = problem.data.labels[batch]
-    scores = rows @ x
-    if problem.loss == HINGE:
-        weights = np.where(y * scores < 1.0, -y, 0.0)
-    else:
-        weights = -np.sign(y - scores)
+    weights = np.sign(-spec.slack(y, rows @ x))
+    # the clip to [-u_hi, -u_lo], one bound at a time: a bound of magnitude 1
+    # never binds on a sign, and a single ufunc costs less than np.clip
+    if spec.u_hi < 1.0:
+        np.maximum(weights, -spec.u_hi, out=weights)
+    if spec.u_lo > -1.0:
+        np.minimum(weights, -spec.u_lo, out=weights)
+    if spec.label_slope:
+        weights *= y
     return (rows.T @ weights) / len(y)
 
 

@@ -23,7 +23,7 @@ from .datasets import (
 )
 from .errors import CnsError, TuningError
 from .problem import CompositeProblem, Regularizer, objective_original
-from .smoothing import HINGE, ABSOLUTE
+from .smoothing import HINGE, dual_spec
 from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
 
 CNS_A = "cns-a"
@@ -90,8 +90,7 @@ class RunConfig:
             raise ValueError("exactly one of dataset / synthetic must be set")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if self.loss not in (HINGE, ABSOLUTE):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
 
 
 class _TimeBudgetExceeded(Exception):
@@ -100,7 +99,7 @@ class _TimeBudgetExceeded(Exception):
 
 def load_problem(cfg):
     """Materialize (train problem, test dataset or None) from a RunConfig."""
-    task = CLASSIFICATION if cfg.loss == HINGE else "regression"
+    task = dual_spec(cfg.loss).task
     if cfg.synthetic is not None:
         train, _ = make_synthetic(cfg.synthetic)
         test_spec = replace(cfg.synthetic, seed=cfg.synthetic.seed + 1)
@@ -114,10 +113,11 @@ def load_problem(cfg):
     return CompositeProblem(train, cfg.loss, reg), test
 
 
-def test_metric(dataset, loss, x):
-    """Misclassification rate of sign(z'x), or mean absolute residual."""
+def test_metric(dataset, x):
+    """Misclassification rate of sign(z'x) on a classification dataset, mean
+    absolute residual on a regression one."""
     scores = dataset.features @ x
-    if loss == HINGE:
+    if dataset.task == CLASSIFICATION:
         predicted = np.where(scores >= 0, 1.0, -1.0)
         return float(np.mean(predicted != dataset.labels))
     return float(np.mean(np.abs(dataset.labels - scores)))
@@ -196,7 +196,7 @@ def run_experiment(cfg):
                 cumulative_iterations=iterations,
                 stage=stage,
                 objective_original=objective_original(problem, x),
-                test_metric=test_metric(eval_data, cfg.loss, x),
+                test_metric=test_metric(eval_data, x),
                 nnz=int(np.count_nonzero(x)),
             )
         )
@@ -219,7 +219,7 @@ def run_experiment(cfg):
     else:
         rows.append(
             TraceRow(0.0, 0, -1, objective_original(problem, x0),
-                     test_metric(eval_data, cfg.loss, x0), 0)
+                     test_metric(eval_data, x0), 0)
         )
         try:
             run = bl.run_baseline(

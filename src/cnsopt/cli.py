@@ -27,8 +27,12 @@ from .bench import (
 )
 from .datasets import CLASSIFICATION, REGRESSION, SyntheticSpec, make_synthetic, serialize_libsvm
 from .errors import CnsError
+from .smoothing import LOSSES, dual_spec
 
-_SYNTH_KEYS = ("synth_n", "synth_d", "synth_sparsity", "synth_noise", "synth_norm_lo", "synth_norm_hi")
+# SyntheticSpec options that ``synth --<name>`` and ``run --synth-<name>`` both
+# take; one left out keeps SyntheticSpec's default
+_SYNTH_OPTIONS = ("sparsity", "noise", "norm_lo", "norm_hi")
+_SYNTH_KEYS = ("synth_n", "synth_d") + tuple(f"synth_{name}" for name in _SYNTH_OPTIONS)
 
 
 def _coerce(text):
@@ -65,7 +69,7 @@ def read_config_file(path):
 def _add_run_flags(parser):
     parser.add_argument("--config", help="key = value file supplying any flag below")
     parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--loss", choices=("hinge", "absolute"))
+    parser.add_argument("--loss", choices=LOSSES)
     parser.add_argument("--dataset", help="LIBSVM path (.gz ok)")
     parser.add_argument("--test-dataset", help="LIBSVM path for the test metric")
     parser.add_argument("--nu1", type=float)
@@ -90,10 +94,22 @@ def _add_run_flags(parser):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--synth-n", type=int, help="samples for a synthetic run")
     parser.add_argument("--synth-d", type=int, help="features for a synthetic run")
-    parser.add_argument("--synth-sparsity", type=float)
-    parser.add_argument("--synth-noise", type=float)
-    parser.add_argument("--synth-norm-lo", type=float)
-    parser.add_argument("--synth-norm-hi", type=float)
+    for name in _SYNTH_OPTIONS:
+        parser.add_argument(f"--synth-{name.replace('_', '-')}", type=float)
+
+
+def _synthetic_spec(n, d, task, seed, sparsity=None, noise=None, norm_lo=None, norm_hi=None):
+    """A SyntheticSpec; an option left None keeps SyntheticSpec's default."""
+    lo, hi = SyntheticSpec.feature_norm_range
+    return SyntheticSpec(
+        n=n,
+        d=d,
+        task=task,
+        sparsity=SyntheticSpec.sparsity if sparsity is None else sparsity,
+        noise=SyntheticSpec.noise if noise is None else noise,
+        seed=seed,
+        feature_norm_range=(lo if norm_lo is None else norm_lo, hi if norm_hi is None else norm_hi),
+    )
 
 
 def build_run_config(args):
@@ -108,23 +124,16 @@ def build_run_config(args):
         if value is not None:
             merged[key] = value
 
+    synth_args = {key.removeprefix("synth_"): merged.pop(key, None) for key in _SYNTH_KEYS}
+    given = sorted(f"synth_{key}" for key, value in synth_args.items() if value is not None)
     synth = None
-    if merged.get("synth_n") is not None:
-        loss = merged.get("loss", "hinge")
-        synth = SyntheticSpec(
-            n=merged["synth_n"],
-            d=merged.get("synth_d", 50),
-            task=CLASSIFICATION if loss == "hinge" else REGRESSION,
-            sparsity=merged.get("synth_sparsity", 0.2),
-            noise=merged.get("synth_noise", 0.1),
-            seed=merged.get("seed", 0),
-            feature_norm_range=(
-                merged.get("synth_norm_lo", 1.0),
-                merged.get("synth_norm_hi", 1.0),
-            ),
-        )
-    for key in _SYNTH_KEYS:
-        merged.pop(key, None)
+    if synth_args["n"] is not None:
+        n, d = synth_args.pop("n"), synth_args.pop("d")
+        task = dual_spec(merged.get("loss", RunConfig.loss)).task
+        synth = _synthetic_spec(n, 50 if d is None else d, task,
+                                merged.get("seed", RunConfig.seed), **synth_args)
+    elif given:
+        raise ValueError(f"synthetic keys without synth_n: {given}")
 
     allowed = {f.name for f in fields(RunConfig)}
     unknown = set(merged) - allowed
@@ -192,15 +201,8 @@ def _cmd_compare(args):
 
 def _cmd_synth(args):
     task = CLASSIFICATION if args.task == "classification" else REGRESSION
-    spec = SyntheticSpec(
-        n=args.n,
-        d=args.d,
-        task=task,
-        sparsity=args.sparsity,
-        noise=args.noise,
-        seed=args.seed,
-        feature_norm_range=(args.norm_lo, args.norm_hi),
-    )
+    spec = _synthetic_spec(args.n, args.d, task, args.seed,
+                           **{name: getattr(args, name) for name in _SYNTH_OPTIONS})
     dataset, _ = make_synthetic(spec)
     serialize_libsvm(dataset, args.output)
     print(f"wrote {dataset.n} x {dataset.d} {task} dataset to {args.output}")
@@ -235,11 +237,9 @@ def main(argv=None):
     p_synth.add_argument("--d", type=int, required=True)
     p_synth.add_argument("--task", choices=("classification", "regression"),
                          default="classification")
-    p_synth.add_argument("--sparsity", type=float, default=0.2)
-    p_synth.add_argument("--noise", type=float, default=0.1)
+    for name in _SYNTH_OPTIONS:
+        p_synth.add_argument(f"--{name.replace('_', '-')}", type=float)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--norm-lo", type=float, default=1.0)
-    p_synth.add_argument("--norm-hi", type=float, default=1.0)
     p_synth.add_argument("--output", required=True)
     p_synth.set_defaults(func=_cmd_synth)
 

@@ -87,6 +87,10 @@ def _open_maybe_gzip(source, mode):
     return source, False
 
 
+# largest 1-based feature index whose 0-based CSR index fits in int32
+_MAX_INDEX = np.iinfo(np.int32).max + 1
+
+
 def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     """Parse LIBSVM text (``label idx:val ...``, 1-based ascending indices).
 
@@ -95,10 +99,12 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     (useful to align a test split with its training split). Classification
     files using {0,1} labels are remapped to {-1,+1}, and the remap is logged;
     any other classification label that is not +1/-1 raises LibsvmFormatError
-    at its line.
+    at its line, and so do a non-finite label or feature value and a feature
+    index beyond the int32 range of the CSR indices.
     """
     stream, owned = _open_maybe_gzip(source, "r")
     labels = []
+    linenos = []  # the line of each sample, for errors found after the loop
     data = []
     indices = []
     indptr = [0]
@@ -117,6 +123,7 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
             if first_non_pm1 is None and abs(label) != 1.0:
                 first_non_pm1 = (lineno, tokens[0])
             labels.append(label)
+            linenos.append(lineno)
             prev = 0
             for token in tokens[1:]:
                 idx_str, _, val_str = token.partition(":")
@@ -138,6 +145,8 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)
+            if prev > _MAX_INDEX:
+                raise LibsvmFormatError(lineno, f"feature index {prev} exceeds the int32 range")
             max_index = max(max_index, prev)
             indptr.append(len(indices))
     finally:
@@ -148,6 +157,12 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
         raise LibsvmFormatError(0, "no samples in input")
     d = n_features if n_features is not None else max_index
     y = np.asarray(labels, dtype=float)
+    values = np.asarray(data, dtype=float)
+    if not np.isfinite(y).all():
+        raise LibsvmFormatError(linenos[np.argmin(np.isfinite(y))], "non-finite label")
+    if not np.isfinite(values).all():
+        row = np.searchsorted(indptr, np.argmin(np.isfinite(values)), side="right") - 1
+        raise LibsvmFormatError(linenos[row], "non-finite feature value")
     if task == CLASSIFICATION and first_non_pm1 is not None:
         if not np.all((y == 0.0) | (y == 1.0)):
             lineno, token = first_non_pm1
@@ -158,7 +173,7 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
         log.info("mapping {0,1} labels to {-1,+1} (%d zeros)", int(np.sum(y == 0.0)))
         y = np.where(y == 0.0, -1.0, 1.0)
     mat = sparse.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32), indptr),
+        (values, np.asarray(indices, dtype=np.int32), indptr),
         shape=(len(labels), d),
     )
     return SparseDataset(mat, y, task)

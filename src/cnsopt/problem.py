@@ -7,8 +7,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import smoothing
-from .datasets import CLASSIFICATION, REGRESSION, SparseDataset
-from .smoothing import ABSOLUTE, HINGE
+from .datasets import SparseDataset
 
 L1 = "l1"
 ELASTIC_NET = "elastic-net"
@@ -48,8 +47,9 @@ class Regularizer:
 class CompositeProblem:
     """Nonsmooth risk: (1/n) sum of hinge or absolute losses, plus a regularizer.
 
-    The strong-convexity modulus mu comes from the regularizer only; the two
-    supported losses contribute none.
+    The strong-convexity modulus mu comes from the regularizer only; the
+    supported losses contribute none. The loss must be in the loss table and
+    the dataset's task must be the loss's task.
     """
 
     data: SparseDataset
@@ -57,11 +57,9 @@ class CompositeProblem:
     reg: Regularizer
 
     def __post_init__(self):
-        if self.loss not in (HINGE, ABSOLUTE):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        expected = CLASSIFICATION if self.loss == HINGE else REGRESSION
-        if self.data.task != expected:
-            raise ValueError(f"{self.loss} loss requires a {expected} dataset")
+        task = smoothing.dual_spec(self.loss).task
+        if self.data.task != task:
+            raise ValueError(f"{self.loss} loss requires a {task} dataset")
 
     @property
     def n(self):
@@ -118,15 +116,15 @@ class SmoothedProblem:
 
 def objective_original(problem, x):
     """Exact nonsmooth objective: mean hinge/absolute loss plus regularizer."""
-    m = smoothing.margins(problem, x)
-    losses = smoothing.exact_loss_values(m, problem.loss)
+    a = smoothing.slacks(problem, x)
+    losses = smoothing.exact_loss_values(a, problem.loss)
     return float(losses.mean()) + problem.reg.value(x)
 
 
 def objective_smoothed(sp, x):
     """Stage objective: mean smoothed loss + regularizer + (lam/2)||x||^2."""
-    m = smoothing.margins(sp.base, x)
-    vals = smoothing.smoothed_loss_values(m, sp.base.loss, sp.gamma)
+    a = smoothing.slacks(sp.base, x)
+    vals = smoothing.smoothed_loss_values(a, sp.base.loss, sp.gamma)
     out = float(vals.mean()) + sp.base.reg.value(x)
     if sp.lam:
         out += 0.5 * sp.lam * float(x @ x)

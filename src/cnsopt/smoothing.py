@@ -1,29 +1,25 @@
-"""Closed-form smoothing of the hinge and absolute losses.
+"""Nesterov smoothing of the hinge and absolute losses through their duals.
 
-Each nonsmooth loss is replaced by a three-branch surrogate with a gradient
-that is Lipschitz with constant proportional to 1/gamma. The surrogate sits
-within gamma/2 below the exact loss everywhere (the dual prox-term penalty is
-at most gamma * D_u with D_u = 1/2 for both built-in losses).
+Each loss is max u * a over a dual interval [u_lo, u_hi], where a is the
+per-sample slack (1 - y z'x for the hinge, y - z'x for the absolute loss).
+Subtracting the prox term gamma u^2 / 2 inside the max gives a surrogate
+whose derivative in a is the maximizing dual point clip(a / gamma, u_lo,
+u_hi), Lipschitz with constant 1/gamma. The surrogate sits within
+gamma * D_u below the exact loss everywhere, with D_u = max u^2 / 2 over the
+interval = 1/2 for both losses. ``_DUAL_SPECS`` is the one table of the
+losses; every other function reads it instead of naming a loss.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
 
+from .datasets import CLASSIFICATION, REGRESSION
+
 HINGE = "hinge"
 ABSOLUTE = "absolute"
-
-FLAT = "flat"
-LINEAR = "linear"
-QUADRATIC = "quadratic"
-
-
-class ScalarBranchResult(NamedTuple):
-    value: float
-    derivative: float
-    branch: str
 
 
 def _check_gamma(gamma):
@@ -31,108 +27,52 @@ def _check_gamma(gamma):
         raise ValueError(f"smoothness parameter must be positive, got {gamma}")
 
 
-def smoothed_hinge(margin, gamma):
-    """Smoothed hinge at a scalar margin m = y * z'x.
-
-    Flat for m >= 1, linear (slope -1) for m < 1 - gamma, quadratic between.
-    """
-    _check_gamma(gamma)
-    m = float(margin)
-    if m >= 1.0:
-        return ScalarBranchResult(0.0, 0.0, FLAT)
-    if m < 1.0 - gamma:
-        return ScalarBranchResult(1.0 - m - gamma / 2.0, -1.0, LINEAR)
-    return ScalarBranchResult((1.0 - m) ** 2 / (2.0 * gamma), -(1.0 - m) / gamma, QUADRATIC)
+def _hinge_slack(y, s):
+    return 1.0 - y * s
 
 
-def smoothed_absolute(residual, gamma):
-    """Smoothed absolute loss at a scalar residual rho = y - z'x.
-
-    Linear with slope +/-1 outside [-gamma, gamma], quadratic rho^2/(2 gamma)
-    inside (the classic Huber shape).
-    """
-    _check_gamma(gamma)
-    r = float(residual)
-    if r >= gamma:
-        return ScalarBranchResult(r - gamma / 2.0, 1.0, LINEAR)
-    if r < -gamma:
-        return ScalarBranchResult(-r - gamma / 2.0, -1.0, LINEAR)
-    return ScalarBranchResult(r * r / (2.0 * gamma), r / gamma, QUADRATIC)
+def _absolute_slack(y, s):
+    return y - s
 
 
-def hinge_values(margins, gamma):
-    """Vectorized smoothed-hinge values over an array of margins."""
-    _check_gamma(gamma)
-    m = np.asarray(margins, dtype=float)
-    gap = 1.0 - m
-    out = np.where(
-        gap <= 0.0,
-        0.0,
-        np.where(gap > gamma, gap - gamma / 2.0, gap * gap / (2.0 * gamma)),
-    )
-    return out
+def _hinge_values(a, gamma):
+    return np.where(a <= 0.0, 0.0, np.where(a > gamma, a - gamma / 2.0, a * a / (2.0 * gamma)))
 
 
-def hinge_derivatives(margins, gamma):
-    """Vectorized d/dm of the smoothed hinge."""
-    _check_gamma(gamma)
-    m = np.asarray(margins, dtype=float)
-    gap = 1.0 - m
-    return np.where(gap <= 0.0, 0.0, np.where(gap > gamma, -1.0, -gap / gamma))
-
-def absolute_values(residuals, gamma):
-    """Vectorized smoothed-absolute values over an array of residuals."""
-    _check_gamma(gamma)
-    r = np.asarray(residuals, dtype=float)
-    a = np.abs(r)
-    return np.where(a >= gamma, a - gamma / 2.0, r * r / (2.0 * gamma))
-
-
-def absolute_derivatives(residuals, gamma):
-    """Vectorized d/drho of the smoothed absolute loss."""
-    _check_gamma(gamma)
-    r = np.asarray(residuals, dtype=float)
-    return np.clip(r / gamma, -1.0, 1.0)
-
-
-def exact_loss_values(margins_or_residuals, loss):
-    """Exact nonsmooth per-sample losses on margins (hinge) or residuals (absolute)."""
-    v = np.asarray(margins_or_residuals, dtype=float)
-    if loss == HINGE:
-        return np.maximum(0.0, 1.0 - v)
-    if loss == ABSOLUTE:
-        return np.abs(v)
-    raise ValueError(f"unknown loss {loss!r}")
-
-
-def smoothed_loss_values(margins_or_residuals, loss, gamma):
-    """Smoothed per-sample losses, dispatching on the loss kind."""
-    if loss == HINGE:
-        return hinge_values(margins_or_residuals, gamma)
-    if loss == ABSOLUTE:
-        return absolute_values(margins_or_residuals, gamma)
-    raise ValueError(f"unknown loss {loss!r}")
+def _absolute_values(a, gamma):
+    m = np.abs(a)
+    return np.where(m >= gamma, m - gamma / 2.0, a * a / (2.0 * gamma))
 
 
 @dataclass(frozen=True)
 class LossDualSpec:
-    """Dual description of a supported loss under the quadratic prox-function.
+    """One row of the loss table: the loss as a max over its dual interval.
 
-    The prox-function is fixed to 0.5 ||u||^2 (1-strongly convex), so the
-    only loss-specific data are the dual interval and its penalty maximum.
+    The prox-function is fixed to 0.5 u^2 (1-strongly convex, so zeta = 1),
+    which makes d_u = max 0.5 u^2 over [u_lo, u_hi]. Only three parts differ
+    in form between the losses: ``slack(y, s)`` is a at label y and score
+    s = z'x, ``smoothed(a, gamma)`` the surrogate's value, and
+    ``label_slope`` says whether da/ds is -y (else -1).
     """
 
     kind: str
+    task: str
     u_lo: float
     u_hi: float
+    slack: Callable
+    smoothed: Callable
+    label_slope: bool
     d_u: float = 0.5
     zeta: float = 1.0
 
 
 _DUAL_SPECS = {
-    HINGE: LossDualSpec(HINGE, 0.0, 1.0),
-    ABSOLUTE: LossDualSpec(ABSOLUTE, -1.0, 1.0),
+    HINGE: LossDualSpec(HINGE, CLASSIFICATION, 0.0, 1.0, slack=_hinge_slack,
+                        smoothed=_hinge_values, label_slope=True),
+    ABSOLUTE: LossDualSpec(ABSOLUTE, REGRESSION, -1.0, 1.0, slack=_absolute_slack,
+                           smoothed=_absolute_values, label_slope=False),
 }
+LOSSES = tuple(_DUAL_SPECS)
 
 
 def dual_spec(loss):
@@ -141,6 +81,20 @@ def dual_spec(loss):
         return _DUAL_SPECS[loss]
     except KeyError:
         raise ValueError(f"unknown loss {loss!r}") from None
+
+
+def exact_loss_values(a, loss):
+    """Exact nonsmooth per-sample losses max(u_lo a, u_hi a) at slacks a."""
+    spec = dual_spec(loss)
+    a = np.asarray(a, dtype=float)
+    return np.maximum(spec.u_lo * a, spec.u_hi * a)
+
+
+def smoothed_loss_values(a, loss, gamma):
+    """Smoothed per-sample losses at slacks a."""
+    spec = dual_spec(loss)
+    _check_gamma(gamma)
+    return spec.smoothed(np.asarray(a, dtype=float), gamma)
 
 
 def smoothing_gap(spec, gamma):
@@ -163,15 +117,20 @@ def _batch_rows(problem, x, batch=None):
     return feats[batch], y[batch]
 
 
-def margins(problem, x, batch=None):
-    """Per-sample map: margins y_i z_i'x for hinge, residuals y_i - z_i'x for absolute.
+def slacks(problem, x, batch=None):
+    """Per-sample slacks a_i: 1 - y_i z_i'x for hinge, y_i - z_i'x for absolute.
 
     ``batch`` restricts to a subset of sample indices (validated)."""
     feats, y = _batch_rows(problem, x, batch)
-    scores = feats @ x
-    if problem.loss == HINGE:
-        return y * scores
-    return y - scores
+    return dual_spec(problem.loss).slack(y, feats @ x)
+
+
+def _score_weights(spec, y, scores, gamma):
+    """-alpha at each sample, where alpha = clip(a / gamma, u_lo, u_hi) is its
+    dual point, in one clip by dividing by -gamma. Times y when
+    ``spec.label_slope`` (the caller's multiply), it is the smoothed loss's
+    derivative in the score, since da/ds is -y or -1."""
+    return (spec.slack(y, scores) / -gamma).clip(-spec.u_hi, -spec.u_lo)
 
 
 def gradient_kernel(rows, y, loss, x, gamma):
@@ -180,11 +139,10 @@ def gradient_kernel(rows, y, loss, x, gamma):
     Hot path for the stochastic solvers: callers slice the batch rows once and
     reuse them for several evaluation points.
     """
-    scores = rows @ x
-    if loss == HINGE:
-        weights = hinge_derivatives(y * scores, gamma) * y
-    else:
-        weights = -absolute_derivatives(y - scores, gamma)
+    spec = dual_spec(loss)
+    weights = _score_weights(spec, y, rows @ x, gamma)
+    if spec.label_slope:
+        weights *= y
     return (rows.T @ weights) / len(y)
 
 
@@ -195,18 +153,11 @@ def vr_gradient_kernel(rows, y, loss, gamma, x, snapshot, full_gradient):
     gradient at the snapshot. Fused so the batch matrix is applied once for
     the correction term. Equals ``full_gradient`` exactly when x == snapshot.
     """
-    scores_x = rows @ x
-    scores_s = rows @ snapshot
-    if loss == HINGE:
-        weights = (
-            hinge_derivatives(y * scores_x, gamma)
-            - hinge_derivatives(y * scores_s, gamma)
-        ) * y
-    else:
-        weights = -(
-            absolute_derivatives(y - scores_x, gamma)
-            - absolute_derivatives(y - scores_s, gamma)
-        )
+    spec = dual_spec(loss)
+    weights = (_score_weights(spec, y, rows @ x, gamma)
+               - _score_weights(spec, y, rows @ snapshot, gamma))
+    if spec.label_slope:
+        weights *= y
     return (rows.T @ weights) / len(y) + full_gradient
 
 

@@ -37,7 +37,6 @@ from cnsopt import (
     compare_report,
     dual_spec,
     loss_gradient,
-    margins,
     objective_original,
     objective_smoothed,
     prox_l1,
@@ -46,19 +45,13 @@ from cnsopt import (
     run_baseline,
     run_experiment,
     run_solver,
+    slacks,
     smoothed_loss_gradient,
     smoothing_gap,
     tune_stepsize,
 )
 from cnsopt.bench import write_trace
-from cnsopt.smoothing import (
-    absolute_derivatives,
-    absolute_values,
-    condition_number,
-    exact_loss_values,
-    hinge_derivatives,
-    hinge_values,
-)
+from cnsopt.smoothing import condition_number, exact_loss_values, smoothed_loss_values
 from cnsopt.solvers import SolverSpec
 
 from tests.conftest import (
@@ -102,10 +95,9 @@ def test_criterion_01_smoothing_sandwich():
         for _ in range(10_000):
             gamma = 10.0 ** rng.uniform(-3.0, 0.5)
             x = rng.normal(scale=2.0, size=prob.d)
-            m = margins(prob, x)
-            exact = exact_loss_values(m, loss).mean()
-            smooth = (hinge_values(m, gamma) if loss == HINGE
-                      else absolute_values(m, gamma)).mean()
+            a = slacks(prob, x)
+            exact = exact_loss_values(a, loss).mean()
+            smooth = smoothed_loss_values(a, loss, gamma).mean()
             gap = exact - smooth
             worst = max(worst, -gap, gap - gamma * d_u)
     elapsed = time.perf_counter() - start
@@ -146,11 +138,11 @@ def test_criterion_03_gradient_finite_differences():
         checked = 0
         while checked < 500:
             x = rng.normal(size=prob.d)
-            m = margins(prob, x)
+            a = slacks(prob, x)
             if loss == HINGE:
-                dist = np.minimum(np.abs(m - 1.0), np.abs(m - (1.0 - gamma)))
+                dist = np.minimum(np.abs(a), np.abs(a - gamma))
             else:
-                dist = np.abs(np.abs(m) - gamma)
+                dist = np.abs(np.abs(a) - gamma)
             if dist.min() < 1e-3:
                 continue
             checked += 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import os
@@ -102,9 +103,9 @@ def test_eval_metric_classification_and_regression():
     ds = SparseDataset(np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, -1.0, -1.0]),
                        "classification")
     # sign(z'x) with x = 1 predicts +1, +1, -1: one error in three
-    assert eval_metric(ds, "hinge", np.array([1.0])) == pytest.approx(1 / 3)
+    assert eval_metric(ds, np.array([1.0])) == pytest.approx(1 / 3)
     dr = SparseDataset(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), "regression")
-    assert eval_metric(dr, "absolute", np.array([1.0])) == pytest.approx(0.5)
+    assert eval_metric(dr, np.array([1.0])) == pytest.approx(0.5)
 
 
 def test_time_budget_stops_early():
@@ -220,8 +221,6 @@ def test_config_file_parsing(tmp_path):
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("method = fobos\nseed = 4\nsynth-n = 50\nsynth-d = 6\n")
-    import argparse
-
     ns = argparse.Namespace(
         **{k: None for k in (
             "method loss dataset test_dataset nu1 nu2 gamma1 tau t1 lam1 stages "
@@ -236,6 +235,25 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.method == "rda"
     assert cfg.seed == 4
     assert cfg.synthetic is not None and cfg.synthetic.n == 50
+
+
+@pytest.mark.parametrize("stray", (["--synth-d", "20"],
+                                   ["--synth-noise", "0.3", "--synth-norm-hi", "2"]))
+def test_synthetic_flags_without_synth_n_are_rejected(tmp_path, stray):
+    # a dataset run given synthetic flags fails instead of ignoring them
+    data = tmp_path / "toy.libsvm"
+    main(["synth", "--n", "20", "--d", "4", "--output", str(data)])
+    with pytest.raises(ValueError, match="without synth_n") as err:
+        main(["run", "--method", "cns-a", "--dataset", str(data)] + stray)
+    for flag in stray[::2]:
+        assert flag[2:].replace("-", "_") in str(err.value)
+
+
+def test_synthetic_defaults_come_from_synthetic_spec(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("method = cns-a\nsynth-n = 30\nloss = absolute\nseed = 5\n")
+    cfg = build_run_config(argparse.Namespace(config=str(path)))
+    assert cfg.synthetic == SyntheticSpec(n=30, d=50, task="regression", seed=5)
 
 
 def test_cli_synth_and_run(tmp_path):

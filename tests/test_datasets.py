@@ -89,6 +89,19 @@ def test_parse_mixed_signed_and_zero_one_labels_rejected():
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize("line, message", (
+    ("1 3000000000:1.0", "int32 range"),
+    ("1 1:nan", "non-finite feature value"),
+    ("1 1:0.5 4:1e400", "non-finite feature value"),
+    ("inf 1:1.0", "non-finite label"),
+))
+def test_parse_out_of_range_index_and_non_finite_values_name_their_line(line, message):
+    # an index past int32 was a bare OverflowError; nan/inf values were accepted
+    with pytest.raises(LibsvmFormatError, match=message) as err:
+        parse_libsvm(["0.5 1:1.0", "", line, "2.0 2:1.0"], task=REGRESSION)
+    assert err.value.lineno == 3
+
+
 def test_parse_regression_keeps_labels():
     ds = parse_libsvm(["3.25 1:1.0", "-7.5 1:2.0"], task=REGRESSION)
     assert list(ds.labels) == [3.25, -7.5]

@@ -1,10 +1,12 @@
 """Golden final iterates of seeded runs, pinned bit for bit.
 
-The literals were computed before the four solver runners and the baseline
-loop were folded into ``solvers.drive``; a change that alters any rounding in
-an inner solver or a baseline (operation order, fused updates, batch draws)
-fails here. They hold for numpy 2.x with OpenBLAS; a BLAS that sums the
-5-column products in another order may differ in the last bits.
+The hinge literals were computed before the four solver runners and the
+baseline loop were folded into ``solvers.drive``, the absolute-loss ones
+before the per-loss branches were merged into the loss table; a change that
+alters any rounding in an inner solver, a baseline or a loss kernel
+(operation order, fused updates, batch draws) fails here. They hold for
+numpy 2.x with OpenBLAS; a BLAS that sums the 5-column products in another
+order may differ in the last bits.
 """
 
 import math
@@ -42,10 +44,21 @@ GOLDEN = {
                  "0x1.9e9911b391bf4p-3", "0x1.0658e182d33d8p+0"],
 }
 
+GOLDEN_ABSOLUTE = {
+    "prox-gd": ["0x1.21dca5dbf5355p-3", "-0x1.f43ac747ca5a2p-4", "0x1.c6b28c6481ea8p-5",
+                "-0x1.0afbf4da307e7p-6", "0x1.913d0bc083e8dp-3"],
+    "apg": ["0x1.531132f672231p+0", "-0x1.8ee3b2a446150p+1", "0x1.18c91a35f77f5p-1",
+            "0x1.ae6e3cb6c5699p-4", "0x1.0bc99f9bf99f2p+1"],
+    "acc-prox-svrg": ["0x1.17a9104ec48fcp-1", "-0x1.30414ab5e7a00p-1", "0x1.c843e24d0c3dep-3",
+                      "-0x1.25d6de0f60654p-5", "0x1.7a0f470271747p-1"],
+    "fobos": ["0x1.c2d3588bf8333p-1", "-0x1.5b8ad714bd348p+0", "0x1.721b48d70abbcp-2",
+              "-0x1.324e91bc446a9p-4", "0x1.4b2c52b6c7134p+0"],
+}
+
 BUDGET = 60
 
 
-def _problem():
+def _hinge_problem():
     # n=120 with batch 16 gives 8-step epochs, so the 60-step stochastic runs
     # take seven snapshots (and acc-prox-svrg seven momentum restarts)
     rng = np.random.default_rng(2024)
@@ -56,13 +69,22 @@ def _problem():
                             Regularizer(nu1=0.01, nu2=0.05))
 
 
-def _final_iterate(name):
-    prob = _problem()
+def _absolute_problem():
+    # Laplace noise leaves residuals on both linear branches and inside the
+    # quadratic one at the final iterates
+    rng = np.random.default_rng(2025)
+    rows = rng.normal(size=(120, 5)) / math.sqrt(5)
+    labels = rows @ np.array([1.0, -2.0, 0.5, 0.0, 1.5]) + 0.2 * rng.laplace(size=120)
+    return CompositeProblem(SparseDataset(rows, labels, "regression"), "absolute",
+                            Regularizer(nu1=0.01))
+
+
+def _final_iterate(name, prob, lam=0.0):
     if name in ("fobos", "rda", "poly-sgd"):
         spec = BaselineSpec(method=name, eta0=0.5, rda_scale=0.5, batch_size=16, seed=7,
-                            strongly_convex=name != "rda")
+                            strongly_convex=prob.mu > 0 and name != "rda")
         return run_baseline(prob, spec, BUDGET).x
-    sp = SmoothedProblem(prob, 0.05)
+    sp = SmoothedProblem(prob, 0.05, lam)
     if name == "apg-tk":
         return run_solver(SolverSpec(solver="apg"), sp, np.zeros(prob.d), BUDGET, mu_eff=0.0).x
     spec = SolverSpec(solver=name, batch_size=16, seed=7)
@@ -71,5 +93,12 @@ def _final_iterate(name):
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_final_iterate_matches_golden(name):
-    got = [float(v).hex() for v in _final_iterate(name)]
+    got = [float(v).hex() for v in _final_iterate(name, _hinge_problem())]
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", GOLDEN_ABSOLUTE)
+def test_absolute_final_iterate_matches_golden(name):
+    # absolute loss + l1 on a general convex stage (ridge weight lam)
+    got = [float(v).hex() for v in _final_iterate(name, _absolute_problem(), lam=1e-3)]
+    assert got == GOLDEN_ABSOLUTE[name]

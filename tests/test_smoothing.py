@@ -12,63 +12,64 @@ from cnsopt import (
     dual_spec,
     lipschitz_constant,
     loss_gradient,
-    margins,
     objective_smoothed,
-    smoothed_absolute,
-    smoothed_hinge,
+    slacks,
     smoothed_loss_gradient,
     smoothing_gap,
 )
-from cnsopt.smoothing import (
-    absolute_derivatives,
-    absolute_values,
-    exact_loss_values,
-    hinge_derivatives,
-    hinge_values,
-)
+from cnsopt.smoothing import exact_loss_values, gradient_kernel, smoothed_loss_values
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
 
+# one sample whose margin (hinge: z = 1, y = 1) or residual (absolute: z = -1,
+# y = 0) equals its weight t, so d/dt is the derivative in the margin or residual
+_ONE_SAMPLE = {HINGE: (1.0, 1.0), ABSOLUTE: (-1.0, 0.0)}
+
+
+def _scalar(loss, t, gamma):
+    """(value, derivative) of the smoothed loss at margin or residual t, through
+    the loss table's vectorised functions."""
+    z, label = _ONE_SAMPLE[loss]
+    rows, y, x = np.array([[z]]), np.array([label]), np.array([float(t)])
+    a = dual_spec(loss).slack(y, rows @ x)
+    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, y, loss, x, gamma)[0]
+
 
 def test_smoothed_hinge_flat_branch():
-    r = smoothed_hinge(1.2, 0.1)
-    assert r.value == 0.0 and r.derivative == 0.0 and r.branch == "flat"
+    value, derivative = _scalar(HINGE, 1.2, 0.1)
+    assert value == 0.0 and derivative == 0.0
 
 
 def test_smoothed_hinge_quadratic_branch():
-    r = smoothed_hinge(0.5, 0.5)
-    assert r.value == pytest.approx(0.25) and r.derivative == pytest.approx(-1.0)
-    assert r.branch == "quadratic"
+    value, derivative = _scalar(HINGE, 0.5, 0.5)
+    assert value == pytest.approx(0.25) and derivative == pytest.approx(-1.0)
 
 
 def test_smoothed_hinge_linear_branch():
-    r = smoothed_hinge(-1.0, 0.5)
-    assert r.value == pytest.approx(1.75) and r.derivative == -1.0
-    assert r.branch == "linear"
+    value, derivative = _scalar(HINGE, -1.0, 0.5)
+    assert value == pytest.approx(1.75) and derivative == -1.0
 
 
 def test_smoothed_absolute_linear_branch():
-    r = smoothed_absolute(2.0, 1.0)
-    assert r.value == pytest.approx(1.5) and r.derivative == 1.0
-    assert r.branch == "linear"
+    value, derivative = _scalar(ABSOLUTE, 2.0, 1.0)
+    assert value == pytest.approx(1.5) and derivative == 1.0
 
 
 def test_smoothed_absolute_at_zero():
-    r = smoothed_absolute(0.0, 0.3)
-    assert r.value == 0.0 and r.derivative == 0.0 and r.branch == "quadratic"
+    value, derivative = _scalar(ABSOLUTE, 0.0, 0.3)
+    assert value == 0.0 and derivative == 0.0
 
 
 def test_smoothed_absolute_quadratic_branch():
-    r = smoothed_absolute(-0.5, 1.0)
-    assert r.value == pytest.approx(0.125) and r.derivative == pytest.approx(-0.5)
-    assert r.branch == "quadratic"
+    value, derivative = _scalar(ABSOLUTE, -0.5, 1.0)
+    assert value == pytest.approx(0.125) and derivative == pytest.approx(-0.5)
 
 
 def test_gamma_must_be_positive():
     with pytest.raises(ValueError):
-        smoothed_hinge(0.0, 0.0)
+        smoothed_loss_values([0.0], HINGE, 0.0)
     with pytest.raises(ValueError):
-        smoothed_absolute(0.0, -1.0)
+        smoothed_loss_values([0.0], ABSOLUTE, -1.0)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -83,9 +84,9 @@ def test_hinge_branch_continuity(gamma):
             other_val, other_der = 1.0 - m - gamma / 2.0, -1.0
         assert abs(quad_val - other_val) < 1e-12
         assert abs(quad_der - other_der) < 1e-12
-        got = smoothed_hinge(m, gamma)
-        assert abs(got.value - quad_val) < 1e-12
-        assert abs(got.derivative - quad_der) < 1e-12
+        value, derivative = _scalar(HINGE, m, gamma)
+        assert abs(value - quad_val) < 1e-12
+        assert abs(derivative - quad_der) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -96,9 +97,9 @@ def test_absolute_branch_continuity(gamma):
         lin_val = abs(rho) - gamma / 2.0
         assert abs(quad_val - lin_val) < 1e-12
         assert abs(quad_der - lin_der) < 1e-12
-        got = smoothed_absolute(rho, gamma)
-        assert abs(got.value - quad_val) < 1e-12
-        assert abs(got.derivative - quad_der) < 1e-12
+        value, derivative = _scalar(ABSOLUTE, rho, gamma)
+        assert abs(value - quad_val) < 1e-12
+        assert abs(derivative - quad_der) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -107,10 +108,7 @@ def test_uniform_approximation_band(loss, gamma):
     # exact loss dominates the surrogate by at most gamma/2, everywhere
     grid = np.linspace(-4.0, 4.0, 4001)
     exact = exact_loss_values(grid, loss)
-    if loss == HINGE:
-        smooth = hinge_values(grid, gamma)
-    else:
-        smooth = absolute_values(grid, gamma)
+    smooth = smoothed_loss_values(grid, loss, gamma)
     diff = exact - smooth
     assert diff.min() >= -1e-15
     assert diff.max() <= gamma / 2.0 + 1e-15
@@ -118,7 +116,7 @@ def test_uniform_approximation_band(loss, gamma):
 
 def test_hinge_converges_pointwise_to_exact():
     grid = np.linspace(-3.0, 3.0, 601)
-    smooth = hinge_values(grid, 1e-8)
+    smooth = smoothed_loss_values(1.0 - grid, HINGE, 1e-8)
     assert np.max(np.abs(smooth - np.maximum(0.0, 1.0 - grid))) < 1e-7
 
 
@@ -126,8 +124,8 @@ def test_derivatives_bounded_by_one():
     rng = np.random.default_rng(7)
     m = rng.normal(scale=3.0, size=1000)
     for gamma in GAMMAS:
-        assert np.all(np.abs(hinge_derivatives(m, gamma)) <= 1.0)
-        assert np.all(np.abs(absolute_derivatives(m, gamma)) <= 1.0)
+        for loss in (HINGE, ABSOLUTE):
+            assert all(abs(_scalar(loss, t, gamma)[1]) <= 1.0 for t in m)
 
 
 def test_dual_specs():
@@ -201,11 +199,11 @@ def test_gradient_matches_finite_differences(loss):
     checked = 0
     while checked < 40:
         x = rng.normal(size=prob.d)
-        m = margins(prob, x)
+        a = slacks(prob, x)
         if loss == HINGE:
-            dist = np.minimum(np.abs(m - 1.0), np.abs(m - (1.0 - gamma)))
+            dist = np.minimum(np.abs(a), np.abs(a - gamma))
         else:
-            dist = np.abs(np.abs(m) - gamma)
+            dist = np.abs(np.abs(a) - gamma)
         if dist.min() < 1e-3:
             continue
         checked += 1
