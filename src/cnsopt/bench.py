@@ -4,7 +4,7 @@ emit CSV traces, and compare traces against a reference optimum."""
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
 CNS_A = "cns-a"
 CNS_NA = "cns-na"
 FIXED_GAMMA = "fixed-gamma"
-METHODS = (CNS_A, CNS_NA, FIXED_GAMMA, bl.FOBOS, bl.RDA, bl.POLY_SGD)
-
-_WALL_COLUMNS = ("wall_time_s",)
+CONTINUATION_METHODS = (CNS_A, CNS_NA, FIXED_GAMMA)
+METHODS = CONTINUATION_METHODS + (bl.FOBOS, bl.RDA, bl.POLY_SGD)
 
 
 @dataclass
@@ -90,6 +89,8 @@ class RunConfig:
             raise ValueError("exactly one of dataset / synthetic must be set")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if self.time_budget is not None and self.time_budget < 0:
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
 
 
@@ -138,8 +139,8 @@ def solver_spec_for(cfg):
     )
 
 
-def continuation_config(cfg, spec=None):
-    spec = spec or solver_spec_for(cfg)
+def continuation_config(cfg):
+    spec = solver_spec_for(cfg)
     option = "II" if spec.accelerated else "I"
     return ContinuationConfig(
         gamma1=cfg.gamma1,
@@ -177,6 +178,25 @@ def pick_driver(problem, lam1):
     return cns_strongly_convex if problem.mu > 0 and lam1 == 0 else cns_general_convex
 
 
+def _run_method(cfg, problem, callback=None):
+    """Run ``cfg.method`` on ``problem`` from x = 0; return (final x, inner
+    iterations, optimization seconds, last stage).
+
+    ``callback(iterations, x, elapsed, stage)`` is called every ``cfg.cadence``
+    inner iterations; baselines report stage -1.
+    """
+    if cfg.method in CONTINUATION_METHODS:
+        driver = pick_driver(problem, cfg.lam1)
+        x, reports = driver(problem, continuation_config(cfg), callback=callback,
+                            callback_every=cfg.cadence)
+        return (x, sum(r.budget for r in reports), sum(r.wall_time for r in reports),
+                reports[-1].s if reports else 0)
+    on_step = None if callback is None else (lambda t, x, e: callback(t, x, e, -1))
+    run = bl.run_baseline(problem, baseline_spec_for(cfg), cfg.iterations,
+                          callback=on_step, callback_every=cfg.cadence)
+    return run.x, cfg.iterations, run.elapsed, -1
+
+
 def run_experiment(cfg):
     """Execute the configured method, returning TraceRows (and writing CSV).
 
@@ -203,85 +223,34 @@ def run_experiment(cfg):
         if cfg.time_budget is not None and elapsed > cfg.time_budget:
             raise _TimeBudgetExceeded
 
-    x0 = np.zeros(problem.d)
-    if cfg.method in (CNS_A, CNS_NA, FIXED_GAMMA):
-        snapshot(0, x0, 0.0, 0)
-        driver = pick_driver(problem, cfg.lam1)
-        try:
-            x, reports = driver(problem, continuation_config(cfg), callback=snapshot,
-                                callback_every=cfg.cadence)
-            total = sum(r.budget for r in reports)
-            elapsed = sum(r.wall_time for r in reports)
-            if not rows or rows[-1].cumulative_iterations != total:
-                snapshot(total, x, elapsed, reports[-1].s if reports else 0)
-        except _TimeBudgetExceeded:
-            pass
-    else:
-        rows.append(
-            TraceRow(0.0, 0, -1, objective_original(problem, x0),
-                     test_metric(eval_data, x0), 0)
-        )
-        try:
-            run = bl.run_baseline(
-                problem, baseline_spec_for(cfg), cfg.iterations,
-                callback=lambda t, x, e: snapshot(t, x, e, -1),
-                callback_every=cfg.cadence,
-            )
-            if rows[-1].cumulative_iterations != cfg.iterations:
-                snapshot(cfg.iterations, run.x, run.elapsed, -1)
-        except _TimeBudgetExceeded:
-            pass
+    try:
+        snapshot(0, np.zeros(problem.d), 0.0, 0 if cfg.method in CONTINUATION_METHODS else -1)
+        x, total, elapsed, stage = _run_method(cfg, problem, snapshot)
+        if rows[-1].cumulative_iterations != total:
+            snapshot(total, x, elapsed, stage)
+    except _TimeBudgetExceeded:
+        pass
 
     if cfg.output:
         write_trace(rows, cfg.output)
     return rows
 
 
-_FIELDS = (
-    "wall_time_s",
-    "cumulative_iterations",
-    "stage",
-    "objective_original",
-    "test_metric",
-    "nnz",
-)
-
-
 def write_trace(rows, path):
     """CSV with a header row; floats carry 17 significant digits."""
+    columns = [(f.name, "{:.17g}" if f.type is float else "{}") for f in fields(TraceRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
+        writer.writerow([name for name, _ in columns])
         for row in rows:
-            writer.writerow(
-                [
-                    f"{row.wall_time_s:.17g}",
-                    row.cumulative_iterations,
-                    row.stage,
-                    f"{row.objective_original:.17g}",
-                    f"{row.test_metric:.17g}",
-                    row.nnz,
-                ]
-            )
+            writer.writerow([form.format(getattr(row, name)) for name, form in columns])
 
 
 def read_trace(path):
     """Read back a trace CSV written by write_trace."""
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                TraceRow(
-                    wall_time_s=float(rec["wall_time_s"]),
-                    cumulative_iterations=int(rec["cumulative_iterations"]),
-                    stage=int(rec["stage"]),
-                    objective_original=float(rec["objective_original"]),
-                    test_metric=float(rec["test_metric"]),
-                    nnz=int(rec["nnz"]),
-                )
-            )
-    return rows
+        return [TraceRow(**{f.name: f.type(rec[f.name]) for f in fields(TraceRow)})
+                for rec in csv.DictReader(fh)]
 
 
 @dataclass
@@ -377,19 +346,14 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
 
     best = None
     for candidate in grid:
-        if cfg.method in (CNS_A, CNS_NA, FIXED_GAMMA):
-            trial = replace(cfg, step_scale=candidate, t1=max(1, budget // max(cfg.stages, 1)))
-            driver = pick_driver(sub_problem, trial.lam1)
-            try:
-                x, _ = driver(sub_problem, continuation_config(trial))
-            except (CnsError, FloatingPointError):
-                continue
-        else:
-            spec = baseline_spec_for(replace(cfg, eta0=candidate, rda_scale=candidate))
-            try:
-                x = bl.run_baseline(sub_problem, spec, budget).x
-            except (CnsError, FloatingPointError):
-                continue
+        # each method reads only its own knobs: step_scale and t1, or eta0,
+        # rda_scale and iterations
+        trial = replace(cfg, step_scale=candidate, t1=max(1, budget // max(cfg.stages, 1)),
+                        eta0=candidate, rda_scale=candidate, iterations=budget)
+        try:
+            x = _run_method(trial, sub_problem)[0]
+        except (CnsError, FloatingPointError):
+            continue
         value = objective_original(sub_problem, x)
         if not math.isfinite(value):
             continue

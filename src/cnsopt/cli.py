@@ -5,12 +5,14 @@ files through a worker pool), ``tune`` (step-size grid search on a 20%
 subset), ``compare`` (summarize traces against a reference optimum), and
 ``synth`` (generate a synthetic dataset as LIBSVM text).
 
-Every RunConfig field is exposed as a kebab-case flag; a ``key = value``
-config file can supply any of them, and explicit flags win over the file.
+Every RunConfig field (and each ``synth-*`` option) is a kebab-case flag; a
+``key = value`` config file can supply any of them, parsed by the flag's type,
+and explicit flags win over the file.
 """
 
 import argparse
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
@@ -32,70 +34,71 @@ from .smoothing import LOSSES, dual_spec
 # SyntheticSpec options that ``synth --<name>`` and ``run --synth-<name>`` both
 # take; one left out keeps SyntheticSpec's default
 _SYNTH_OPTIONS = ("sparsity", "noise", "norm_lo", "norm_hi")
-_SYNTH_KEYS = ("synth_n", "synth_d") + tuple(f"synth_{name}" for name in _SYNTH_OPTIONS)
+_SYNTH_TYPES = {"synth_n": int, "synth_d": int,
+                **{f"synth_{name}": float for name in _SYNTH_OPTIONS}}
 
 
-def _coerce(text):
-    lowered = text.lower()
-    if lowered in ("none", ""):
-        return None
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+def _option_type(hint):
+    """(parse type, optional) of an annotation such as ``float`` or ``int | None``."""
+    kinds = [kind for kind in typing.get_args(hint) if kind is not type(None)]
+    return (kinds[0], True) if kinds else (hint, False)
+
+
+# every run/tune option: the RunConfig fields (``synthetic`` is built from the
+# synth_* ones), then the synthetic options, which may all be left unset
+_HINTS = typing.get_type_hints(RunConfig)
+_RUN_OPTIONS = {f.name: _option_type(_HINTS[f.name])
+                for f in fields(RunConfig) if f.name != "synthetic"}
+_RUN_OPTIONS.update({key: (kind, True) for key, kind in _SYNTH_TYPES.items()})
+_CHOICES = {"method": METHODS, "loss": LOSSES}
+_HELP = {
+    "dataset": "LIBSVM path (.gz ok)",
+    "test_dataset": "LIBSVM path for the test metric",
+    "solver": "inner solver override (prox-gd, apg, prox-svrg, acc-prox-svrg)",
+    "synth_n": "samples for a synthetic run",
+    "synth_d": "features for a synthetic run",
+}
 
 
 def read_config_file(path):
-    """Parse ``key = value`` lines; '#' starts a comment; keys may use dashes."""
-    values = {}
+    """Parse ``key = value`` lines; '#' starts a comment; keys may use dashes.
+
+    Each value is parsed by its flag's type, and ``none`` (or nothing) unsets
+    an optional key; a mistyped value or an unknown key raises ValueError
+    naming it.
+    """
+    values, unknown = {}, []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = _coerce(value.strip())
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in _RUN_OPTIONS:
+                unknown.append(key)
+                continue
+            kind, optional = _RUN_OPTIONS[key]
+            if optional and value.lower() in ("none", ""):
+                values[key] = None
+                continue
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {key}: expected {kind.__name__}, "
+                                 f"got {value!r}") from None
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
     return values
 
 
 def _add_run_flags(parser):
     parser.add_argument("--config", help="key = value file supplying any flag below")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--loss", choices=LOSSES)
-    parser.add_argument("--dataset", help="LIBSVM path (.gz ok)")
-    parser.add_argument("--test-dataset", help="LIBSVM path for the test metric")
-    parser.add_argument("--nu1", type=float)
-    parser.add_argument("--nu2", type=float)
-    parser.add_argument("--gamma1", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--t1", type=int)
-    parser.add_argument("--lam1", type=float)
-    parser.add_argument("--stages", type=int)
-    parser.add_argument("--solver", help="inner solver override (prox-gd, apg, prox-svrg, acc-prox-svrg)")
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--step-scale", type=float)
-    parser.add_argument("--eta0", type=float)
-    parser.add_argument("--rda-scale", type=float)
-    parser.add_argument("--averaging-exponent", type=float)
-    parser.add_argument("--iterations", type=int)
-    parser.add_argument("--cadence", type=int)
-    parser.add_argument("--time-budget", type=float)
-    parser.add_argument("--output")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--synth-n", type=int, help="samples for a synthetic run")
-    parser.add_argument("--synth-d", type=int, help="features for a synthetic run")
-    for name in _SYNTH_OPTIONS:
-        parser.add_argument(f"--synth-{name.replace('_', '-')}", type=float)
+    for name, (kind, _) in _RUN_OPTIONS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=None if kind is str else kind,
+                            choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def _synthetic_spec(n, d, task, seed, sparsity=None, noise=None, norm_lo=None, norm_hi=None):
@@ -114,17 +117,13 @@ def _synthetic_spec(n, d, task, seed, sparsity=None, noise=None, norm_lo=None, n
 
 def build_run_config(args):
     """Merge config file < flags into a RunConfig (flags win)."""
-    merged = {}
-    if args.config:
-        merged.update(read_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func", "grid", "traces", "reference",
-                   "target_gap"):
-            continue
+    merged = read_config_file(args.config) if args.config else {}
+    for key in _RUN_OPTIONS:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
 
-    synth_args = {key.removeprefix("synth_"): merged.pop(key, None) for key in _SYNTH_KEYS}
+    synth_args = {key.removeprefix("synth_"): merged.pop(key, None) for key in _SYNTH_TYPES}
     given = sorted(f"synth_{key}" for key, value in synth_args.items() if value is not None)
     synth = None
     if synth_args["n"] is not None:
@@ -135,10 +134,6 @@ def build_run_config(args):
     elif given:
         raise ValueError(f"synthetic keys without synth_n: {given}")
 
-    allowed = {f.name for f in fields(RunConfig)}
-    unknown = set(merged) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "method" not in merged:
         raise ValueError("--method is required (flag or config file)")
     return RunConfig(synthetic=synth, **merged)

@@ -51,15 +51,14 @@ class SolverSpec:
 
     theta scales the Prox-SVRG step (eta = theta/L); p enters the accelerated
     variance-reduced budget row only. step_scale multiplies the base step and
-    is the knob the benchmark's tuner sweeps. epoch_length defaults to
-    ceil(n / batch_size) inner iterations per snapshot.
+    is the knob the benchmark's tuner sweeps. The variance-reduced solvers
+    refresh their snapshot every ceil(n / batch_size) inner iterations.
     """
 
     solver: str = PROX_GD
     theta: float = 0.1
     p: float = 0.5
     batch_size: int = 50
-    epoch_length: "int | None" = None
     step_scale: float = 1.0
     seed: int = 0
 
@@ -71,8 +70,6 @@ class SolverSpec:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.epoch_length is not None and self.epoch_length < 1:
-            raise ValueError("epoch_length must be >= 1")
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
 
@@ -126,12 +123,6 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
     return SolverRun(x=x, iterations=budget, elapsed=elapsed)
 
 
-def _epoch_length(spec, n):
-    if spec.epoch_length is not None:
-        return spec.epoch_length
-    return math.ceil(n / min(spec.batch_size, n))
-
-
 def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
     """Run the inner solver named by ``spec.solver`` on one smoothed stage.
 
@@ -176,7 +167,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         rng = rng if rng is not None else np.random.default_rng(spec.seed)
         n = sp.base.n
         b = min(spec.batch_size, n)
-        m = _epoch_length(spec, n)
+        m = math.ceil(n / b)
         loss, gamma = sp.base.loss, sp.gamma
         feats, labels = sp.base.features, sp.base.data.labels
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -22,7 +23,7 @@ from cnsopt import (
 from cnsopt import bench
 from cnsopt.bench import TraceRow, gap_slope, read_trace, render_report, write_trace
 from cnsopt.bench import test_metric as eval_metric
-from cnsopt.cli import build_run_config, main, read_config_file
+from cnsopt.cli import _add_run_flags, build_run_config, main, read_config_file
 
 SYNTH = SyntheticSpec(n=120, d=10, task="classification", noise=0.2, separation=1.2,
                       seed=0)
@@ -45,6 +46,9 @@ def test_run_config_validation():
         _config(dataset="x.libsvm")  # both sources
     with pytest.raises(ValueError):
         _config(cadence=0)
+    for method in ("cns-a", "fobos"):  # a continuation method and a baseline
+        with pytest.raises(ValueError, match="time_budget"):
+            _config(method=method, time_budget=-1.0)
 
 
 def test_run_experiment_stage_tags_and_rows():
@@ -216,6 +220,11 @@ def test_config_file_parsing(tmp_path):
     )
     values = read_config_file(str(path))
     assert values == {"method": "cns-a", "nu1": 0.01, "stages": 3, "solver": "apg"}
+    # a value is parsed by its flag's type, not by its look
+    path.write_text("gamma1 = 1\ndataset = 7\nt1 = none\n")
+    values = read_config_file(str(path))
+    assert values == {"gamma1": 1.0, "dataset": "7", "t1": None}
+    assert type(values["gamma1"]) is float
 
 
 def test_flags_override_config_file(tmp_path):
@@ -321,6 +330,8 @@ def test_cli_sweep(tmp_path, capsys):
 @pytest.mark.parametrize("bad_source, reason", (
     ("synth-n = 60\nbogus-key = 1\n", "unknown config keys"),
     ("dataset = {bad}\n", "line 2:"),  # a LibsvmFormatError crosses the pool
+    ("synth-n = 60\nstages = 2.5\n", "stages"),
+    ("synth-n = 60\nstages = none\n", "stages"),
 ))
 def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monkeypatch,
                                                          bad_source, reason):
@@ -351,3 +362,77 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
+
+
+# --- golden: the written traces and the run flags ----------------------------
+
+# one seeded 60x6 hinge + elastic net instance; every method writes its trace
+_GOLDEN_ARGS = ["--synth-n", "60", "--synth-d", "6", "--nu1", "0.01", "--nu2", "0.05",
+                "--gamma1", "0.02", "--t1", "20", "--stages", "3", "--batch-size", "10",
+                "--eta0", "0.5", "--iterations", "60", "--cadence", "15", "--seed", "3"]
+
+# sha256 of each written CSV without its wall_time_s column
+_GOLDEN_TRACES = {
+    "cns-a": "4edcf4c0b6918c443e08d737f90095a5d75d68e5128051bd5688eef087bb023f",
+    "cns-na": "82273b8aa6deb86cb40b102bae7dc29e04cd7a3592a988118bc090f88026f3dc",
+    "fixed-gamma": "ddf26263dca35dc58dbc8c40a90f08a20ab3e8ebaa7f141d87e32d70d7312ccf",
+    "fobos": "fc25af5eda5dbe65eeab65c2a728b73c6dbe539148ca2dc8a1d7550dc97466a9",
+    "rda": "ee55ff7e6071dcc3f13391d8f7ea0d8727e34aaff2de4f12d989f7e61d69f28c",
+    "poly-sgd": "fd95754bfcf2e17d4c842dba188d07653da75f16d62239eb961f86ef2bf11054",
+}
+
+_METHODS = ("cns-a", "cns-na", "fixed-gamma", "fobos", "rda", "poly-sgd")
+
+# flag -> (type name, choices) of ``cnsopt run`` (and ``tune``, less --grid)
+_RUN_FLAGS = {
+    "--config": (None, None),
+    "--method": (None, _METHODS),
+    "--loss": (None, ("hinge", "absolute")),
+    "--dataset": (None, None),
+    "--test-dataset": (None, None),
+    "--solver": (None, None),
+    "--output": (None, None),
+    "--nu1": ("float", None),
+    "--nu2": ("float", None),
+    "--gamma1": ("float", None),
+    "--tau": ("float", None),
+    "--lam1": ("float", None),
+    "--theta": ("float", None),
+    "--p": ("float", None),
+    "--step-scale": ("float", None),
+    "--eta0": ("float", None),
+    "--rda-scale": ("float", None),
+    "--averaging-exponent": ("float", None),
+    "--time-budget": ("float", None),
+    "--t1": ("int", None),
+    "--stages": ("int", None),
+    "--batch-size": ("int", None),
+    "--iterations": ("int", None),
+    "--cadence": ("int", None),
+    "--seed": ("int", None),
+    "--synth-n": ("int", None),
+    "--synth-d": ("int", None),
+    "--synth-sparsity": ("float", None),
+    "--synth-noise": ("float", None),
+    "--synth-norm-lo": ("float", None),
+    "--synth-norm-hi": ("float", None),
+}
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_run_writes_the_golden_trace(tmp_path, method):
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--method", method, *_GOLDEN_ARGS, "--output", str(out)]) == 0
+    lines = [line.split(b",") for line in out.read_bytes().split(b"\r\n")]
+    drop = lines[0].index(b"wall_time_s")
+    stripped = b"\r\n".join(b",".join(c for i, c in enumerate(cells) if i != drop)
+                             for cells in lines)
+    assert hashlib.sha256(stripped).hexdigest() == _GOLDEN_TRACES[method]
+
+
+def test_run_flags_are_pinned():
+    parser = argparse.ArgumentParser()
+    _add_run_flags(parser)
+    flags = {a.option_strings[0]: (getattr(a.type, "__name__", None), a.choices)
+             for a in parser._actions if a.dest != "help"}
+    assert {k: (t, None if c is None else tuple(c)) for k, (t, c) in flags.items()} == _RUN_FLAGS
