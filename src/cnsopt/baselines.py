@@ -15,7 +15,7 @@ import numpy as np
 from .datasets import sample_minibatch
 from .prox import prox_l1, prox_regularizer
 from .smoothing import dual_spec
-from .solvers import drive
+from .solvers import drive, start_point
 
 FOBOS = "fobos"
 RDA = "rda"
@@ -56,21 +56,19 @@ def loss_subgradient(problem, x, batch):
 
     The loss's derivative in the slack a is clip(sign(a), u_lo, u_hi), the
     minimal-norm dual point (both dual intervals lie in [-1, 1]); it is
-    negated here, like the smoothed kernels' weights, since da/ds is -y or -1.
+    negated here, like the smoothed kernels' weights, since the slack
+    a = c - s falls one for one with the score s on the problem's rows.
     """
     spec = dual_spec(problem.loss)
     rows = problem.features[batch]
-    y = problem.data.labels[batch]
-    weights = np.sign(-spec.slack(y, rows @ x))
+    weights = np.sign(rows @ x - problem.offsets[batch])
     # the clip to [-u_hi, -u_lo], one bound at a time: a bound of magnitude 1
     # never binds on a sign, and a single ufunc costs less than np.clip
     if spec.u_hi < 1.0:
         np.maximum(weights, -spec.u_hi, out=weights)
     if spec.u_lo > -1.0:
         np.minimum(weights, -spec.u_lo, out=weights)
-    if spec.label_slope:
-        weights *= y
-    return (rows.T @ weights) / len(y)
+    return (rows.T @ weights) / len(batch)
 
 
 def _step_size(spec, problem, t):
@@ -80,10 +78,6 @@ def _step_size(spec, problem, t):
             raise ValueError("strongly convex schedule needs mu > 0")
         return spec.eta0 / (mu * t)
     return spec.eta0 / math.sqrt(t)
-
-
-def _start(problem, x0):
-    return np.zeros(problem.d) if x0 is None else np.array(x0, dtype=float)
 
 
 def run_fobos(problem, spec, budget, x0=None, **kwargs):
@@ -97,7 +91,7 @@ def run_fobos(problem, spec, budget, x0=None, **kwargs):
         g = loss_subgradient(problem, x, batch)
         return prox_regularizer(x - eta * g, eta, problem.reg)
 
-    return drive(step, _start(problem, x0), budget, context=f"{spec.method}: ", **kwargs)
+    return drive(step, start_point(x0, problem.d), budget, context=f"{spec.method}: ", **kwargs)
 
 
 def run_rda(problem, spec, budget, x0=None, **kwargs):
@@ -124,7 +118,7 @@ def run_rda(problem, spec, budget, x0=None, **kwargs):
         quad = nu2 + beta_t / t
         return -prox_l1(state["gbar"], nu1) / quad
 
-    return drive(step, _start(problem, x0), budget, context=f"{spec.method}: ", **kwargs)
+    return drive(step, start_point(x0, problem.d), budget, context=f"{spec.method}: ", **kwargs)
 
 
 def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
@@ -136,7 +130,7 @@ def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
     """
     rng = np.random.default_rng(spec.seed)
     b = min(spec.batch_size, problem.n)
-    state = {"x": _start(problem, x0)}
+    state = {"x": start_point(x0, problem.d)}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
     k = spec.averaging_exponent
 

@@ -70,7 +70,6 @@ class RunConfig:
     stages: int = 6
     solver: "str | None" = None
     theta: float = 0.1
-    p: float = 0.5
     batch_size: int = 50
     step_scale: float = 1.0
     eta0: float = 1.0
@@ -132,7 +131,6 @@ def solver_spec_for(cfg):
     return SolverSpec(
         solver=cfg.solver or default,
         theta=cfg.theta,
-        p=cfg.p,
         batch_size=cfg.batch_size,
         step_scale=cfg.step_scale,
         seed=cfg.seed,

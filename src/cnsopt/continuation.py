@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError
 from .problem import SmoothedProblem, objective_original, objective_smoothed
-from .solvers import ACCELERATED, APG, SolverSpec, run_solver
+from .solvers import ACCELERATED, APG, SolverSpec, run_solver, start_point
 
 OPTION_I = "I"
 OPTION_II = "II"
@@ -43,7 +43,6 @@ class ContinuationConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     budget_option: str = OPTION_I
     x0: "np.ndarray | None" = None
-    gamma_min: "float | None" = None
     fixed_smoothing: bool = False
     measure_rho_budget: "int | None" = None
     auto_t1_max: int = 1 << 20
@@ -107,15 +106,6 @@ def _growth_exponent(budget_option, general_convex):
     return 1.0 if budget_option == OPTION_I else 0.5
 
 
-def _start_point(problem, cfg):
-    if cfg.x0 is None:
-        return np.zeros(problem.d)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (problem.d,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.d},)")
-    return x0.copy()
-
-
 def auto_t1(problem, cfg):
     """Smallest power-of-two multiple of ceil(n / batch) whose stage-1 run cuts
     the stage-1 objective by at least 1/tau^2 from the start point.
@@ -126,7 +116,7 @@ def auto_t1(problem, cfg):
     reduction the schedule analysis needs.
     """
     sp = SmoothedProblem(problem, cfg.gamma1, cfg.lam1)
-    x0 = _start_point(problem, cfg)
+    x0 = start_point(cfg.x0, problem.d)
     base = objective_smoothed(sp, x0)
     target = base / cfg.tau**2
     budget = math.ceil(problem.n / cfg.solver.batch_size)
@@ -171,7 +161,7 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
     exponent = _growth_exponent(cfg.budget_option, general_convex)
     t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg)
     rng = np.random.default_rng(cfg.solver.seed)
-    x = _start_point(problem, cfg)
+    x = start_point(cfg.x0, problem.d)
     reports = []
     done = 0
     total_elapsed = 0.0
@@ -182,8 +172,6 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
             shrink = cfg.tau ** (s - 1)
             gamma_s = cfg.gamma1 / shrink
             lam_s = cfg.lam1 / shrink
-        if cfg.gamma_min is not None and gamma_s < cfg.gamma_min:
-            break
         budget = stage_budget(t1, cfg.tau, exponent, s, fixed=cfg.fixed_smoothing)
         sp = SmoothedProblem(problem, gamma_s, lam_s)
         mu_eff = problem.mu + lam_s
@@ -265,10 +253,10 @@ def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
     many iterations), then polishes at the final level for ``iterations``
     and returns the best original objective seen at periodic checkpoints.
     For problems with no strong convexity a ridge weight starting at ``lam1``
-    is decayed alongside gamma and dropped for the polish. Used to fill the
-    synthetic reference slot and as the gap baseline in comparisons.
+    is decayed alongside gamma and dropped for the polish. Used as the gap
+    baseline in comparisons.
     """
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = start_point(x0, problem.d)
     best = objective_original(problem, x)
     if lam1 is None:
         lam1 = 0.0 if problem.mu > 0 else 1e-5

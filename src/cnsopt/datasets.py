@@ -29,7 +29,9 @@ class SparseDataset:
     CSR features (``CompositeProblem.features``, built on first use) when that
     copy takes no more bytes than the CSR's data, indices and indptr together,
     so the copy costs at most the CSR's own size again; sparser CSR input is
-    solved as is, and the dataset itself always keeps the caller's matrix.
+    solved as is. A classification problem then signs each row by its label
+    (one more copy of dense rows, or of the CSR's data). The dataset itself
+    always keeps the caller's matrix.
     Labels are exactly +/-1 for classification and arbitrary reals for
     regression. Instances are immutable after construction and safe to share
     between concurrent runs.
@@ -266,14 +268,10 @@ class SyntheticSpec:
 
 @dataclass
 class SyntheticReference:
-    """Ground truth for a synthetic instance, plus a slot for the oracle optimum.
-
-    ``p_star`` stays None until a long reference run fills it in.
-    """
+    """Ground truth for a synthetic instance: its seed and the planted model."""
 
     seed: int
     w_true: np.ndarray
-    p_star: "float | None" = None
 
 
 def make_synthetic(spec):
@@ -295,24 +293,17 @@ def make_synthetic(spec):
     w[support] = rng.normal(size=k)
     w /= np.linalg.norm(w)
 
-    if spec.atoms is None:
-        features = rng.normal(size=(n, d)) / math.sqrt(d)
-        if spec.task == CLASSIFICATION:
-            latent = rng.choice([-1.0, 1.0], size=n)
-            features += (spec.separation * latent)[:, None] * w
-        norms = np.linalg.norm(features, axis=1)
-        target_norms = rng.uniform(*spec.feature_norm_range, size=n)
-        features *= (target_norms / norms)[:, None]
-    else:
-        patterns = rng.normal(size=(spec.atoms, d)) / math.sqrt(d)
-        if spec.task == CLASSIFICATION:
-            latent = rng.choice([-1.0, 1.0], size=spec.atoms)
-            patterns += (spec.separation * latent)[:, None] * w
-        norms = np.linalg.norm(patterns, axis=1)
-        target_norms = rng.uniform(*spec.feature_norm_range, size=spec.atoms)
-        patterns *= (target_norms / norms)[:, None]
-        assignment = rng.integers(0, spec.atoms, size=n)
-        features = patterns[assignment]
+    # one row per sample, or one per pattern that the samples then repeat
+    m = n if spec.atoms is None else spec.atoms
+    features = rng.normal(size=(m, d)) / math.sqrt(d)
+    if spec.task == CLASSIFICATION:
+        latent = rng.choice([-1.0, 1.0], size=m)
+        features += (spec.separation * latent)[:, None] * w
+    norms = np.linalg.norm(features, axis=1)
+    target_norms = rng.uniform(*spec.feature_norm_range, size=m)
+    features *= (target_norms / norms)[:, None]
+    if spec.atoms is not None:
+        features = features[rng.integers(0, spec.atoms, size=n)]
     scores = features @ w
 
     if spec.task == CLASSIFICATION:

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import smoothing
-from .datasets import SparseDataset
+from .datasets import CLASSIFICATION, SparseDataset
 
 L1 = "l1"
 ELASTIC_NET = "elastic-net"
@@ -75,20 +75,41 @@ class CompositeProblem:
 
     @cached_property
     def features(self):
-        """The design matrix the kernels read, built on first use.
+        """The rows Z of the slack map a = c - Z x, built on first use.
 
         CSR input is copied to a dense array when the copy takes no more
         bytes than the CSR's own data, indices and indptr, so it costs at
         most the input's size again; dense row slices and matvecs are several
-        times cheaper than CSR ones. Genuinely sparse input is read as is.
-        ``data`` stays the caller's matrix either way.
+        times cheaper than CSR ones. Genuinely sparse input stays CSR. A
+        classification set's rows are then multiplied by their +/-1 labels
+        (exactly), so no kernel reads a label: dense input gets one signed
+        copy, again at most its own size, and a CSR scales a copy of its data
+        and shares the input's indices and indptr. ``data`` stays the
+        caller's matrix either way.
         """
         feats = self.data.features
         if sparse.issparse(feats):
             csr_bytes = feats.data.nbytes + feats.indices.nbytes + feats.indptr.nbytes
             if feats.shape[0] * feats.shape[1] * feats.dtype.itemsize <= csr_bytes:
-                return feats.toarray()
-        return feats
+                feats = feats.toarray()
+        if self.data.task != CLASSIFICATION:
+            return feats
+        y = self.data.labels
+        if sparse.issparse(feats):
+            signs = np.repeat(y, np.diff(feats.indptr))
+            return type(feats)((feats.data * signs, feats.indices, feats.indptr),
+                               shape=feats.shape)
+        # a dense copy made above is signed in place, the caller's array never
+        out = None if feats is self.data.features else feats
+        return np.multiply(feats, y[:, None], out=out)
+
+    @cached_property
+    def offsets(self):
+        """The offsets c of the slack map a = c - Z x (read-only): 1 for a
+        classification set, the targets y for a regression one."""
+        c = np.ones(self.n) if self.data.task == CLASSIFICATION else self.data.labels.view()
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def max_row_sq_norm(self):

@@ -94,6 +94,16 @@ class SolverRun:
     elapsed: float = 0.0
 
 
+def start_point(x0, d):
+    """A float copy of the start point ``x0``, or zeros when it is None."""
+    if x0 is None:
+        return np.zeros(d)
+    x0 = np.array(x0, dtype=float)
+    if x0.shape != (d,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({d},)")
+    return x0
+
+
 def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
     """Shared iteration loop: timing, divergence checks, callbacks.
 
@@ -150,9 +160,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
     else:
         eta = spec.step_scale / L
     reg, lam = sp.base.reg, sp.lam
-    x0 = np.array(x0, dtype=float)
-    if x0.shape != (sp.base.d,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({sp.base.d},)")
+    x0 = start_point(x0, sp.base.d)
     state = {"y": x0.copy(), "tk": 1.0}
 
     beta_const = None
@@ -169,7 +177,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         b = min(spec.batch_size, n)
         m = math.ceil(n / b)
         loss, gamma = sp.base.loss, sp.gamma
-        feats, labels = sp.base.features, sp.base.data.labels
+        feats, offsets = sp.base.features, sp.base.offsets
 
     def step(t, x):
         if variance_reduced and (t - 1) % m == 0:
@@ -182,7 +190,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         if variance_reduced:
             batch = sample_minibatch(n, b, rng)
             g = smoothing.vr_gradient_kernel(
-                feats[batch], labels[batch], loss, gamma, y, state["snap"], state["full"]
+                feats[batch], offsets[batch], loss, gamma, y, state["snap"], state["full"]
             )
         else:
             g = smoothing.loss_gradient(sp, y)

@@ -145,6 +145,14 @@ def test_baselines_share_solver_run_contract():
         assert np.array_equal(run.x, again.x)
 
 
+@pytest.mark.parametrize("method", ("fobos", "rda", "poly-sgd"))
+def test_baselines_reject_a_wrong_shape_start_point(method):
+    prob = _suite()
+    spec = BaselineSpec(method=method, eta0=0.3)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\), expected \(15,\)"):
+        run_baseline(prob, spec, 10, x0=np.zeros(3))
+
+
 def test_strongly_convex_schedules_need_modulus():
     prob = _problem([[1.0]], [1.0], HINGE)  # nu2 = 0
     spec = BaselineSpec(method="fobos", strongly_convex=True)

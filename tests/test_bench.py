@@ -398,7 +398,6 @@ _RUN_FLAGS = {
     "--tau": ("float", None),
     "--lam1": ("float", None),
     "--theta": ("float", None),
-    "--p": ("float", None),
     "--step-scale": ("float", None),
     "--eta0": ("float", None),
     "--rda-scale": ("float", None),

@@ -163,14 +163,6 @@ def test_config_validation():
         ContinuationConfig(solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_II)
 
 
-def test_gamma_min_early_stop():
-    prob = _suite()
-    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=10, stages=8, gamma_min=2e-3,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
-    _, reports = cns_strongly_convex(prob, cfg)
-    assert len(reports) == 3  # 0.01, 0.005, 0.0025; 0.00125 < gamma_min
-
-
 def test_fixed_smoothing_holds_schedule_constant():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=25, stages=4, fixed_smoothing=True,

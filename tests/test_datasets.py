@@ -227,7 +227,6 @@ def test_synthetic_reproducible():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(ra.w_true, rb.w_true)
-    assert ra.p_star is None
 
 
 def test_synthetic_classification_shape():

@@ -164,6 +164,42 @@ def test_features_densifies_csr_with_dense_values():
     assert lipschitz_constant(sp) == lipschitz_constant(sp_dense)
 
 
+def test_classification_rows_are_label_signed():
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(30, 5))
+    labels = rng.choice([-1.0, 1.0], size=30)
+    prob = _problem(rows, labels, HINGE)
+    assert np.array_equal(prob.features, labels[:, None] * rows)
+    assert np.array_equal(prob.offsets, np.ones(30))
+    assert prob.data.features is not prob.features  # the caller's rows stay unsigned
+    assert np.array_equal(prob.data.features, rows)
+    x = rng.normal(size=5)
+    margins = labels * (rows @ x)
+    assert objective_original(prob, x) == np.mean(np.maximum(1.0 - margins, 0.0))
+    # CSR with dense values: the same signed rows, and the input stays unsigned
+    mat = sparse.csr_matrix(rows)
+    dense_csr = CompositeProblem(SparseDataset(mat, labels, "classification"), HINGE, Regularizer())
+    assert np.array_equal(dense_csr.features, prob.features)
+    assert np.array_equal(mat.toarray(), rows)
+    # CSR that stays CSR scales its data and shares its index arrays
+    mat = sparse.random(200, 100, density=0.01, format="csr", random_state=5)
+    signs = np.where(np.arange(200) % 3 == 0, -1.0, 1.0)
+    csr = CompositeProblem(SparseDataset(mat, signs, "classification"), HINGE, Regularizer())
+    assert sparse.issparse(csr.features)
+    assert np.shares_memory(csr.features.indices, mat.indices)
+    assert np.shares_memory(csr.features.indptr, mat.indptr)
+    assert np.array_equal(csr.features.toarray(), signs[:, None] * mat.toarray())
+
+
+def test_offsets_are_read_only():
+    reg = _problem([[1.0], [2.0]], [0.5, -1.5], ABSOLUTE)
+    assert np.array_equal(reg.offsets, [0.5, -1.5])
+    for prob in (reg, _problem([[1.0]], [-1.0], HINGE)):
+        with pytest.raises(ValueError):
+            prob.offsets[0] = 3.0
+    assert reg.data.labels.flags.writeable  # the dataset's labels are untouched
+
+
 def test_features_keeps_sparse_csr():
     mat = sparse.random(200, 100, density=0.01, format="csr", random_state=3)
     labels = np.random.default_rng(9).normal(size=200)

@@ -11,7 +11,6 @@ from cnsopt import (
     condition_number,
     dual_spec,
     lipschitz_constant,
-    loss_gradient,
     objective_smoothed,
     slacks,
     smoothed_loss_gradient,
@@ -21,18 +20,19 @@ from cnsopt.smoothing import exact_loss_values, gradient_kernel, smoothed_loss_v
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
 
-# one sample whose margin (hinge: z = 1, y = 1) or residual (absolute: z = -1,
-# y = 0) equals its weight t, so d/dt is the derivative in the margin or residual
+# one sample whose row r and offset c make its margin (hinge: r = 1, c = 1) or
+# residual (absolute: r = -1, c = 0) equal its weight t, through the slack
+# a = c - r t, so d/dt is the derivative in the margin or residual
 _ONE_SAMPLE = {HINGE: (1.0, 1.0), ABSOLUTE: (-1.0, 0.0)}
 
 
 def _scalar(loss, t, gamma):
     """(value, derivative) of the smoothed loss at margin or residual t, through
     the loss table's vectorised functions."""
-    z, label = _ONE_SAMPLE[loss]
-    rows, y, x = np.array([[z]]), np.array([label]), np.array([float(t)])
-    a = dual_spec(loss).slack(y, rows @ x)
-    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, y, loss, x, gamma)[0]
+    r, offset = _ONE_SAMPLE[loss]
+    rows, c, x = np.array([[r]]), np.array([offset]), np.array([float(t)])
+    a = c - rows @ x
+    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, c, loss, gamma, x)[0]
 
 
 def test_smoothed_hinge_flat_branch():
@@ -226,18 +226,8 @@ def test_per_sample_gradient_bounded_by_row_norm(loss):
         for _ in range(20):
             x = rng.normal(scale=2.0, size=prob.d)
             for i in range(prob.n):
-                g = loss_gradient(sp, x, batch=[i])
+                g = gradient_kernel(prob.features[[i]], prob.offsets[[i]], loss, gamma, x)
                 assert np.linalg.norm(g) <= norms[i] + 1e-12
-
-
-def test_gradient_batch_index_validation():
-    rng = np.random.default_rng(0)
-    prob = _random_problem(rng, HINGE, n=5)
-    sp = SmoothedProblem(prob, 0.1)
-    with pytest.raises(ValueError):
-        loss_gradient(sp, np.zeros(prob.d), batch=[5])
-    with pytest.raises(ValueError):
-        loss_gradient(sp, np.zeros(prob.d), batch=[-1])
 
 
 def test_lipschitz_constant_formula():

@@ -163,9 +163,8 @@ def test_svrg_estimate_equals_full_gradient_at_snapshot():
 
     for i in range(5):
         batch = np.array([i, i + 1])
-        rows = prob.data.features[batch]
-        yb = prob.data.labels[batch]
-        est = vr_gradient_kernel(rows, yb, prob.loss, sp.gamma, x, x, full)
+        rows, c = prob.features[batch], prob.offsets[batch]
+        est = vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, x, full)
         assert np.allclose(est, full, atol=1e-15)
 
 
@@ -181,9 +180,8 @@ def test_svrg_estimator_is_unbiased_by_enumeration():
     acc = np.zeros(prob.d)
     for i in range(prob.n):
         batch = np.array([i])
-        rows = prob.data.features[batch]
-        yb = prob.data.labels[batch]
-        acc += vr_gradient_kernel(rows, yb, prob.loss, sp.gamma, x, snap, full_at_snap)
+        rows, c = prob.features[batch], prob.offsets[batch]
+        acc += vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, snap, full_at_snap)
     mean_est = acc / prob.n
     assert np.max(np.abs(mean_est - loss_gradient(sp, x))) < 1e-10
 

@@ -1,0 +1,114 @@
+"""Bit-identity gate: dump, or compare, the iterates of a fixed set of seeded runs.
+
+The runs cover every inner solver (with and without a given modulus, and with
+a caller-supplied rng), every baseline (with and without a start point), both
+losses on dense and CSR input, ``reference_objective``, and every method of
+``run_experiment``. For each it keeps the final iterate, every callback
+iterate and the trace columns except wall time. Dump under the reference
+checkout, then check under the changed one; the check exits 1 if any array
+differs in any bit.
+
+usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
+       PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
+"""
+import sys
+from dataclasses import asdict
+
+import numpy as np
+import scipy.sparse as sps
+
+import cnsopt
+from cnsopt import (BaselineSpec, CompositeProblem, Regularizer, RunConfig, SmoothedProblem,
+                    SparseDataset, SyntheticSpec, reference_objective,
+                    run_baseline, run_experiment, run_solver)
+from cnsopt.solvers import SolverSpec
+
+
+def problem(loss, csr=False):
+    rng = np.random.default_rng(42 if loss == "hinge" else 43)
+    n, d = 150, 12
+    z = rng.normal(size=(n, d)) / np.sqrt(d)
+    if csr:
+        z[rng.random(size=z.shape) < 0.8] = 0.0
+    w = rng.normal(size=d)
+    if loss == "hinge":
+        y = np.where(z @ w + 0.3 * rng.normal(size=n) >= 0, 1.0, -1.0)
+        task, reg = "classification", Regularizer(nu1=0.01, nu2=0.05)
+    else:
+        y = z @ w + 0.1 * rng.normal(size=n)
+        task, reg = "regression", Regularizer(nu1=0.01, nu2=0.0)
+    feats = sps.csr_matrix(z) if csr else z
+    return CompositeProblem(SparseDataset(feats, y, task), loss, reg)
+
+
+def cases():
+    out = {}
+    for loss in ("hinge", "absolute"):
+        for csr in (False, True):
+            prob = problem(loss, csr)
+            lam = 0.0 if loss == "hinge" else 1e-4
+            for gamma in (0.05, 1e-3):
+                sp = SmoothedProblem(prob, gamma, lam)
+                for solver in ("prox-gd", "apg", "prox-svrg", "acc-prox-svrg"):
+                    if csr and gamma == 1e-3:
+                        continue
+                    for mu in (None, 0.0):
+                        spec = SolverSpec(solver=solver, batch_size=16, seed=5,
+                                          step_scale=0.9)
+                        seen = []
+                        run = run_solver(spec, sp, np.full(prob.d, 0.01), 130, mu_eff=mu,
+                                         callback=lambda t, x, e: seen.append(x.copy()),
+                                         callback_every=7)
+                        key = f"{solver}/{loss}/csr{int(csr)}/g{gamma}/mu{mu}"
+                        out[key + "/x"] = run.x
+                        out[key + "/cb"] = np.array(seen)
+                        out[key + "/it"] = np.array([run.iterations])
+                # a caller-supplied rng
+                spec = SolverSpec(solver="acc-prox-svrg", batch_size=16)
+                run = run_solver(spec, sp, np.zeros(prob.d), 40, rng=np.random.default_rng(9))
+                out[f"accrng/{loss}/csr{int(csr)}/g{gamma}/x"] = run.x
+            for method in ("fobos", "rda", "poly-sgd"):
+                for sc in ((False, True) if loss == "hinge" else (False,)):
+                    spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
+                                        seed=3, strongly_convex=sc)
+                    seen = []
+                    run = run_baseline(prob, spec, 111,
+                                       callback=lambda t, x, e: seen.append(x.copy()),
+                                       callback_every=10)
+                    key = f"{method}/{loss}/csr{int(csr)}/sc{int(sc)}"
+                    out[key + "/x"] = run.x
+                    out[key + "/cb"] = np.array(seen)
+                    run = run_baseline(prob, spec, 37, x0=np.full(prob.d, 0.05))
+                    out[key + "/x0"] = run.x
+            out[f"refobj/{loss}/csr{int(csr)}"] = np.array([reference_objective(
+                prob, gamma=1e-4, iterations=3000, warm_iterations=300, check_every=100)])
+    for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
+        synth = SyntheticSpec(n=200, d=15, task="classification" if loss == "hinge"
+                              else "regression", seed=4)
+        for method in cnsopt.bench.METHODS:
+            lam1 = 0.0 if nu2 > 0 else 1e-4
+            cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, synthetic=synth,
+                            t1=30, stages=4, lam1=lam1, batch_size=20, cadence=15,
+                            iterations=200, eta0=0.3, seed=2)
+            rows = run_experiment(cfg)
+            table = [[v for k, v in asdict(r).items() if k != "wall_time_s"] for r in rows]
+            out[f"exp/{loss}/{method}"] = np.array(table, dtype=float)
+    return out
+
+
+if __name__ == "__main__":
+    mode, path = sys.argv[1], sys.argv[2]
+    got = cases()
+    if mode == "dump":
+        np.savez(path, **got)
+        print(f"dumped {len(got)} arrays")
+    else:
+        ref = dict(np.load(path))
+        assert set(ref) == set(got), set(ref) ^ set(got)
+        bad = [k for k in ref if not np.array_equal(ref[k], got[k])]
+        cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
+        print(f"{len(ref)} arrays compared ({cb} callback iterates), "
+              f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ")
+        for k in bad:
+            print("  DIFF", k)
+        sys.exit(1 if bad else 0)
