@@ -55,7 +55,10 @@ class SparseDataset:
         object.__setattr__(self, "labels", labels)
         if sparse.issparse(self.features):
             mat = self.features.tocsr()
-            mat.sort_indices()
+            if not mat.has_sorted_indices:
+                # tocsr() returns the caller's own CSR; sort a copy of it
+                mat = mat.copy()
+                mat.sort_indices()
             object.__setattr__(self, "features", mat)
         else:
             object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
@@ -219,11 +222,22 @@ def libsvm_dumps(dataset):
     return buf.getvalue()
 
 
-def sample_minibatch(n, batch_size, rng):
-    """Indices of a uniform-with-replacement mini-batch (duplicates allowed)."""
+def sample_minibatch(n, batch_size, rng, steps=None):
+    """Indices of a uniform-with-replacement mini-batch (duplicates allowed).
+
+    With ``steps``, the batches of that many steps in one call, shape
+    (steps, batch_size): row k equals the (k+1)-th of ``steps`` successive
+    single draws from the same rng, which ends in the same state. (The
+    generator keeps any spare half of a 64-bit output in its own state, not
+    in the call.)
+    """
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    return rng.integers(0, n, size=batch_size)
+    if steps is None:
+        return rng.integers(0, n, size=batch_size)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return rng.integers(0, n, size=(steps, batch_size))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ def prox_l1(v, threshold):
     v = np.asarray(v, dtype=float)
     if threshold == 0:
         return v.copy()
-    return np.where(np.abs(v) > threshold, v - threshold * np.sign(v), 0.0)
+    # v - clip(v, -t, t): the same bits as sign(v) * max(|v| - t, 0) on finite
+    # input (v - v is +0 and t * +-1 is exact), and NaN stays NaN
+    out = np.minimum(np.maximum(v, -threshold), threshold)
+    return np.subtract(v, out, out=out)
 
 
 def prox_regularizer(v, eta, reg, lam_extra=0.0):

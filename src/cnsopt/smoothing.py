@@ -105,8 +105,17 @@ def slacks(problem, x):
 def _score_weights(spec, c, scores, gamma):
     """-alpha at each sample, where alpha = clip(a / gamma, u_lo, u_hi) is its
     dual point at slack a = c - s, in one clip by dividing by -gamma. It is the
-    smoothed loss's derivative in the score s, since da/ds is -1."""
-    return ((c - scores) / -gamma).clip(-spec.u_hi, -spec.u_lo)
+    smoothed loss's derivative in the score s, since da/ds is -1.
+
+    Overwrites ``scores`` (a float array whose last axis runs over the
+    samples) with the weights and returns it.
+    """
+    np.subtract(c, scores, out=scores)
+    np.divide(scores, -gamma, out=scores)
+    # bound first: on a tie (the hinge's bound is -0.0) these return the
+    # score, as ndarray.clip does, so the weights keep clip's bits
+    np.maximum(-spec.u_hi, scores, out=scores)
+    return np.minimum(-spec.u_lo, scores, out=scores)
 
 
 def gradient_kernel(rows, offsets, loss, gamma, x):
@@ -121,12 +130,16 @@ def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot, full_gradient):
 
     batch gradient at x, minus batch gradient at the snapshot, plus the full
     gradient at the snapshot. Fused so the batch matrix is applied once for
-    the correction term. Equals ``full_gradient`` exactly when x == snapshot.
+    the correction term, and the scores at x and at the snapshot are clipped
+    together. Equals ``full_gradient`` exactly when x == snapshot.
     """
     spec = dual_spec(loss)
-    weights = (_score_weights(spec, offsets, rows @ x, gamma)
-               - _score_weights(spec, offsets, rows @ snapshot, gamma))
-    return (rows.T @ weights) / len(offsets) + full_gradient
+    # two matvecs, not one (b, 2) product: a gemm rounds differently
+    scores = np.empty((2, len(offsets)))
+    scores[0] = rows @ x
+    scores[1] = rows @ snapshot
+    weights = _score_weights(spec, offsets, scores, gamma)
+    return (rows.T @ (weights[0] - weights[1])) / len(offsets) + full_gradient
 
 
 def loss_gradient(sp, x):

@@ -121,7 +121,9 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, budget + 1):
             x = step(t, x)
-            if not np.isfinite(x).all():
+            # a finite x'x proves every entry finite; the full check decides
+            # the overflowing case
+            if not (math.isfinite(x @ x) or np.isfinite(x).all()):
                 raise DivergenceError(
                     f"{context}non-finite iterate at inner iteration {t}"
                 )
@@ -183,12 +185,15 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         if variance_reduced and (t - 1) % m == 0:
             state["snap"] = x.copy()
             state["full"] = smoothing.loss_gradient(sp, x)
+            # the epoch's batches in one draw, capped at the budget left so a
+            # shared rng ends where per-step draws would leave it
+            state["batches"] = sample_minibatch(n, b, rng, steps=min(m, budget - t + 1))
             if momentum:
                 state["y"] = x.copy()
                 state["tk"] = 1.0
         y = state["y"] if momentum else x
         if variance_reduced:
-            batch = sample_minibatch(n, b, rng)
+            batch = state["batches"][(t - 1) % m]
             g = smoothing.vr_gradient_kernel(
                 feats[batch], offsets[batch], loss, gamma, y, state["snap"], state["full"]
             )

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import cnsopt
 from cnsopt import (
     DivergenceError,
     RunConfig,
@@ -357,8 +358,12 @@ def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monke
 
 
 def test_cli_entry_point_runs():
+    # the subprocess imports the same cnsopt as this test, wherever it lives
+    package_root = os.path.dirname(os.path.dirname(cnsopt.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "cnsopt", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "cnsopt", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout

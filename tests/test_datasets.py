@@ -195,6 +195,21 @@ def test_minibatch_bounds():
     assert len(idx) == 10 and idx.min() >= 0 and idx.max() < 10
 
 
+def test_minibatch_steps_must_be_positive():
+    with pytest.raises(ValueError, match="steps"):
+        sample_minibatch(10, 3, np.random.default_rng(0), steps=0)
+
+
+def test_dataset_leaves_the_callers_csr_unsorted():
+    mat = sparse.csr_matrix((np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 2])),
+                            shape=(1, 2))
+    ds = SparseDataset(mat, np.array([1.0]), CLASSIFICATION)
+    assert np.array_equal(mat.indices, [1, 0]) and np.array_equal(mat.data, [2.0, 1.0])
+    assert np.array_equal(ds.features.indices, [0, 1])
+    assert np.array_equal(ds.features.data, [1.0, 2.0])
+    assert ds.features.has_sorted_indices
+
+
 def test_minibatch_allows_duplicates():
     rng = np.random.default_rng(1)
     seen_duplicate = any(

@@ -1,0 +1,35 @@
+"""Property test for the epoch draw: one ``sample_minibatch(..., steps=k)``
+call gives the same batches as k single draws, and leaves the rng in the same
+state, so a solver may draw a whole epoch at once without changing its run."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cnsopt import sample_minibatch  # noqa: E402
+
+# a range just above 2^31 makes Lemire's method reject almost half its 32-bit
+# draws, so the draws consumed per batch vary
+SIZES = st.one_of(st.integers(1, 300), st.integers(2**31, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(n=SIZES, data=st.data(), steps=st.integers(1, 12), seed=st.integers(0, 2**32))
+@example(n=150, data=None, steps=12, seed=5)  # odd batch size 13
+@example(n=16, data=None, steps=3, seed=0)  # batch size n
+@example(n=2**31 + 1, data=None, steps=9, seed=1)  # large rejection threshold
+def test_epoch_draw_equals_successive_draws(n, data, steps, seed):
+    if data is None:
+        b = {150: 13, 16: 16}.get(n, 7)
+    else:
+        b = data.draw(st.integers(1, min(n, 64)), label="batch_size")
+    rng = np.random.default_rng(seed)
+    epoch = sample_minibatch(n, b, rng, steps=steps)
+    ref = np.random.default_rng(seed)
+    singles = np.array([sample_minibatch(n, b, ref) for _ in range(steps)])
+    assert epoch.shape == (steps, b)
+    assert np.array_equal(epoch, singles)
+    assert rng.bit_generator.state == ref.bit_generator.state

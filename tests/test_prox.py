@@ -150,3 +150,18 @@ def test_sparsity_pattern_exact():
     t = 0.8
     out = prox_l1(v, t)
     assert np.array_equal(out == 0.0, np.abs(v) <= t)
+
+
+def test_prox_l1_keeps_nan():
+    out = prox_l1([np.nan, 1.0], 0.1)
+    assert np.isnan(out[0]) and out[1] == 0.9
+
+
+def test_prox_l1_keeps_the_bits_of_the_sign_form():
+    rng = np.random.default_rng(7)
+    for t in (0.1, 3.0, 1e-300):
+        v = np.concatenate([rng.normal(scale=2.0 * t, size=5000),
+                            [0.0, -0.0, t, -t, np.nextafter(t, 0.0), np.nextafter(t, 1e308),
+                             np.inf, -np.inf]])
+        ref = np.where(np.abs(v) > t, v - t * np.sign(v), 0.0)
+        assert prox_l1(v, t).tobytes() == ref.tobytes()

@@ -16,7 +16,12 @@ from cnsopt import (
     smoothed_loss_gradient,
     smoothing_gap,
 )
-from cnsopt.smoothing import exact_loss_values, gradient_kernel, smoothed_loss_values
+from cnsopt.smoothing import (
+    _score_weights,
+    exact_loss_values,
+    gradient_kernel,
+    smoothed_loss_values,
+)
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
 
@@ -273,3 +278,20 @@ def test_condition_number_schedule_growth():
     k1 = condition_number(SmoothedProblem(prob, gamma, 0.0), lam)
     k2 = condition_number(SmoothedProblem(prob, gamma / tau, 0.0), lam / tau)
     assert k2 / k1 == pytest.approx(tau**2)
+
+
+@pytest.mark.parametrize("loss", [HINGE, ABSOLUTE])
+def test_score_weights_keep_the_bits_of_clip(loss):
+    # the in-place clip against ndarray.clip, with scores on both bounds, at
+    # signed zeros (an offset of -0.0 and a score of +0.0 give a = -0.0) and NaN
+    spec = dual_spec(loss)
+    gamma = 0.25
+    rng = np.random.default_rng(3)
+    c = rng.choice([1.0, -0.0, 0.0, 0.5], size=40)
+    s = rng.normal(size=(2, 40))
+    s[:, :8] = (c[:8] - gamma * np.array([spec.u_lo, spec.u_hi] * 4))
+    s[0, 8:12], s[1, 8:12] = 0.0, -0.0
+    c[8:12] = [-0.0, 0.0, -0.0, 0.0]
+    s[0, 12] = np.nan
+    ref = ((c - s) / -gamma).clip(-spec.u_hi, -spec.u_lo)
+    assert _score_weights(spec, c, s.copy(), gamma).tobytes() == ref.tobytes()

@@ -258,6 +258,48 @@ def test_divergence_detection():
         run_solver(GD, sp, np.array([np.inf]), 50)
 
 
+def test_nan_gradient_raises_divergence_at_its_iteration(monkeypatch):
+    # the l1 prox passes NaN on, so a NaN gradient cannot vanish into a zero
+    from cnsopt import smoothing
+    prob = _random_strongly_convex(0)
+    sp = SmoothedProblem(prob, 0.1)
+    real, calls = smoothing.loss_gradient, []
+
+    def nan_on_third(sp_, x):
+        calls.append(1)
+        g = real(sp_, x)
+        return np.full_like(g, np.nan) if len(calls) == 3 else g
+
+    monkeypatch.setattr(smoothing, "loss_gradient", nan_on_third)
+    with pytest.raises(DivergenceError, match="inner iteration 3$"):
+        run_solver(GD, sp, np.zeros(prob.d), 10)
+
+
+def test_epoch_draws_keep_a_shared_rng_in_step(monkeypatch):
+    # m = ceil(60 / 8) = 8; budgets 7 then 13 end mid-epoch, so the draws are
+    # capped at the budget left: 7, then 8 and 5
+    from cnsopt import solvers
+    prob = _random_strongly_convex(1, n=60)
+    sp = SmoothedProblem(prob, 0.1)
+    spec = SolverSpec(solver="acc-prox-svrg", batch_size=8)
+    real, drawn = solvers.sample_minibatch, []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(solvers, "sample_minibatch", recording)
+    rng = np.random.default_rng(4)
+    first = run_solver(spec, sp, np.zeros(prob.d), 7, rng=rng)
+    run_solver(spec, sp, first.x, 13, rng=rng)
+    assert [len(batches) for batches in drawn] == [7, 8, 5]
+    ref = np.random.default_rng(4)
+    singles = [real(60, 8, ref) for _ in range(20)]
+    assert np.array_equal(np.concatenate(drawn), singles)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_saga_miso_not_runnable():
     prob = quad_problem()
     sp = SmoothedProblem(prob, 2.0)

@@ -1,9 +1,9 @@
 """Bit-identity gate: dump, or compare, the iterates of a fixed set of seeded runs.
 
 The runs cover every inner solver (with and without a given modulus, and with
-a caller-supplied rng), every baseline (with and without a start point), both
-losses on dense and CSR input, ``reference_objective``, and every method of
-``run_experiment``. For each it keeps the final iterate, every callback
+a caller-supplied rng, once shared by two runs of an odd batch size), every
+baseline (with and without a start point), both losses on dense and CSR input,
+``reference_objective``, and every method of ``run_experiment``. For each it keeps the final iterate, every callback
 iterate and the trace columns except wall time. Dump under the reference
 checkout, then check under the changed one; the check exits 1 if any array
 differs in any bit.
@@ -67,6 +67,14 @@ def cases():
                 spec = SolverSpec(solver="acc-prox-svrg", batch_size=16)
                 run = run_solver(spec, sp, np.zeros(prob.d), 40, rng=np.random.default_rng(9))
                 out[f"accrng/{loss}/csr{int(csr)}/g{gamma}/x"] = run.x
+                # an odd batch size (epoch of 12 steps), two runs sharing one
+                # rng whose budgets end mid-epoch, and the rng's next draw
+                spec = SolverSpec(solver="acc-prox-svrg", batch_size=13, step_scale=0.9)
+                rng = np.random.default_rng(11)
+                first = run_solver(spec, sp, np.zeros(prob.d), 30, rng=rng)
+                run = run_solver(spec, sp, first.x, 47, rng=rng)
+                out[f"accodd/{loss}/csr{int(csr)}/g{gamma}/x"] = np.concatenate(
+                    [first.x, run.x, rng.random(1)])
             for method in ("fobos", "rda", "poly-sgd"):
                 for sc in ((False, True) if loss == "hinge" else (False,)):
                     spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
