@@ -7,7 +7,7 @@ with shrinking smoothing levels; baselines and the benchmark harness reproduce
 the solver races.
 """
 
-from .baselines import BaselineSpec, run_baseline, run_fobos, run_poly_sgd, run_rda
+from .baselines import BaselineSpec, run_baseline
 from .bench import RunConfig, TraceRow, compare_report, run_experiment, tune_stepsize
 from .continuation import (
     ContinuationConfig,

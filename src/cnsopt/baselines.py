@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import sample_minibatch
+from .datasets import minibatches
 from .prox import prox_l1, prox_regularizer
 from .smoothing import dual_spec
 from .solvers import drive, start_point
@@ -80,21 +80,18 @@ def _step_size(spec, problem, t):
     return spec.eta0 / math.sqrt(t)
 
 
-def run_fobos(problem, spec, budget, x0=None, **kwargs):
+def _fobos_step(problem, spec, x0, batches):
     """Forward-backward splitting: subgradient step on the loss, prox on r."""
-    rng = np.random.default_rng(spec.seed)
-    b = min(spec.batch_size, problem.n)
 
     def step(t, x):
-        batch = sample_minibatch(problem.n, b, rng)
         eta = _step_size(spec, problem, t)
-        g = loss_subgradient(problem, x, batch)
+        g = loss_subgradient(problem, x, next(batches))
         return prox_regularizer(x - eta * g, eta, problem.reg)
 
-    return drive(step, start_point(x0, problem.d), budget, context=f"{spec.method}: ", **kwargs)
+    return step
 
 
-def run_rda(problem, spec, budget, x0=None, **kwargs):
+def _rda_step(problem, spec, x0, batches):
     """Regularized dual averaging with closed-form per-step minimization.
 
     x_{t+1} minimizes <gbar_t, x> + r(x) + (beta_t / 2t) ||x||^2, i.e.
@@ -103,40 +100,34 @@ def run_rda(problem, spec, budget, x0=None, **kwargs):
     strongly convex schedule the regularizer's own modulus does the damping
     and beta_t = 0.
     """
-    rng = np.random.default_rng(spec.seed)
-    b = min(spec.batch_size, problem.n)
     state = {"gbar": np.zeros(problem.d)}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
     if spec.strongly_convex and nu2 <= 0:
         raise ValueError("strongly convex RDA schedule needs nu2 > 0")
 
     def step(t, x):
-        batch = sample_minibatch(problem.n, b, rng)
-        g = loss_subgradient(problem, x, batch)
+        g = loss_subgradient(problem, x, next(batches))
         state["gbar"] = ((t - 1) * state["gbar"] + g) / t
         beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
         quad = nu2 + beta_t / t
         return -prox_l1(state["gbar"], nu1) / quad
 
-    return drive(step, start_point(x0, problem.d), budget, context=f"{spec.method}: ", **kwargs)
+    return step
 
 
-def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
+def _poly_sgd_step(problem, spec, x0, batches):
     """Stochastic subgradient on the full objective with polynomial-decay averaging.
 
     No prox: the regularizer enters through its subgradient, so l1 weights do
     not sparsify the iterates. Reports the running average, which weights
     iterate t by (exponent + 1)/(t + exponent).
     """
-    rng = np.random.default_rng(spec.seed)
-    b = min(spec.batch_size, problem.n)
-    state = {"x": start_point(x0, problem.d)}
+    state = {"x": x0}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
     k = spec.averaging_exponent
 
     def step(t, avg):
-        batch = sample_minibatch(problem.n, b, rng)
-        g = loss_subgradient(problem, state["x"], batch)
+        g = loss_subgradient(problem, state["x"], next(batches))
         if nu1:
             g = g + nu1 * np.sign(state["x"])
         if nu2:
@@ -146,12 +137,18 @@ def run_poly_sgd(problem, spec, budget, x0=None, **kwargs):
         w = (k + 1.0) / (t + k)
         return (1.0 - w) * avg + w * state["x"]
 
-    return drive(step, state["x"], budget, context=f"{spec.method}: ", **kwargs)
+    return step
 
 
-_RUNNERS = {FOBOS: run_fobos, RDA: run_rda, POLY_SGD: run_poly_sgd}
+_STEPS = {FOBOS: _fobos_step, RDA: _rda_step, POLY_SGD: _poly_sgd_step}
 
 
 def run_baseline(problem, spec, budget, x0=None, **kwargs):
-    """Dispatch to the baseline named by ``spec.method``."""
-    return _RUNNERS[spec.method](problem, spec, budget, x0=x0, **kwargs)
+    """Run the baseline named by ``spec.method`` from ``x0`` (zeros when None),
+    on one ``minibatches`` stream of min(batch_size, n) rows seeded from
+    ``spec.seed``."""
+    x0 = start_point(x0, problem.d)
+    b = min(spec.batch_size, problem.n)
+    batches = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
+    step = _STEPS[spec.method](problem, spec, x0, batches)
+    return drive(step, x0, budget, context=f"{spec.method}: ", **kwargs)

@@ -365,5 +365,8 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
 def default_worker_count():
     env = os.environ.get("CNSOPT_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CNSOPT_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1

@@ -58,6 +58,8 @@ class ContinuationConfig:
             raise ValueError("lam1 must be nonnegative")
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
+        if self.auto_t1_max < 1:
+            raise ValueError("auto_t1_max must be >= 1")
         if self.budget_option not in (OPTION_I, OPTION_II):
             raise ValueError(f"unknown budget option {self.budget_option!r}")
         accelerated = self.budget_option == OPTION_II
@@ -120,10 +122,14 @@ def auto_t1(problem, cfg):
     base = objective_smoothed(sp, x0)
     target = base / cfg.tau**2
     budget = math.ceil(problem.n / cfg.solver.batch_size)
-    mu_eff = problem.mu + cfg.lam1
+    if budget > cfg.auto_t1_max:
+        raise BudgetEstimationError(
+            f"auto t1 cap {cfg.auto_t1_max} is below the first probe budget "
+            f"ceil(n / batch_size) = {budget}"
+        )
     while budget <= cfg.auto_t1_max:
         rng = np.random.default_rng(cfg.solver.seed)
-        run = run_solver(cfg.solver, sp, x0, budget, mu_eff=mu_eff, rng=rng)
+        run = run_solver(cfg.solver, sp, x0, budget, rng=rng)
         achieved = objective_smoothed(sp, run.x)
         if achieved <= target:
             return budget
@@ -134,7 +140,7 @@ def auto_t1(problem, cfg):
     )
 
 
-def measure_stage_reduction(problem, sp, x_before, x_after, oracle_budget, mu_eff=None):
+def measure_stage_reduction(sp, x_before, x_after, oracle_budget):
     """Reduction factor achieved over one stage, against a long reference solve.
 
     The stage optimum is approximated by an accelerated run of
@@ -143,11 +149,9 @@ def measure_stage_reduction(problem, sp, x_before, x_after, oracle_budget, mu_ef
     """
     if oracle_budget < 1:
         raise ValueError("oracle_budget must be >= 1")
-    if mu_eff is None:
-        mu_eff = problem.mu + sp.lam
     before = objective_smoothed(sp, x_before)
     after = objective_smoothed(sp, x_after)
-    oracle = run_solver(SolverSpec(solver=APG), sp, x_after, oracle_budget, mu_eff=mu_eff)
+    oracle = run_solver(SolverSpec(solver=APG), sp, x_after, oracle_budget)
     star = min(objective_smoothed(sp, oracle.x), after)
     denom = before - star
     if denom <= 1e-14:
@@ -174,7 +178,6 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
             lam_s = cfg.lam1 / shrink
         budget = stage_budget(t1, cfg.tau, exponent, s, fixed=cfg.fixed_smoothing)
         sp = SmoothedProblem(problem, gamma_s, lam_s)
-        mu_eff = problem.mu + lam_s
         before = objective_smoothed(sp, x)
 
         stage_cb = None
@@ -185,7 +188,7 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
                 callback(_offset + t, xt, _base + elapsed, _s)
 
         run = run_solver(
-            cfg.solver, sp, x, budget, mu_eff=mu_eff, rng=rng,
+            cfg.solver, sp, x, budget, rng=rng,
             callback=stage_cb, callback_every=callback_every,
             context=f"stage {s}: ",
         )
@@ -193,9 +196,7 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
         measured = None
         if cfg.measure_rho_budget is not None:
             try:
-                measured = measure_stage_reduction(
-                    problem, sp, x, x_next, cfg.measure_rho_budget, mu_eff=mu_eff
-                )
+                measured = measure_stage_reduction(sp, x, x_next, cfg.measure_rho_budget)
             except StageConvergedError:
                 measured = None
         reports.append(
@@ -265,7 +266,7 @@ def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
     gamma_s, lam_s = gamma1, lam1
     while gamma_s > gamma:
         sp = SmoothedProblem(problem, gamma_s, lam_s)
-        x = run_solver(apg, sp, x, warm_iterations, mu_eff=problem.mu + lam_s).x
+        x = run_solver(apg, sp, x, warm_iterations).x
         best = min(best, objective_original(problem, x))
         gamma_s /= 2.0
         lam_s /= 2.0
@@ -275,6 +276,5 @@ def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
         best = min(best, objective_original(problem, xt))
 
     sp = SmoothedProblem(problem, gamma, 0.0)
-    run = run_solver(apg, sp, x, iterations, mu_eff=problem.mu,
-                     callback=track, callback_every=check_every)
+    run = run_solver(apg, sp, x, iterations, callback=track, callback_every=check_every)
     return min(best, objective_original(problem, run.x))

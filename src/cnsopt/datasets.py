@@ -222,22 +222,27 @@ def libsvm_dumps(dataset):
     return buf.getvalue()
 
 
-def sample_minibatch(n, batch_size, rng, steps=None):
-    """Indices of a uniform-with-replacement mini-batch (duplicates allowed).
-
-    With ``steps``, the batches of that many steps in one call, shape
-    (steps, batch_size): row k equals the (k+1)-th of ``steps`` successive
-    single draws from the same rng, which ends in the same state. (The
-    generator keeps any spare half of a 64-bit output in its own state, not
-    in the call.)
+def sample_minibatch(n, batch_size, rng, steps):
+    """Indices of ``steps`` uniform-with-replacement mini-batches (duplicates
+    allowed) in one draw, shape (steps, batch_size): row k equals the (k+1)-th
+    of ``steps`` successive ``rng.integers(0, n, size=batch_size)`` draws from
+    the same rng, which ends in the same state. (The generator keeps any spare
+    half of a 64-bit output in its own state, not in the call.)
     """
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    if steps is None:
-        return rng.integers(0, n, size=batch_size)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     return rng.integers(0, n, size=(steps, batch_size))
+
+
+def minibatches(n, batch_size, rng, budget):
+    """Yield the index rows of ``budget`` mini-batches, one epoch (ceil(n / batch_size)
+    steps) per ``sample_minibatch`` draw, the last capped at the steps left so a
+    shared rng ends where per-step draws would leave it."""
+    epoch = math.ceil(n / batch_size)
+    for done in range(0, budget, epoch):
+        yield from sample_minibatch(n, batch_size, rng, min(epoch, budget - done))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smoothing
-from .datasets import sample_minibatch
+from .datasets import minibatches
 from .errors import DivergenceError, InfeasibleBudgetError
 from .prox import prox_regularizer
 from .smoothing import lipschitz_constant
@@ -109,10 +109,13 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
 
     ``step(t, x)`` returns the iterate to report after inner iteration t; the
     loop checks it for finiteness and passes it to the next step.
+    ``callback(t, x, elapsed)`` runs every ``callback_every`` iterations.
     """
     x = np.array(x0, dtype=float)
     if budget < 1:
         raise ValueError(f"iteration budget must be >= 1, got {budget}")
+    if callback is not None and (callback_every is None or callback_every < 1):
+        raise ValueError(f"a callback needs callback_every >= 1, got {callback_every}")
     if not np.isfinite(x).all():
         raise DivergenceError(f"{context}non-finite start point")
     elapsed = 0.0
@@ -127,7 +130,7 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
                 raise DivergenceError(
                     f"{context}non-finite iterate at inner iteration {t}"
                 )
-            if callback is not None and callback_every is not None and t % callback_every == 0:
+            if callback is not None and t % callback_every == 0:
                 elapsed += time.perf_counter() - tick
                 callback(t, x, elapsed)
                 tick = time.perf_counter()
@@ -149,8 +152,9 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
       acc-prox-svrg restarts it at every snapshot.
 
     The step is step_scale/L, times theta for prox-svrg. Stochastic solvers
-    draw from ``rng``, seeded from ``spec.seed`` when not given. SAGA and
-    MISO appear only in the budget calculator, not as runners.
+    step through one ``minibatches`` stream on ``rng`` (default: seeded from
+    ``spec.seed``). SAGA and MISO appear only in the budget calculator, not
+    as runners.
     """
     if spec.solver not in (PROX_GD, APG, PROX_SVRG, ACC_PROX_SVRG):
         raise ValueError(f"{spec.solver!r} is not a runnable solver")
@@ -178,6 +182,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         n = sp.base.n
         b = min(spec.batch_size, n)
         m = math.ceil(n / b)
+        batches = minibatches(n, b, rng, budget)
         loss, gamma = sp.base.loss, sp.gamma
         feats, offsets = sp.base.features, sp.base.offsets
 
@@ -185,18 +190,14 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         if variance_reduced and (t - 1) % m == 0:
             state["snap"] = x.copy()
             state["full"] = smoothing.loss_gradient(sp, x)
-            # the epoch's batches in one draw, capped at the budget left so a
-            # shared rng ends where per-step draws would leave it
-            state["batches"] = sample_minibatch(n, b, rng, steps=min(m, budget - t + 1))
             if momentum:
                 state["y"] = x.copy()
                 state["tk"] = 1.0
         y = state["y"] if momentum else x
         if variance_reduced:
-            batch = state["batches"][(t - 1) % m]
-            g = smoothing.vr_gradient_kernel(
-                feats[batch], offsets[batch], loss, gamma, y, state["snap"], state["full"]
-            )
+            batch = next(batches)
+            g = smoothing.vr_gradient_kernel(feats[batch], offsets[batch], loss, gamma, y,
+                                             state["snap"], state["full"])
         else:
             g = smoothing.loss_gradient(sp, y)
         x_new = prox_regularizer(y - eta * g, eta, reg, lam)

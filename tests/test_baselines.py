@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,8 @@ from cnsopt import (
     make_synthetic,
     objective_original,
     run_baseline,
-    run_fobos,
-    run_poly_sgd,
-    run_rda,
 )
+from cnsopt import datasets
 from cnsopt.baselines import loss_subgradient
 from tests.test_prox import golden_section
 
@@ -51,7 +51,7 @@ def test_absolute_subgradient_zero_at_zero_residual():
 def test_fobos_produces_exact_zeros():
     prob = _suite(nu1=0.05)
     spec = BaselineSpec(method="fobos", eta0=0.5, seed=1, strongly_convex=True)
-    run = run_fobos(prob, spec, 300)
+    run = run_baseline(prob, spec, 300)
     assert np.any(run.x == 0.0)
     assert np.isfinite(run.x).all()
 
@@ -59,8 +59,8 @@ def test_fobos_produces_exact_zeros():
 def test_fobos_seeded_determinism():
     prob = _suite()
     spec = BaselineSpec(method="fobos", eta0=0.5, seed=9)
-    a = run_fobos(prob, spec, 120)
-    b = run_fobos(prob, spec, 120)
+    a = run_baseline(prob, spec, 120)
+    b = run_baseline(prob, spec, 120)
     assert np.array_equal(a.x, b.x)
 
 
@@ -69,7 +69,7 @@ def test_rda_stays_at_zero_without_gradient_signal():
     # stays zero and every closed-form iterate is exactly 0
     prob = _problem([[1.0], [2.0]], [0.0, 0.0], ABSOLUTE, nu1=0.1)
     spec = BaselineSpec(method="rda", rda_scale=1.0, seed=0)
-    run = run_rda(prob, spec, 50)
+    run = run_baseline(prob, spec, 50)
     assert np.array_equal(run.x, np.zeros(1))
 
 
@@ -78,8 +78,8 @@ def test_rda_thresholding_rule():
     prob = _suite(nu1=0.04)
     spec = BaselineSpec(method="rda", rda_scale=1.0, seed=3)
     traces = []
-    run = run_rda(prob, spec, 200, callback=lambda t, x, e: traces.append(x.copy()),
-                  callback_every=50)
+    run = run_baseline(prob, spec, 200, callback=lambda t, x, e: traces.append(x.copy()),
+                       callback_every=50)
     for x in traces:
         assert np.isfinite(x).all()
     assert np.any(run.x == 0.0)
@@ -103,22 +103,20 @@ def test_poly_sgd_average_fixed_point():
     # if the iterates never move, the running average equals them exactly
     prob = _problem([[1.0]], [1.0], HINGE)  # margin 1 at x=1: zero subgradient
     spec = BaselineSpec(method="poly-sgd", eta0=1.0, seed=0)
-    run = run_poly_sgd(prob, spec, 40, x0=np.array([1.0]))
+    run = run_baseline(prob, spec, 40, x0=np.array([1.0]))
     assert run.x == pytest.approx(np.array([1.0]), abs=1e-15)
 
 
 def test_poly_sgd_large_exponent_tracks_last_iterate():
     prob = _suite()
     fast = BaselineSpec(method="poly-sgd", eta0=0.2, averaging_exponent=1e6, seed=2)
-    run_avg = run_poly_sgd(prob, fast, 60)
+    run_avg = run_baseline(prob, fast, 60)
 
-    # replay the recursion without averaging
+    # replay the recursion without averaging, one batch drawn per step
     rng = np.random.default_rng(2)
-    from cnsopt.datasets import sample_minibatch
-
     x = np.zeros(prob.d)
     for t in range(1, 61):
-        batch = sample_minibatch(prob.n, 50, rng)
+        batch = rng.integers(0, prob.n, size=50)
         g = loss_subgradient(prob, x, batch) + prob.reg.nu1 * np.sign(x) + prob.reg.nu2 * x
         x = x - 0.2 / np.sqrt(t) * g
     # the averaging weight is 1 - O(t / exponent), so the average tracks the
@@ -129,7 +127,7 @@ def test_poly_sgd_large_exponent_tracks_last_iterate():
 def test_poly_sgd_output_is_dense():
     prob = _suite(nu1=0.05)
     spec = BaselineSpec(method="poly-sgd", eta0=0.5, seed=5, strongly_convex=True)
-    run = run_poly_sgd(prob, spec, 400)
+    run = run_baseline(prob, spec, 400)
     assert np.all(run.x != 0.0)
 
 
@@ -153,13 +151,42 @@ def test_baselines_reject_a_wrong_shape_start_point(method):
         run_baseline(prob, spec, 10, x0=np.zeros(3))
 
 
+@pytest.mark.parametrize("method", ("fobos", "rda", "poly-sgd"))
+@pytest.mark.parametrize("batch_size, budget", (
+    (50, 23),  # n = 300, epochs of 6 steps: draws of 6, 6, 6 and 5
+    (50, 4),  # a budget below one epoch: one draw of 4
+    (400, 5),  # batch size clamped to n = 300: epochs of one step
+))
+def test_baseline_draws_one_epoch_per_call(monkeypatch, method, batch_size, budget):
+    prob = _suite()
+    n = prob.n
+    real, drawn = datasets.sample_minibatch, []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(datasets, "sample_minibatch", recording)
+    spec = BaselineSpec(method=method, eta0=0.3, batch_size=batch_size, seed=8)
+    run_baseline(prob, spec, budget)
+    b = min(batch_size, n)
+    epoch = math.ceil(n / b)
+    assert len(drawn) == math.ceil(budget / epoch)
+    assert [rows.shape for rows in drawn[:-1]] == [(epoch, b)] * (len(drawn) - 1)
+    assert drawn[-1].shape == (budget - epoch * (len(drawn) - 1), b)
+    ref = np.random.default_rng(8)
+    singles = [ref.integers(0, n, size=b) for _ in range(budget)]
+    assert np.array_equal(np.concatenate(drawn), singles)
+
+
 def test_strongly_convex_schedules_need_modulus():
     prob = _problem([[1.0]], [1.0], HINGE)  # nu2 = 0
     spec = BaselineSpec(method="fobos", strongly_convex=True)
     with pytest.raises(ValueError):
-        run_fobos(prob, spec, 10)
+        run_baseline(prob, spec, 10)
     with pytest.raises(ValueError):
-        run_rda(prob, BaselineSpec(method="rda", strongly_convex=True), 10)
+        run_baseline(prob, BaselineSpec(method="rda", strongly_convex=True), 10)
 
 
 def test_baseline_spec_validation():

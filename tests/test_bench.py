@@ -304,6 +304,14 @@ def test_cli_tune(capsys):
     assert "best step scale" in capsys.readouterr().out
 
 
+def test_worker_count_names_a_bad_environment_value(monkeypatch):
+    monkeypatch.setenv("CNSOPT_WORKERS", "two")
+    with pytest.raises(ValueError, match="CNSOPT_WORKERS must be an integer, got 'two'"):
+        bench.default_worker_count()
+    monkeypatch.setenv("CNSOPT_WORKERS", "3")
+    assert bench.default_worker_count() == 3
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfgs = []
     for i in range(2):

@@ -157,6 +157,8 @@ def test_config_validation():
         ContinuationConfig(gamma1=0.0)
     with pytest.raises(ValueError):
         ContinuationConfig(stages=0)
+    with pytest.raises(ValueError, match="auto_t1_max"):
+        ContinuationConfig(auto_t1_max=0)
     with pytest.raises(ValueError):  # option/family mismatch
         ContinuationConfig(solver=SolverSpec(solver="apg"), budget_option=OPTION_I)
     with pytest.raises(ValueError):
@@ -231,6 +233,16 @@ def test_auto_t1_cap_error():
         auto_t1(prob, cfg)
 
 
+def test_auto_t1_cap_below_the_first_probe():
+    # the first probe, ceil(200 / 10) = 20 steps, is already above the cap
+    prob = _suite()
+    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1, auto_t1_max=5,
+                             solver=SolverSpec(solver="prox-gd", batch_size=10),
+                             budget_option=OPTION_I)
+    with pytest.raises(BudgetEstimationError, match=r"cap 5 .* = 20$"):
+        auto_t1(prob, cfg)
+
+
 def test_auto_t1_satisfies_reduction_against_oracle():
     prob = _suite(n=400, d=10, nu1=0.005, nu2=0.1)
     cfg = ContinuationConfig(gamma1=0.5, tau=2.0, stages=1,
@@ -240,7 +252,7 @@ def test_auto_t1_satisfies_reduction_against_oracle():
     sp1 = SmoothedProblem(prob, 0.5)
     x0 = np.zeros(prob.d)
     run = run_solver(cfg.solver, sp1, x0, t1, mu_eff=prob.mu)
-    rho1 = measure_stage_reduction(prob, sp1, x0, run.x, oracle_budget=8000)
+    rho1 = measure_stage_reduction(sp1, x0, run.x, oracle_budget=8000)
     assert rho1 <= 1.0 / cfg.tau**2 + 1e-6
 
 
@@ -249,11 +261,11 @@ def test_measure_stage_reduction_extremes():
     sp = SmoothedProblem(prob, 0.05)
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=prob.d)
-    assert measure_stage_reduction(prob, sp, x0, x0, 4000) == pytest.approx(1.0, abs=1e-9)
+    assert measure_stage_reduction(sp, x0, x0, 4000) == pytest.approx(1.0, abs=1e-9)
     star = run_solver(SolverSpec(solver="apg"), sp, x0, 8000, mu_eff=prob.mu).x
-    assert measure_stage_reduction(prob, sp, x0, star, 8000) == pytest.approx(0.0, abs=1e-6)
+    assert measure_stage_reduction(sp, x0, star, 8000) == pytest.approx(0.0, abs=1e-6)
     with pytest.raises(StageConvergedError):
-        measure_stage_reduction(prob, sp, star, star, 4000)
+        measure_stage_reduction(sp, star, star, 4000)
 
 
 def test_measured_rho_with_table_budget():
@@ -267,7 +279,7 @@ def test_measured_rho_with_table_budget():
     budget = required_t1("prox-gd", kappa, 1.0 / tau**2)
     x0 = np.zeros(prob.d)
     run = run_solver(SolverSpec(solver="prox-gd"), sp, x0, budget, mu_eff=prob.mu)
-    rho = measure_stage_reduction(prob, sp, x0, run.x, oracle_budget=10_000)
+    rho = measure_stage_reduction(sp, x0, run.x, oracle_budget=10_000)
     assert rho <= 1.0 / tau**2 + 0.05
 
 

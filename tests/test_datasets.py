@@ -188,16 +188,16 @@ def test_densify_and_subset():
 def test_minibatch_bounds():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_minibatch(10, 11, rng)
+        sample_minibatch(10, 11, rng, 1)
     with pytest.raises(ValueError):
-        sample_minibatch(10, 0, rng)
-    idx = sample_minibatch(10, 10, rng)
-    assert len(idx) == 10 and idx.min() >= 0 and idx.max() < 10
+        sample_minibatch(10, 0, rng, 1)
+    idx = sample_minibatch(10, 10, rng, 1)
+    assert idx.shape == (1, 10) and idx.min() >= 0 and idx.max() < 10
 
 
 def test_minibatch_steps_must_be_positive():
     with pytest.raises(ValueError, match="steps"):
-        sample_minibatch(10, 3, np.random.default_rng(0), steps=0)
+        sample_minibatch(10, 3, np.random.default_rng(0), 0)
 
 
 def test_dataset_leaves_the_callers_csr_unsorted():
@@ -212,15 +212,13 @@ def test_dataset_leaves_the_callers_csr_unsorted():
 
 def test_minibatch_allows_duplicates():
     rng = np.random.default_rng(1)
-    seen_duplicate = any(
-        len(set(sample_minibatch(5, 5, rng))) < 5 for _ in range(50)
-    )
+    seen_duplicate = any(len(set(batch)) < 5 for batch in sample_minibatch(5, 5, rng, 50))
     assert seen_duplicate
 
 
 def test_minibatch_seeded_stream_reproducible():
-    a = [sample_minibatch(100, 7, np.random.default_rng(42)) for _ in range(1)]
-    b = [sample_minibatch(100, 7, np.random.default_rng(42)) for _ in range(1)]
+    a = sample_minibatch(100, 7, np.random.default_rng(42), 3)
+    b = sample_minibatch(100, 7, np.random.default_rng(42), 3)
     assert np.array_equal(a, b)
 
 
@@ -228,7 +226,7 @@ def test_minibatch_uniformity_chi_square():
     # empirical frequencies within 3-sigma binomial bands over 1e6 draws
     rng = np.random.default_rng(2)
     n, total = 20, 1_000_000
-    draws = rng.integers(0, n, size=total)  # same sampler as sample_minibatch
+    draws = sample_minibatch(n, n, rng, total // n).ravel()
     counts = np.bincount(draws, minlength=n)
     p = 1.0 / n
     sigma = np.sqrt(total * p * (1 - p))

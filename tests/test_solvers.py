@@ -278,26 +278,35 @@ def test_nan_gradient_raises_divergence_at_its_iteration(monkeypatch):
 def test_epoch_draws_keep_a_shared_rng_in_step(monkeypatch):
     # m = ceil(60 / 8) = 8; budgets 7 then 13 end mid-epoch, so the draws are
     # capped at the budget left: 7, then 8 and 5
-    from cnsopt import solvers
+    from cnsopt import datasets
     prob = _random_strongly_convex(1, n=60)
     sp = SmoothedProblem(prob, 0.1)
     spec = SolverSpec(solver="acc-prox-svrg", batch_size=8)
-    real, drawn = solvers.sample_minibatch, []
+    real, drawn = datasets.sample_minibatch, []
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
         drawn.append(out)
         return out
 
-    monkeypatch.setattr(solvers, "sample_minibatch", recording)
+    monkeypatch.setattr(datasets, "sample_minibatch", recording)
     rng = np.random.default_rng(4)
     first = run_solver(spec, sp, np.zeros(prob.d), 7, rng=rng)
     run_solver(spec, sp, first.x, 13, rng=rng)
     assert [len(batches) for batches in drawn] == [7, 8, 5]
     ref = np.random.default_rng(4)
-    singles = [real(60, 8, ref) for _ in range(20)]
+    singles = [ref.integers(0, 60, size=8) for _ in range(20)]
     assert np.array_equal(np.concatenate(drawn), singles)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("every", (None, 0, -2))
+def test_a_callback_needs_a_positive_callback_every(every):
+    prob = quad_problem()
+    sp = SmoothedProblem(prob, 2.0)
+    with pytest.raises(ValueError, match=f"callback_every >= 1, got {every}"):
+        run_solver(GD, sp, np.zeros(1), 5, callback=lambda t, x, e: None,
+                   callback_every=every)
 
 
 def test_saga_miso_not_runnable():

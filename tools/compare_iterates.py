@@ -1,9 +1,11 @@
 """Bit-identity gate: dump, or compare, the iterates of a fixed set of seeded runs.
 
 The runs cover every inner solver (with and without a given modulus, and with
-a caller-supplied rng, once shared by two runs of an odd batch size), every
-baseline (with and without a start point), both losses on dense and CSR input,
-``reference_objective``, and every method of ``run_experiment``. For each it keeps the final iterate, every callback
+a caller-supplied rng, once shared by two runs of an odd batch size and once
+with a batch size above n), every baseline (with and without a start point,
+with a batch size above n, and with a budget below one epoch), both losses on
+dense and CSR input, ``reference_objective``, and every method of
+``run_experiment``. For each it keeps the final iterate, every callback
 iterate and the trace columns except wall time. Dump under the reference
 checkout, then check under the changed one; the check exits 1 if any array
 differs in any bit.
@@ -75,6 +77,12 @@ def cases():
                 run = run_solver(spec, sp, first.x, 47, rng=rng)
                 out[f"accodd/{loss}/csr{int(csr)}/g{gamma}/x"] = np.concatenate(
                     [first.x, run.x, rng.random(1)])
+                # a batch size above n, clamped to n (an epoch of one step)
+                spec = SolverSpec(solver="acc-prox-svrg", batch_size=400, step_scale=0.9)
+                rng = np.random.default_rng(12)
+                run = run_solver(spec, sp, np.zeros(prob.d), 9, rng=rng)
+                out[f"accbig/{loss}/csr{int(csr)}/g{gamma}/x"] = np.concatenate(
+                    [run.x, rng.random(1)])
             for method in ("fobos", "rda", "poly-sgd"):
                 for sc in ((False, True) if loss == "hinge" else (False,)):
                     spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
@@ -88,6 +96,13 @@ def cases():
                     out[key + "/cb"] = np.array(seen)
                     run = run_baseline(prob, spec, 37, x0=np.full(prob.d, 0.05))
                     out[key + "/x0"] = run.x
+                # a batch size above n (clamped to n), and a budget of 7 steps,
+                # below the epoch of ceil(150 / 16) = 10
+                for b, budget in ((400, 23), (16, 7)):
+                    spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=b,
+                                        seed=6)
+                    out[f"{method}/{loss}/csr{int(csr)}/b{b}/x"] = run_baseline(
+                        prob, spec, budget).x
             out[f"refobj/{loss}/csr{int(csr)}"] = np.array([reference_objective(
                 prob, gamma=1e-4, iterations=3000, warm_iterations=300, check_every=100)])
     for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
