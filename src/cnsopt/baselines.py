@@ -7,12 +7,13 @@ Subgradients at kinks use the minimal-norm element (0 at a zero slack and at a
 zero coordinate).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import minibatches
+from .datasets import epoch_batches, minibatches
 from .prox import prox_l1, prox_regularizer
 from .smoothing import dual_spec
 from .solvers import drive, start_point
@@ -51,24 +52,24 @@ class BaselineSpec:
             raise ValueError("batch_size must be >= 1")
 
 
-def loss_subgradient(problem, x, batch):
-    """Mean minimal-norm subgradient of the nonsmooth loss over the batch.
+def loss_subgradient(rows, offsets, loss, x):
+    """Mean minimal-norm subgradient of the nonsmooth loss over pre-sliced
+    rows and offsets.
 
     The loss's derivative in the slack a is clip(sign(a), u_lo, u_hi), the
     minimal-norm dual point (both dual intervals lie in [-1, 1]); it is
     negated here, like the smoothed kernels' weights, since the slack
     a = c - s falls one for one with the score s on the problem's rows.
     """
-    spec = dual_spec(problem.loss)
-    rows = problem.features[batch]
-    weights = np.sign(rows @ x - problem.offsets[batch])
+    spec = dual_spec(loss)
+    weights = np.sign(rows @ x - offsets)
     # the clip to [-u_hi, -u_lo], one bound at a time: a bound of magnitude 1
     # never binds on a sign, and a single ufunc costs less than np.clip
     if spec.u_hi < 1.0:
         np.maximum(weights, -spec.u_hi, out=weights)
     if spec.u_lo > -1.0:
         np.minimum(weights, -spec.u_lo, out=weights)
-    return (rows.T @ weights) / len(batch)
+    return (rows.T @ weights) / len(offsets)
 
 
 def _step_size(spec, problem, t):
@@ -85,7 +86,7 @@ def _fobos_step(problem, spec, x0, batches):
 
     def step(t, x):
         eta = _step_size(spec, problem, t)
-        g = loss_subgradient(problem, x, next(batches))
+        g = loss_subgradient(*next(batches), problem.loss, x)
         return prox_regularizer(x - eta * g, eta, problem.reg)
 
     return step
@@ -106,7 +107,7 @@ def _rda_step(problem, spec, x0, batches):
         raise ValueError("strongly convex RDA schedule needs nu2 > 0")
 
     def step(t, x):
-        g = loss_subgradient(problem, x, next(batches))
+        g = loss_subgradient(*next(batches), problem.loss, x)
         state["gbar"] = ((t - 1) * state["gbar"] + g) / t
         beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
         quad = nu2 + beta_t / t
@@ -127,7 +128,7 @@ def _poly_sgd_step(problem, spec, x0, batches):
     k = spec.averaging_exponent
 
     def step(t, avg):
-        g = loss_subgradient(problem, state["x"], next(batches))
+        g = loss_subgradient(*next(batches), problem.loss, state["x"])
         if nu1:
             g = g + nu1 * np.sign(state["x"])
         if nu2:
@@ -146,9 +147,12 @@ _STEPS = {FOBOS: _fobos_step, RDA: _rda_step, POLY_SGD: _poly_sgd_step}
 def run_baseline(problem, spec, budget, x0=None, **kwargs):
     """Run the baseline named by ``spec.method`` from ``x0`` (zeros when None),
     on one ``minibatches`` stream of min(batch_size, n) rows seeded from
-    ``spec.seed``."""
+    ``spec.seed``, each epoch's rows and offsets gathered once
+    (``epoch_batches``)."""
     x0 = start_point(x0, problem.d)
     b = min(spec.batch_size, problem.n)
-    batches = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
+    blocks = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
+    batches = itertools.chain.from_iterable(
+        epoch_batches(block, problem.features, problem.offsets) for block in blocks)
     step = _STEPS[spec.method](problem, spec, x0, batches)
     return drive(step, x0, budget, context=f"{spec.method}: ", **kwargs)

@@ -60,6 +60,8 @@ class ContinuationConfig:
             raise ValueError("stages must be >= 1")
         if self.auto_t1_max < 1:
             raise ValueError("auto_t1_max must be >= 1")
+        if self.measure_rho_budget is not None and self.measure_rho_budget < 1:
+            raise ValueError("measure_rho_budget must be >= 1")
         if self.budget_option not in (OPTION_I, OPTION_II):
             raise ValueError(f"unknown budget option {self.budget_option!r}")
         accelerated = self.budget_option == OPTION_II

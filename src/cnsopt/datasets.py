@@ -237,12 +237,32 @@ def sample_minibatch(n, batch_size, rng, steps):
 
 
 def minibatches(n, batch_size, rng, budget):
-    """Yield the index rows of ``budget`` mini-batches, one epoch (ceil(n / batch_size)
-    steps) per ``sample_minibatch`` draw, the last capped at the steps left so a
-    shared rng ends where per-step draws would leave it."""
+    """Yield the index blocks of ``budget`` mini-batches, one epoch (ceil(n / batch_size)
+    steps) per ``sample_minibatch`` draw of shape (steps, batch_size), the last capped
+    at the steps left so a shared rng ends where per-step draws would leave it."""
     epoch = math.ceil(n / batch_size)
     for done in range(0, budget, epoch):
-        yield from sample_minibatch(n, batch_size, rng, min(epoch, budget - done))
+        yield sample_minibatch(n, batch_size, rng, min(epoch, budget - done))
+
+
+def epoch_batches(block, *arrays):
+    """An iterator over the rows of an index block from ``minibatches``: for
+    each batch, the tuple of each array's rows at it.
+
+    Each array is gathered once for the whole block. A dense array is taken
+    as (steps, batch_size, ...), so each step's rows are a view of the copy;
+    CSR rows cannot be fancy-indexed to 3-D, so a CSR matrix is gathered as
+    (steps * batch_size) rows and sliced into one matrix per step.
+    """
+    steps, b = block.shape
+    parts = []
+    for a in arrays:
+        if sparse.issparse(a):
+            rows = a[block.ravel()]
+            parts.append([rows[lo:lo + b] for lo in range(0, steps * b, b)])
+        else:
+            parts.append(a.take(block, axis=0))
+    return zip(*parts)
 
 
 @dataclass(frozen=True)

@@ -119,34 +119,37 @@ def _score_weights(spec, c, scores, gamma):
 
 
 def gradient_kernel(rows, offsets, loss, gamma, x):
-    """Mean gradient of the smoothed loss over pre-sliced rows and offsets."""
+    """Mean gradient of the smoothed loss over pre-sliced rows and offsets,
+    and the per-sample weights -alpha that it averages."""
     spec = dual_spec(loss)
     weights = _score_weights(spec, offsets, rows @ x, gamma)
-    return (rows.T @ weights) / len(offsets)
+    return (rows.T @ weights) / len(offsets), weights
 
 
-def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot, full_gradient):
+def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
     """Variance-reduced estimate over pre-sliced rows and offsets:
 
     batch gradient at x, minus batch gradient at the snapshot, plus the full
-    gradient at the snapshot. Fused so the batch matrix is applied once for
-    the correction term, and the scores at x and at the snapshot are clipped
-    together. Equals ``full_gradient`` exactly when x == snapshot.
+    gradient at the snapshot. ``snapshot_weights`` are these rows' weights
+    -alpha at the snapshot, from the full pass that gave ``full_gradient``
+    (``loss_gradient(..., with_weights=True)``), so the batch rows are applied
+    once for the scores at x and once for the correction. When x == snapshot
+    the estimate equals ``full_gradient`` up to the rounding of the batch
+    scores, which the BLAS may sum in another order than the full pass's.
     """
     spec = dual_spec(loss)
-    # two matvecs, not one (b, 2) product: a gemm rounds differently
-    scores = np.empty((2, len(offsets)))
-    scores[0] = rows @ x
-    scores[1] = rows @ snapshot
-    weights = _score_weights(spec, offsets, scores, gamma)
-    return (rows.T @ (weights[0] - weights[1])) / len(offsets) + full_gradient
+    weights = _score_weights(spec, offsets, rows @ x, gamma)
+    weights -= snapshot_weights
+    return (rows.T @ weights) / len(offsets) + full_gradient
 
 
-def loss_gradient(sp, x):
-    """Gradient of the averaged smoothed loss alone (no ridge term)."""
+def loss_gradient(sp, x, with_weights=False):
+    """Gradient of the averaged smoothed loss alone (no ridge term); with
+    ``with_weights``, the pair (gradient, per-sample weights -alpha at x)."""
     problem = sp.base
     _check_x(problem, x)
-    return gradient_kernel(problem.features, problem.offsets, problem.loss, sp.gamma, x)
+    out = gradient_kernel(problem.features, problem.offsets, problem.loss, sp.gamma, x)
+    return out if with_weights else out[0]
 
 
 def smoothed_loss_gradient(sp, x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smoothing
-from .datasets import minibatches
+from .datasets import epoch_batches, minibatches
 from .errors import DivergenceError, InfeasibleBudgetError
 from .prox import prox_regularizer
 from .smoothing import lipschitz_constant
@@ -153,8 +153,10 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
 
     The step is step_scale/L, times theta for prox-svrg. Stochastic solvers
     step through one ``minibatches`` stream on ``rng`` (default: seeded from
-    ``spec.seed``). SAGA and MISO appear only in the budget calculator, not
-    as runners.
+    ``spec.seed``), whose epochs line up with the snapshot refreshes: each
+    refresh keeps the full pass's per-sample weights and gathers the epoch's
+    rows, offsets and snapshot weights once (``epoch_batches``). SAGA and
+    MISO appear only in the budget calculator, not as runners.
     """
     if spec.solver not in (PROX_GD, APG, PROX_SVRG, ACC_PROX_SVRG):
         raise ValueError(f"{spec.solver!r} is not a runnable solver")
@@ -182,22 +184,22 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         n = sp.base.n
         b = min(spec.batch_size, n)
         m = math.ceil(n / b)
-        batches = minibatches(n, b, rng, budget)
+        blocks = minibatches(n, b, rng, budget)
         loss, gamma = sp.base.loss, sp.gamma
         feats, offsets = sp.base.features, sp.base.offsets
 
     def step(t, x):
         if variance_reduced and (t - 1) % m == 0:
-            state["snap"] = x.copy()
-            state["full"] = smoothing.loss_gradient(sp, x)
+            state["full"], weights = smoothing.loss_gradient(sp, x, with_weights=True)
+            state["epoch"] = epoch_batches(next(blocks), feats, offsets, weights)
             if momentum:
                 state["y"] = x.copy()
                 state["tk"] = 1.0
         y = state["y"] if momentum else x
         if variance_reduced:
-            batch = next(batches)
-            g = smoothing.vr_gradient_kernel(feats[batch], offsets[batch], loss, gamma, y,
-                                             state["snap"], state["full"])
+            rows, c, snap_weights = next(state["epoch"])
+            g = smoothing.vr_gradient_kernel(rows, c, loss, gamma, y, snap_weights,
+                                             state["full"])
         else:
             g = smoothing.loss_gradient(sp, y)
         x_new = prox_regularizer(y - eta * g, eta, reg, lam)

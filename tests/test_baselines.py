@@ -36,16 +36,17 @@ def _suite(seed=0, nu1=0.01, nu2=0.05):
 def test_hinge_subgradient_zero_at_kink():
     # margin exactly 1 uses the flat side (minimal-norm element)
     prob = _problem([[1.0, 0.0]], [1.0], HINGE)
-    g = loss_subgradient(prob, np.array([1.0, 0.0]), np.array([0]))
+    g = loss_subgradient(prob.features, prob.offsets, prob.loss, np.array([1.0, 0.0]))
     assert np.array_equal(g, np.zeros(2))
-    g_active = loss_subgradient(prob, np.array([0.9, 0.0]), np.array([0]))
+    g_active = loss_subgradient(prob.features, prob.offsets, prob.loss, np.array([0.9, 0.0]))
     assert np.array_equal(g_active, np.array([-1.0, 0.0]))
 
 
 def test_absolute_subgradient_zero_at_zero_residual():
     prob = _problem([[2.0]], [2.0], ABSOLUTE)
-    assert loss_subgradient(prob, np.array([1.0]), np.array([0]))[0] == 0.0
-    assert loss_subgradient(prob, np.array([0.5]), np.array([0]))[0] == pytest.approx(-2.0)
+    rows, c = prob.features, prob.offsets
+    assert loss_subgradient(rows, c, prob.loss, np.array([1.0]))[0] == 0.0
+    assert loss_subgradient(rows, c, prob.loss, np.array([0.5]))[0] == pytest.approx(-2.0)
 
 
 def test_fobos_produces_exact_zeros():
@@ -117,7 +118,8 @@ def test_poly_sgd_large_exponent_tracks_last_iterate():
     x = np.zeros(prob.d)
     for t in range(1, 61):
         batch = rng.integers(0, prob.n, size=50)
-        g = loss_subgradient(prob, x, batch) + prob.reg.nu1 * np.sign(x) + prob.reg.nu2 * x
+        g = loss_subgradient(prob.features[batch], prob.offsets[batch], prob.loss, x)
+        g = g + prob.reg.nu1 * np.sign(x) + prob.reg.nu2 * x
         x = x - 0.2 / np.sqrt(t) * g
     # the averaging weight is 1 - O(t / exponent), so the average tracks the
     # last iterate up to that slack

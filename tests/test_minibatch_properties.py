@@ -1,16 +1,20 @@
 """Property tests for the mini-batch stream: one ``sample_minibatch(..., k)``
-call, and the whole ``minibatches`` stream, give the same batches as one
-``rng.integers(0, n, size=b)`` draw per step, and leave the rng in the same
-state, so a method may draw a whole epoch at once without changing its run."""
+call, the whole ``minibatches`` stream, and the rows ``epoch_batches`` gathers
+from it, give the same batches as one ``rng.integers(0, n, size=b)`` draw and
+one fancy index per step, and leave the rng in the same state, so a method may
+draw and gather a whole epoch at once without changing its run."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cnsopt.datasets import minibatches, sample_minibatch  # noqa: E402
+from cnsopt.datasets import epoch_batches, minibatches, sample_minibatch  # noqa: E402
 
 # a range just above 2^31 makes Lemire's method reject almost half its 32-bit
 # draws, so the draws consumed per batch vary
@@ -52,9 +56,50 @@ def test_stream_equals_per_step_draws(n, data, budget, seed):
     else:
         b = data.draw(st.integers(1, min(n, 64)), label="batch_size")
     rng = np.random.default_rng(seed)
-    stream = list(minibatches(n, b, rng, budget))
+    blocks = list(minibatches(n, b, rng, budget))
     singles, ref = _per_step(n, b, seed, budget)
+    epoch = math.ceil(n / b)
+    assert [len(block) for block in blocks[:-1]] == [epoch] * (len(blocks) - 1)
+    stream = np.concatenate(blocks)
     assert len(stream) == budget
     assert np.array_equal(stream, singles)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _same_rows(got, want):
+    if sparse.issparse(want):
+        return (got.shape == want.shape
+                and all(np.array_equal(getattr(got, a), getattr(want, a))
+                        for a in ("indptr", "indices", "data")))
+    return got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 120), data=st.data(), budgets=st.lists(st.integers(1, 30), min_size=1,
+       max_size=2), seed=st.integers(0, 2**32), csr=st.booleans())
+@example(n=150, data=None, budgets=[29], seed=5, csr=False)  # epochs of 12, ends mid-epoch
+@example(n=150, data=None, budgets=[29], seed=5, csr=True)
+@example(n=150, data=None, budgets=[7, 17], seed=2, csr=False)  # two runs share one rng
+@example(n=150, data=None, budgets=[7, 17], seed=2, csr=True)
+@example(n=16, data=None, budgets=[5], seed=0, csr=True)  # batch size n: epochs of one step
+def test_epoch_gather_equals_per_step_indexing(n, data, budgets, seed, csr):
+    if data is None:
+        b = {150: 13, 16: 16}[n]
+    else:
+        b = data.draw(st.integers(1, n), label="batch_size")
+    source = np.random.default_rng(seed + 1)
+    feats = source.normal(size=(n, 4))
+    if csr:
+        feats[source.random(size=feats.shape) < 0.6] = 0.0
+        feats = sparse.csr_matrix(feats)
+    offsets = source.normal(size=n)
+    rng = np.random.default_rng(seed)
+    got = [batch for budget in budgets for block in minibatches(n, b, rng, budget)
+           for batch in epoch_batches(block, feats, offsets)]
+    singles, ref = _per_step(n, b, seed, sum(budgets))
+    assert len(got) == len(singles)
+    for (rows, c), idx in zip(got, singles):
+        assert _same_rows(rows, feats[idx])
+        assert c.tobytes() == offsets[idx].tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from cnsopt import (
     ABSOLUTE,
@@ -20,7 +21,9 @@ from cnsopt.smoothing import (
     _score_weights,
     exact_loss_values,
     gradient_kernel,
+    loss_gradient,
     smoothed_loss_values,
+    vr_gradient_kernel,
 )
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
@@ -37,7 +40,7 @@ def _scalar(loss, t, gamma):
     r, offset = _ONE_SAMPLE[loss]
     rows, c, x = np.array([[r]]), np.array([offset]), np.array([float(t)])
     a = c - rows @ x
-    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, c, loss, gamma, x)[0]
+    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, c, loss, gamma, x)[0][0]
 
 
 def test_smoothed_hinge_flat_branch():
@@ -231,7 +234,7 @@ def test_per_sample_gradient_bounded_by_row_norm(loss):
         for _ in range(20):
             x = rng.normal(scale=2.0, size=prob.d)
             for i in range(prob.n):
-                g = gradient_kernel(prob.features[[i]], prob.offsets[[i]], loss, gamma, x)
+                g, _ = gradient_kernel(prob.features[[i]], prob.offsets[[i]], loss, gamma, x)
                 assert np.linalg.norm(g) <= norms[i] + 1e-12
 
 
@@ -295,3 +298,48 @@ def test_score_weights_keep_the_bits_of_clip(loss):
     s[0, 12] = np.nan
     ref = ((c - s) / -gamma).clip(-spec.u_hi, -spec.u_lo)
     assert _score_weights(spec, c, s.copy(), gamma).tobytes() == ref.tobytes()
+
+
+def _two_matvec_estimate(rows, offsets, loss, gamma, x, snapshot, full_gradient):
+    """The variance-reduced estimate with the snapshot's batch scores computed
+    per batch, as a second ``rows @ snapshot`` beside ``rows @ x``."""
+    spec = dual_spec(loss)
+    scores = np.empty((2, len(offsets)))
+    scores[0] = rows @ x
+    scores[1] = rows @ snapshot
+    weights = _score_weights(spec, offsets, scores, gamma)
+    return (rows.T @ (weights[0] - weights[1])) / len(offsets) + full_gradient
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("csr", (False, True))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_snapshot_weight_reuse_matches_two_matvec_estimate(loss, csr, b):
+    # the reused full-pass weights may differ from per-batch ones in the last
+    # bits of the snapshot's scores; an entry can cancel to near zero, so its
+    # error is measured in ulps of the terms it sums: the rows times the
+    # scores' magnitude over gamma, plus the full gradient
+    rng = np.random.default_rng(17 + b)
+    n, d = 120, 30
+    rows = rng.normal(size=(n, d)) / np.sqrt(d)
+    if csr:
+        rows[rng.random(size=rows.shape) < 0.7] = 0.0
+        rows = sparse.csr_matrix(rows)
+    task = "classification" if loss == HINGE else "regression"
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
+    prob = CompositeProblem(SparseDataset(rows, labels, task), loss, Regularizer())
+    assert sparse.issparse(prob.features) == csr
+    eps = np.finfo(float).eps
+    for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
+        sp = SmoothedProblem(prob, gamma)
+        for _ in range(40):
+            snap = rng.normal(size=d)
+            x = snap + rng.normal(scale=0.1, size=d)
+            full, weights = loss_gradient(sp, snap, with_weights=True)
+            idx = rng.integers(0, n, size=b)
+            z, c = prob.features[idx], prob.offsets[idx]
+            got = vr_gradient_kernel(z, c, loss, gamma, x, weights[idx], full)
+            ref = _two_matvec_estimate(z, c, loss, gamma, x, snap, full)
+            abs_z = abs(z)
+            scale = abs_z.T @ ((np.abs(c) + abs_z @ np.abs(snap)) / gamma) / b + np.abs(full)
+            assert np.all(np.abs(got - ref) <= 4 * eps * scale)

@@ -158,13 +158,13 @@ def test_svrg_estimate_equals_full_gradient_at_snapshot():
     sp = SmoothedProblem(prob, 0.1)
     rng = np.random.default_rng(0)
     x = rng.normal(size=prob.d)
-    full = loss_gradient(sp, x)
+    full, weights = loss_gradient(sp, x, with_weights=True)
     from cnsopt.smoothing import vr_gradient_kernel
 
     for i in range(5):
         batch = np.array([i, i + 1])
         rows, c = prob.features[batch], prob.offsets[batch]
-        est = vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, x, full)
+        est = vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, weights[batch], full)
         assert np.allclose(est, full, atol=1e-15)
 
 
@@ -174,14 +174,15 @@ def test_svrg_estimator_is_unbiased_by_enumeration():
     rng = np.random.default_rng(1)
     x = rng.normal(size=prob.d)
     snap = rng.normal(size=prob.d)
-    full_at_snap = loss_gradient(sp, snap)
+    full_at_snap, snap_weights = loss_gradient(sp, snap, with_weights=True)
     from cnsopt.smoothing import vr_gradient_kernel
 
     acc = np.zeros(prob.d)
     for i in range(prob.n):
         batch = np.array([i])
         rows, c = prob.features[batch], prob.offsets[batch]
-        acc += vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, snap, full_at_snap)
+        acc += vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, snap_weights[batch],
+                                  full_at_snap)
     mean_est = acc / prob.n
     assert np.max(np.abs(mean_est - loss_gradient(sp, x))) < 1e-10
 

@@ -8,11 +8,14 @@ dense and CSR input, ``reference_objective``, and every method of
 ``run_experiment``. For each it keeps the final iterate, every callback
 iterate and the trace columns except wall time. Dump under the reference
 checkout, then check under the changed one; the check exits 1 if any array
-differs in any bit.
+differs in any bit, and each DIFF line gives that array's largest distance in
+ulps (units in the last place) and largest relative difference, so an array
+that moved only in its last bits shows as such.
 
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
 """
+import math
 import sys
 from dataclasses import asdict
 
@@ -119,6 +122,30 @@ def cases():
     return out
 
 
+def distance(ref, got):
+    """(max ulp distance, max relative difference) between two arrays of
+    doubles: the ulp distance counts the doubles from one value to the other.
+    Both are inf when the shapes differ or a differing entry is not finite."""
+    ref, got = np.asarray(ref, dtype=float), np.asarray(got, dtype=float)
+    if ref.shape != got.shape:
+        return math.inf, math.inf
+    differ = ~((ref == got) | (np.isnan(ref) & np.isnan(got)))
+    a, b = ref[differ], got[differ]
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf, math.inf
+    if not a.size:
+        return 0, 0.0
+
+    def ordinal(v):
+        # the bits of |v| as an integer grow with |v|, by one per double
+        bits = np.abs(v).view(np.int64)
+        return np.where(np.signbit(v), -bits, bits).tolist()
+
+    ulps = max(abs(i - j) for i, j in zip(ordinal(a), ordinal(b)))
+    rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return ulps, float(rel.max())
+
+
 if __name__ == "__main__":
     mode, path = sys.argv[1], sys.argv[2]
     got = cases()
@@ -133,5 +160,6 @@ if __name__ == "__main__":
         print(f"{len(ref)} arrays compared ({cb} callback iterates), "
               f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ")
         for k in bad:
-            print("  DIFF", k)
+            ulps, rel = distance(ref[k], got[k])
+            print(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}")
         sys.exit(1 if bad else 0)
