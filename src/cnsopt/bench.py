@@ -2,6 +2,7 @@
 emit CSV traces, and compare traces against a reference optimum."""
 
 import csv
+import logging
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -25,6 +26,8 @@ from .errors import CnsError, TuningError
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, dual_spec
 from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
+
+log = logging.getLogger(__name__)
 
 CNS_A = "cns-a"
 CNS_NA = "cns-na"
@@ -116,7 +119,7 @@ def load_problem(cfg):
 def test_metric(dataset, x):
     """Misclassification rate of sign(z'x) on a classification dataset, mean
     absolute residual on a regression one."""
-    scores = dataset.features @ x
+    scores = dataset.features.dot(x)
     if dataset.task == CLASSIFICATION:
         predicted = np.where(scores >= 0, 1.0, -1.0)
         return float(np.mean(predicted != dataset.labels))
@@ -331,7 +334,9 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
     candidates that raise a CnsError (divergence included) or a
     FloatingPointError are skipped, any other exception propagates; raises
     TuningError if every candidate is skipped. The tuned knob is ``eta0`` for
-    the baselines and ``step_scale`` for the continuation methods.
+    the baselines and ``step_scale`` for the continuation methods. A pick at
+    the smallest or largest value of a grid of two or more values is logged
+    as a warning, since the best step may then lie outside the grid.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -359,6 +364,10 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
             best = (candidate, value)
     if best is None:
         raise TuningError("every step-size candidate diverged")
+    lo, hi = min(grid), max(grid)
+    if lo < hi and best[0] in (lo, hi):
+        log.warning("%s: tuned step %g is the %s edge of the grid %s", cfg.method, best[0],
+                    "lower" if best[0] == lo else "upper", list(grid))
     return best[0]
 
 

@@ -343,7 +343,7 @@ def make_synthetic(spec):
     features *= (target_norms / norms)[:, None]
     if spec.atoms is not None:
         features = features[rng.integers(0, spec.atoms, size=n)]
-    scores = features @ w
+    scores = features.dot(w)
 
     if spec.task == CLASSIFICATION:
         y = np.sign(scores + spec.noise * rng.standard_normal(n))

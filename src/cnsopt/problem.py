@@ -39,7 +39,7 @@ class Regularizer:
     def value(self, x):
         v = self.nu1 * float(np.sum(np.abs(x)))
         if self.nu2:
-            v += 0.5 * self.nu2 * float(x @ x)
+            v += 0.5 * self.nu2 * float(x.dot(x))
         return v
 
 
@@ -148,5 +148,5 @@ def objective_smoothed(sp, x):
     vals = smoothing.smoothed_loss_values(a, sp.base.loss, sp.gamma)
     out = float(vals.mean()) + sp.base.reg.value(x)
     if sp.lam:
-        out += 0.5 * sp.lam * float(x @ x)
+        out += 0.5 * sp.lam * float(x.dot(x))
     return out

@@ -3,6 +3,14 @@
 import numpy as np
 
 
+def _soft_threshold(v, t):
+    """sign(v) * max(|v| - t, 0) for a float array v and a threshold t > 0,
+    as v - clip(v, -t, t): the same bits on finite input (v - v is +0 and
+    t * +-1 is exact), and NaN stays NaN. Returns a new array."""
+    out = np.minimum(np.maximum(v, -t), t)
+    return np.subtract(v, out, out=out)
+
+
 def prox_l1(v, threshold):
     """Entrywise soft-thresholding: sign(v) * max(|v| - threshold, 0)."""
     if threshold < 0:
@@ -10,14 +18,12 @@ def prox_l1(v, threshold):
     v = np.asarray(v, dtype=float)
     if threshold == 0:
         return v.copy()
-    # v - clip(v, -t, t): the same bits as sign(v) * max(|v| - t, 0) on finite
-    # input (v - v is +0 and t * +-1 is exact), and NaN stays NaN
-    out = np.minimum(np.maximum(v, -threshold), threshold)
-    return np.subtract(v, out, out=out)
+    return _soft_threshold(v, threshold)
 
 
 def prox_regularizer(v, eta, reg, lam_extra=0.0):
-    """Prox of eta * (nu1 ||x||_1 + ((nu2 + lam_extra)/2) ||x||_2^2) at v.
+    """Prox of eta * (nu1 ||x||_1 + ((nu2 + lam_extra)/2) ||x||_2^2) at a float
+    array v.
 
     Soft-threshold then shrink; exact because the quadratic weights add. The
     stage ridge term lands here (as lam_extra) rather than in the gradient so
@@ -28,7 +34,9 @@ def prox_regularizer(v, eta, reg, lam_extra=0.0):
         raise ValueError(f"step size must be positive, got {eta}")
     if lam_extra < 0:
         raise ValueError(f"lam_extra must be nonnegative, got {lam_extra}")
-    out = prox_l1(v, eta * reg.nu1)
+    # eta > 0 and the Regularizer's nu1 >= 0 make the threshold nonnegative
+    threshold = eta * reg.nu1
+    out = _soft_threshold(v, threshold) if threshold else np.array(v, dtype=float)
     quad = reg.nu2 + lam_extra
     if quad:
         out /= 1.0 + eta * quad

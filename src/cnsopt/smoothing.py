@@ -99,7 +99,7 @@ def slacks(problem, x):
     """Per-sample slacks a = c - Z x on the problem's offsets and rows:
     1 - y_i z_i'x for hinge, y_i - z_i'x for absolute."""
     _check_x(problem, x)
-    return problem.offsets - problem.features @ x
+    return problem.offsets - problem.features.dot(x)
 
 
 def _score_weights(spec, c, scores, gamma):
@@ -122,8 +122,11 @@ def gradient_kernel(rows, offsets, loss, gamma, x):
     """Mean gradient of the smoothed loss over pre-sliced rows and offsets,
     and the per-sample weights -alpha that it averages."""
     spec = dual_spec(loss)
-    weights = _score_weights(spec, offsets, rows @ x, gamma)
-    return (rows.T @ weights) / len(offsets), weights
+    # ndarray.dot calls the BLAS directly: on the contiguous rows the solvers
+    # pass, the bits of @ without the matmul gufunc's dispatch, which costs
+    # more than the product itself at b x 50
+    weights = _score_weights(spec, offsets, rows.dot(x), gamma)
+    return rows.T.dot(weights) / len(offsets), weights
 
 
 def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
@@ -138,9 +141,10 @@ def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gra
     scores, which the BLAS may sum in another order than the full pass's.
     """
     spec = dual_spec(loss)
-    weights = _score_weights(spec, offsets, rows @ x, gamma)
+    # .dot, not @: see gradient_kernel
+    weights = _score_weights(spec, offsets, rows.dot(x), gamma)
     weights -= snapshot_weights
-    return (rows.T @ weights) / len(offsets) + full_gradient
+    return rows.T.dot(weights) / len(offsets) + full_gradient
 
 
 def loss_gradient(sp, x, with_weights=False):

@@ -124,9 +124,10 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, budget + 1):
             x = step(t, x)
-            # a finite x'x proves every entry finite; the full check decides
-            # the overflowing case
-            if not (math.isfinite(x @ x) or np.isfinite(x).all()):
+            # a finite x'x (.dot: the BLAS without the gufunc's dispatch)
+            # proves every entry finite; the full check decides the
+            # overflowing case
+            if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
                 raise DivergenceError(
                     f"{context}non-finite iterate at inner iteration {t}"
                 )

@@ -17,7 +17,9 @@ from cnsopt import (
 )
 from cnsopt import datasets
 from cnsopt.baselines import loss_subgradient
+from cnsopt.smoothing import dual_spec
 from tests.test_prox import golden_section
+from tests.test_smoothing import layout_batches, layout_problem
 
 
 def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
@@ -210,3 +212,27 @@ def test_baseline_objective_decreases_on_suite():
                                 strongly_convex=True)
             finals.append(objective_original(prob, run_baseline(prob, spec, 400).x))
         assert np.median(finals) < start
+
+
+def _matmul_subgradient(rows, offsets, loss, x):
+    """``loss_subgradient`` written with the @ operator."""
+    spec = dual_spec(loss)
+    weights = np.sign(rows @ x - offsets)
+    if spec.u_hi < 1.0:
+        np.maximum(weights, -spec.u_hi, out=weights)
+    if spec.u_lo > -1.0:
+        np.minimum(weights, -spec.u_lo, out=weights)
+    return (rows.T @ weights) / len(offsets)
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("layout", ("c", "f", "csr"))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
+    rng = np.random.default_rng(29 + b)
+    prob = layout_problem(rng, loss, layout)
+    for _ in range(3):
+        x = rng.normal(size=prob.d)
+        for rows, c in layout_batches(rng, prob, b):
+            got = loss_subgradient(rows, c, loss, x)
+            assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()

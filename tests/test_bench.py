@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import logging
 import os
 import subprocess
 import sys
@@ -147,6 +148,23 @@ def test_gap_slope_recovers_power_law():
 def test_tune_stepsize_singleton_grid():
     cfg = _config(method="fobos", iterations=40)
     assert tune_stepsize(cfg, [0.7]) == 0.7
+
+
+@pytest.mark.parametrize("method, grid, best, edge", (
+    ("fobos", [0.1, 0.5, 1.0], 0.1, "lower"),
+    ("cns-a", [0.1, 0.5, 1.0], 1.0, "upper"),
+    ("fobos", [1.0, 0.01, 0.3, 0.03, 0.1], 0.1, None),  # unsorted, picked inside
+    ("fobos", [0.7], 0.7, None),
+))
+def test_tune_stepsize_warns_on_a_grid_edge(caplog, method, grid, best, edge):
+    cfg = _config(method=method, iterations=40)
+    with caplog.at_level(logging.WARNING, logger="cnsopt.bench"):
+        assert tune_stepsize(cfg, grid) == best
+    warnings = [r.getMessage() for r in caplog.records if r.name == "cnsopt.bench"]
+    if edge is None:
+        assert warnings == []
+    else:
+        assert warnings == [f"{method}: tuned step {best:g} is the {edge} edge of the grid {grid}"]
 
 
 def test_tune_stepsize_rejects_divergent():

@@ -165,3 +165,24 @@ def test_prox_l1_keeps_the_bits_of_the_sign_form():
                              np.inf, -np.inf]])
         ref = np.where(np.abs(v) > t, v - t * np.sign(v), 0.0)
         assert prox_l1(v, t).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("nu1", (0.0, 0.3))
+@pytest.mark.parametrize("nu2, lam_extra", ((0.0, 0.0), (0.2, 0.0), (0.0, 1e-3), (0.2, 1e-3)))
+def test_prox_regularizer_is_prox_l1_then_shrink(nu1, nu2, lam_extra):
+    # byte for byte, NaN and infinities included; nu1 = 0 is the zero-threshold
+    # branch, which must copy v, not shrink the caller's array
+    rng = np.random.default_rng(8)
+    eta = 0.7
+    t = eta * nu1
+    v = np.concatenate([rng.normal(size=200),
+                        [0.0, -0.0, t, -t, np.nextafter(t, 1.0), np.nan, np.inf, -np.inf]])
+    before = v.copy()
+    reg = Regularizer(nu1=nu1, nu2=nu2)
+    ref = prox_l1(v, t)
+    quad = nu2 + lam_extra
+    if quad:
+        ref /= 1.0 + eta * quad
+    got = prox_regularizer(v, eta, reg, lam_extra)
+    assert got.tobytes() == ref.tobytes()
+    assert got is not v and v.tobytes() == before.tobytes()

@@ -17,6 +17,7 @@ from cnsopt import (
     smoothed_loss_gradient,
     smoothing_gap,
 )
+from cnsopt.datasets import epoch_batches
 from cnsopt.smoothing import (
     _score_weights,
     exact_loss_values,
@@ -343,3 +344,69 @@ def test_snapshot_weight_reuse_matches_two_matvec_estimate(loss, csr, b):
             abs_z = abs(z)
             scale = abs_z.T @ ((np.abs(c) + abs_z @ np.abs(snap)) / gamma) / b + np.abs(full)
             assert np.all(np.abs(got - ref) <= 4 * eps * scale)
+
+
+def _matmul_gradient(rows, offsets, loss, gamma, x):
+    """``gradient_kernel`` written with the @ operator."""
+    weights = _score_weights(dual_spec(loss), offsets, rows @ x, gamma)
+    return (rows.T @ weights) / len(offsets), weights
+
+
+def _matmul_vr_estimate(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
+    """``vr_gradient_kernel`` written with the @ operator."""
+    weights = _score_weights(dual_spec(loss), offsets, rows @ x, gamma)
+    weights -= snapshot_weights
+    return (rows.T @ weights) / len(offsets) + full_gradient
+
+
+def layout_problem(rng, loss, layout, n=240, d=50):
+    """A problem whose ``features`` are C-ordered rows ("c"), F-ordered rows
+    kept F-ordered through ``CompositeProblem`` ("f"), or a CSR that stays CSR
+    ("csr")."""
+    rows = rng.normal(size=(n, d)) / np.sqrt(d)
+    if layout == "csr":
+        rows[rng.random(size=rows.shape) < 0.7] = 0.0
+        rows = sparse.csr_matrix(rows)
+    elif layout == "f":
+        rows = np.asfortranarray(rows)
+    task = "classification" if loss == HINGE else "regression"
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
+    prob = CompositeProblem(SparseDataset(rows, labels, task), loss, Regularizer())
+    feats = prob.features
+    assert sparse.issparse(feats) == (layout == "csr")
+    assert layout == "csr" or feats.flags["F_CONTIGUOUS" if layout == "f" else "C_CONTIGUOUS"]
+    return prob
+
+
+def layout_batches(rng, prob, b, *per_sample):
+    """An epoch of three batches of b rows as the solvers see them, gathered
+    by ``epoch_batches``. (A strided row slice of F-ordered rows is not among
+    them: ndarray.dot copies it to C order and sums in another order than
+    @.)"""
+    block = rng.integers(0, prob.n, size=(3, b))
+    return epoch_batches(block, prob.features, prob.offsets, *per_sample)
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("layout", ("c", "f", "csr"))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
+    # the kernels use ndarray.dot for its lower dispatch cost; it must give the
+    # bytes of the @ forms, on the full pass and on every gathered batch
+    rng = np.random.default_rng(23 + b)
+    prob = layout_problem(rng, loss, layout)
+    for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
+        snap = rng.normal(size=prob.d)
+        x = snap + rng.normal(scale=0.1, size=prob.d)
+        full, weights = gradient_kernel(prob.features, prob.offsets, loss, gamma, snap)
+        ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss, gamma, snap)
+        assert full.tobytes() == ref_full.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
+            got = gradient_kernel(rows, c, loss, gamma, x)
+            ref = _matmul_gradient(rows, c, loss, gamma, x)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            got = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full)
+            ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
+            assert got.tobytes() == ref.tobytes()

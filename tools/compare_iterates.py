@@ -4,13 +4,14 @@ The runs cover every inner solver (with and without a given modulus, and with
 a caller-supplied rng, once shared by two runs of an odd batch size and once
 with a batch size above n), every baseline (with and without a start point,
 with a batch size above n, and with a budget below one epoch), both losses on
-dense and CSR input, ``reference_objective``, and every method of
-``run_experiment``. For each it keeps the final iterate, every callback
-iterate and the trace columns except wall time. Dump under the reference
-checkout, then check under the changed one; the check exits 1 if any array
-differs in any bit, and each DIFF line gives that array's largest distance in
-ulps (units in the last place) and largest relative difference, so an array
-that moved only in its last bits shows as such.
+dense and CSR input, acc-prox-svrg and fobos at the ``sc-dense`` benchmark
+shape (n = 1000, d = 50 dense rows, batch size 50), ``reference_objective``,
+and every method of ``run_experiment``. For each it keeps the final iterate,
+every callback iterate and the trace columns except wall time. Dump under the
+reference checkout, then check under the changed one; the check exits 1 if any
+array differs in any bit, and each DIFF line gives that array's largest
+distance in ulps (units in the last place) and largest relative difference,
+so an array that moved only in its last bits shows as such.
 
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
@@ -29,9 +30,8 @@ from cnsopt import (BaselineSpec, CompositeProblem, Regularizer, RunConfig, Smoo
 from cnsopt.solvers import SolverSpec
 
 
-def problem(loss, csr=False):
+def problem(loss, csr=False, n=150, d=12):
     rng = np.random.default_rng(42 if loss == "hinge" else 43)
-    n, d = 150, 12
     z = rng.normal(size=(n, d)) / np.sqrt(d)
     if csr:
         z[rng.random(size=z.shape) < 0.8] = 0.0
@@ -108,6 +108,23 @@ def cases():
                         prob, spec, budget).x
             out[f"refobj/{loss}/csr{int(csr)}"] = np.array([reference_objective(
                 prob, gamma=1e-4, iterations=3000, warm_iterations=300, check_every=100)])
+    # the sc-dense shape: at b = 50 the BLAS sums the last b mod 4 rows of a
+    # batch product in another order than inside the full n-row product; at
+    # gamma = 1 most dual weights are interior, so such a last bit reaches x
+    prob = problem("hinge", n=1000, d=50)
+    sp = SmoothedProblem(prob, 1.0, 0.0)
+    spec = SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=5, step_scale=0.9)
+    seen = []
+    run = run_solver(spec, sp, np.full(prob.d, 0.01), 130,
+                     callback=lambda t, x, e: seen.append(x.copy()), callback_every=7)
+    out["acc-prox-svrg/hinge/n1000/b50/x"] = run.x
+    out["acc-prox-svrg/hinge/n1000/b50/cb"] = np.array(seen)
+    spec = BaselineSpec(method="fobos", eta0=0.3, batch_size=50, seed=3)
+    seen = []
+    run = run_baseline(prob, spec, 111, callback=lambda t, x, e: seen.append(x.copy()),
+                       callback_every=10)
+    out["fobos/hinge/n1000/b50/x"] = run.x
+    out["fobos/hinge/n1000/b50/cb"] = np.array(seen)
     for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
         synth = SyntheticSpec(n=200, d=15, task="classification" if loss == "hinge"
                               else "regression", seed=4)
