@@ -25,7 +25,7 @@ from .datasets import (
 from .errors import CnsError, TuningError
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, dual_spec
-from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
+from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec, solver_family
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +94,8 @@ class RunConfig:
         if self.time_budget is not None and self.time_budget < 0:
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
+        if self.solver is not None:
+            solver_family(self.solver)  # and for a solver id with no runner
 
 
 class _TimeBudgetExceeded(Exception):
@@ -248,10 +250,24 @@ def write_trace(rows, path):
 
 
 def read_trace(path):
-    """Read back a trace CSV written by write_trace."""
+    """Read back a trace CSV written by write_trace. A missing column or a cell
+    that does not parse as its column's type raises ValueError naming the
+    path, line and column; a trace without rows, one naming the path."""
+    rows = []
     with open(path, newline="") as fh:
-        return [TraceRow(**{f.name: f.type(rec[f.name]) for f in fields(TraceRow)})
-                for rec in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            values = {}
+            for f in fields(TraceRow):
+                try:
+                    values[f.name] = f.type(rec.get(f.name))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: line {reader.line_num}: {f.name}: expected "
+                                     f"{f.type.__name__}, got {rec.get(f.name)!r}") from None
+            rows.append(TraceRow(**values))
+    if not rows:
+        raise ValueError(f"{path}: no trace rows")
+    return rows
 
 
 @dataclass

@@ -74,7 +74,8 @@ def read_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: expected 'key = value', got {raw.rstrip()!r}")
+                raise ValueError(f"{path}: line {lineno}: expected 'key = value', "
+                                 f"got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip().replace("-", "_"), value.strip()
             if key not in _RUN_OPTIONS:
@@ -188,6 +189,8 @@ def _cmd_compare(args):
         name, _, path = item.partition("=")
         if not path:
             raise ValueError(f"expected name=path, got {item!r}")
+        if name in traces:
+            raise ValueError(f"trace name {name!r} given twice")
         traces[name] = read_trace(path)
     summaries = compare_report(traces, args.target_gap, args.reference)
     print(render_report(summaries, args.target_gap))

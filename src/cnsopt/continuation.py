@@ -31,8 +31,6 @@ class ContinuationConfig:
     one. ``budget_option`` I is for non-accelerated solvers, II for accelerated
     ones; the config enforces that pairing. ``fixed_smoothing`` freezes gamma,
     lam and the per-stage budget (the no-continuation comparison mode).
-    ``measure_rho_budget`` turns on the per-stage reduction diagnostic, which
-    costs one long reference solve per stage and is meant for tests only.
     """
 
     gamma1: float = 0.01
@@ -44,7 +42,6 @@ class ContinuationConfig:
     budget_option: str = OPTION_I
     x0: "np.ndarray | None" = None
     fixed_smoothing: bool = False
-    measure_rho_budget: "int | None" = None
     auto_t1_max: int = 1 << 20
 
     def __post_init__(self):
@@ -60,8 +57,6 @@ class ContinuationConfig:
             raise ValueError("stages must be >= 1")
         if self.auto_t1_max < 1:
             raise ValueError("auto_t1_max must be >= 1")
-        if self.measure_rho_budget is not None and self.measure_rho_budget < 1:
-            raise ValueError("measure_rho_budget must be >= 1")
         if self.budget_option not in (OPTION_I, OPTION_II):
             raise ValueError(f"unknown budget option {self.budget_option!r}")
         accelerated = self.budget_option == OPTION_II
@@ -74,11 +69,7 @@ class ContinuationConfig:
 
 @dataclass
 class StageReport:
-    """Per-stage diagnostics emitted by the drivers.
-
-    ``measured_rho`` stays None unless the config enables the reduction
-    diagnostic (and the stage was not already converged).
-    """
+    """Per-stage diagnostics emitted by the drivers."""
 
     s: int
     gamma: float
@@ -87,7 +78,6 @@ class StageReport:
     smoothed_before: float
     smoothed_after: float
     original_after: float
-    measured_rho: "float | None"
     wall_time: float
 
 
@@ -194,13 +184,7 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
             callback=stage_cb, callback_every=callback_every,
             context=f"stage {s}: ",
         )
-        x_next = run.x
-        measured = None
-        if cfg.measure_rho_budget is not None:
-            try:
-                measured = measure_stage_reduction(sp, x, x_next, cfg.measure_rho_budget)
-            except StageConvergedError:
-                measured = None
+        x = run.x
         reports.append(
             StageReport(
                 s=s,
@@ -208,13 +192,11 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
                 lam=lam_s,
                 budget=budget,
                 smoothed_before=before,
-                smoothed_after=objective_smoothed(sp, x_next),
-                original_after=objective_original(problem, x_next),
-                measured_rho=measured,
+                smoothed_after=objective_smoothed(sp, x),
+                original_after=objective_original(problem, x),
                 wall_time=run.elapsed,
             )
         )
-        x = x_next
         done += budget
         total_elapsed += run.elapsed
     return x, reports

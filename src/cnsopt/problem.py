@@ -9,17 +9,10 @@ import scipy.sparse as sparse
 from . import smoothing
 from .datasets import CLASSIFICATION, SparseDataset
 
-L1 = "l1"
-ELASTIC_NET = "elastic-net"
-
 
 @dataclass(frozen=True)
 class Regularizer:
-    """l1 or elastic-net penalty nu1 ||x||_1 + (nu2 / 2) ||x||_2^2.
-
-    The kind is derived from nu2 so the "nu2 > 0 iff elastic-net" invariant
-    holds by construction.
-    """
+    """l1 or elastic-net penalty nu1 ||x||_1 + (nu2 / 2) ||x||_2^2."""
 
     nu1: float = 0.0
     nu2: float = 0.0
@@ -27,14 +20,6 @@ class Regularizer:
     def __post_init__(self):
         if self.nu1 < 0 or self.nu2 < 0:
             raise ValueError("regularization weights must be nonnegative")
-
-    @property
-    def kind(self):
-        return ELASTIC_NET if self.nu2 > 0 else L1
-
-    @property
-    def strong_convexity(self):
-        return self.nu2
 
     def value(self, x):
         v = self.nu1 * float(np.sum(np.abs(x)))

@@ -46,7 +46,6 @@ class LossDualSpec:
     value ``smoothed(a, gamma)`` differs in form between the losses.
     """
 
-    kind: str
     task: str
     u_lo: float
     u_hi: float
@@ -56,8 +55,8 @@ class LossDualSpec:
 
 
 _DUAL_SPECS = {
-    HINGE: LossDualSpec(HINGE, CLASSIFICATION, 0.0, 1.0, smoothed=_hinge_values),
-    ABSOLUTE: LossDualSpec(ABSOLUTE, REGRESSION, -1.0, 1.0, smoothed=_absolute_values),
+    HINGE: LossDualSpec(CLASSIFICATION, 0.0, 1.0, smoothed=_hinge_values),
+    ABSOLUTE: LossDualSpec(REGRESSION, -1.0, 1.0, smoothed=_absolute_values),
 }
 LOSSES = tuple(_DUAL_SPECS)
 

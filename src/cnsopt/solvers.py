@@ -28,11 +28,10 @@ MISO = "miso"
 NON_ACCELERATED = "non-accelerated"
 ACCELERATED = "accelerated"
 
+# the runnable solvers; SAGA and MISO have budget rows only
 _FAMILY = {
     PROX_GD: NON_ACCELERATED,
     PROX_SVRG: NON_ACCELERATED,
-    SAGA: NON_ACCELERATED,
-    MISO: NON_ACCELERATED,
     APG: ACCELERATED,
     ACC_PROX_SVRG: ACCELERATED,
 }
@@ -49,15 +48,14 @@ def solver_family(solver):
 class SolverSpec:
     """Inner-solver choice and hyperparameters.
 
-    theta scales the Prox-SVRG step (eta = theta/L); p enters the accelerated
-    variance-reduced budget row only. step_scale multiplies the base step and
-    is the knob the benchmark's tuner sweeps. The variance-reduced solvers
-    refresh their snapshot every ceil(n / batch_size) inner iterations.
+    theta scales the Prox-SVRG step (eta = theta/L). step_scale multiplies the
+    base step and is the knob the benchmark's tuner sweeps. The
+    variance-reduced solvers refresh their snapshot every ceil(n / batch_size)
+    inner iterations.
     """
 
     solver: str = PROX_GD
     theta: float = 0.1
-    p: float = 0.5
     batch_size: int = 50
     step_scale: float = 1.0
     seed: int = 0
@@ -66,8 +64,6 @@ class SolverSpec:
         solver_family(self.solver)
         if not 0.0 < self.theta < 0.25:
             raise ValueError(f"theta must be in (0, 0.25), got {self.theta}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.step_scale <= 0:
@@ -156,11 +152,8 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
     step through one ``minibatches`` stream on ``rng`` (default: seeded from
     ``spec.seed``), whose epochs line up with the snapshot refreshes: each
     refresh keeps the full pass's per-sample weights and gathers the epoch's
-    rows, offsets and snapshot weights once (``epoch_batches``). SAGA and
-    MISO appear only in the budget calculator, not as runners.
+    rows, offsets and snapshot weights once (``epoch_batches``).
     """
-    if spec.solver not in (PROX_GD, APG, PROX_SVRG, ACC_PROX_SVRG):
-        raise ValueError(f"{spec.solver!r} is not a runnable solver")
     variance_reduced = spec.solver in (PROX_SVRG, ACC_PROX_SVRG)
     momentum = spec.accelerated
     L = lipschitz_constant(sp)
@@ -218,21 +211,15 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
     return drive(step, x0, budget, **kwargs)
 
 
-def required_t1(solver, kappa, rho, n=None, theta=None, p=None):
+def required_t1(solver, kappa, rho, n=None, theta=0.1, p=0.5):
     """Iteration budget for one stage at condition number ``kappa`` and target
     reduction factor ``rho``, per the standard solver budget rows.
 
-    ``solver`` is a solver id or a SolverSpec (whose theta/p are used unless
-    overridden). SAGA and MISO need the sample count ``n``. Returns a ceiling.
-    Parameter combinations violating a row's feasibility constraint raise
-    InfeasibleBudgetError.
+    ``solver`` is a runnable solver id, "saga" or "miso"; ``theta`` enters the
+    prox-svrg row and ``p`` the acc-prox-svrg row. SAGA and MISO need the
+    sample count ``n``. Returns a ceiling. Parameter combinations violating a
+    row's feasibility constraint raise InfeasibleBudgetError.
     """
-    if isinstance(solver, SolverSpec):
-        theta = solver.theta if theta is None else theta
-        p = solver.p if p is None else p
-        solver = solver.solver
-    theta = 0.1 if theta is None else theta
-    p = 0.5 if p is None else p
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if kappa <= 0:

@@ -32,11 +32,13 @@ from cnsopt import (
     RunConfig,
     SmoothedProblem,
     SparseDataset,
+    StageConvergedError,
     cns_general_convex,
     cns_strongly_convex,
     compare_report,
     dual_spec,
     loss_gradient,
+    measure_stage_reduction,
     objective_original,
     objective_smoothed,
     prox_l1,
@@ -217,10 +219,21 @@ def test_criterion_06_reduction_propagation():
     start = time.perf_counter()
     prob = strongly_convex_problem(0)
     cfg = ContinuationConfig(gamma1=1.0, tau=2.0, t1=None, stages=6,
-                             solver=SolverSpec(solver="prox-gd"), budget_option="I",
-                             measure_rho_budget=25_000)
-    _, reports = cns_strongly_convex(prob, cfg)
-    rhos = [r.measured_rho for r in reports]
+                             solver=SolverSpec(solver="prox-gd"), budget_option="I")
+    # each stage's last iterate, keyed by stage; stage 1 starts at x = 0
+    ends = {0: np.zeros(prob.d)}
+
+    def keep_last(t, x, elapsed, s):
+        ends[s] = x.copy()
+
+    _, reports = cns_strongly_convex(prob, cfg, callback=keep_last, callback_every=1)
+    rhos = []
+    for r in reports:
+        sp = SmoothedProblem(prob, r.gamma, r.lam)
+        try:
+            rhos.append(measure_stage_reduction(sp, ends[r.s - 1], ends[r.s], 25_000))
+        except StageConvergedError:
+            rhos.append(None)
     elapsed = time.perf_counter() - start
     bound = 1.0 / cfg.tau**2 + 0.05
     _report(6, f"auto T1={reports[0].budget}, measured rho per stage "

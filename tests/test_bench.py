@@ -246,13 +246,21 @@ def test_config_file_parsing(tmp_path):
     assert type(values["gamma1"]) is float
 
 
+def test_config_file_line_without_equals_names_its_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("method = cns-a\n# comment\nseed 4\n")
+    with pytest.raises(ValueError, match=r"bad.cfg: line 3: expected 'key = value', "
+                                         r"got 'seed 4'"):
+        read_config_file(str(path))
+
+
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("method = fobos\nseed = 4\nsynth-n = 50\nsynth-d = 6\n")
     ns = argparse.Namespace(
         **{k: None for k in (
             "method loss dataset test_dataset nu1 nu2 gamma1 tau t1 lam1 stages "
-            "solver theta p batch_size step_scale eta0 rda_scale averaging_exponent "
+            "solver theta batch_size step_scale eta0 rda_scale averaging_exponent "
             "iterations cadence time_budget output seed synth_n synth_d "
             "synth_sparsity synth_noise synth_norm_lo synth_norm_hi"
         ).split()}
@@ -310,6 +318,52 @@ def test_cli_compare(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "run:" in out and "dup:" in out
+
+
+def test_cli_run_rejects_a_budget_only_solver_before_reading_data(tmp_path):
+    # the dataset does not exist: the solver id fails first, by name
+    missing = tmp_path / "absent.libsvm"
+    with pytest.raises(ValueError, match="unknown solver 'saga'"):
+        main(["run", "--method", "cns-na", "--solver", "saga", "--dataset", str(missing)])
+    with pytest.raises(ValueError, match="unknown solver 'miso'"):
+        _config(solver="miso")
+
+
+def _trace_file(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    return str(path)
+
+
+_TRACE_HEADER = "wall_time_s,cumulative_iterations,stage,objective_original,test_metric,nnz\n"
+
+
+def test_read_trace_names_the_line_of_a_bad_cell(tmp_path):
+    path = _trace_file(tmp_path, _TRACE_HEADER + "0,0,0,1.5,0.5,0\n0.1,x,1,1.2,0.4,3\n")
+    with pytest.raises(ValueError, match=r"t.csv: line 3: cumulative_iterations: "
+                                         r"expected int, got 'x'"):
+        read_trace(path)
+
+
+def test_read_trace_names_a_missing_column(tmp_path):
+    # a column absent from the header, then a row one cell short
+    for header in (_TRACE_HEADER.replace(",nnz", ""), _TRACE_HEADER):
+        path = _trace_file(tmp_path, header + "0,0,0,1.5,0.5\n")
+        with pytest.raises(ValueError, match="t.csv: line 2: nnz: expected int, got None"):
+            read_trace(path)
+
+
+def test_read_trace_rejects_a_trace_without_rows(tmp_path):
+    path = _trace_file(tmp_path, _TRACE_HEADER)
+    with pytest.raises(ValueError, match="t.csv: no trace rows"):
+        read_trace(path)
+
+
+def test_cli_compare_rejects_a_repeated_name(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_experiment(_config()), str(path))
+    with pytest.raises(ValueError, match="trace name 'a' given twice"):
+        main(["compare", "--traces", f"a={path}", f"a={path}", "--reference", "0.0"])
 
 
 def test_cli_tune(capsys):

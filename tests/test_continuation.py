@@ -159,9 +159,6 @@ def test_config_validation():
         ContinuationConfig(stages=0)
     with pytest.raises(ValueError, match="auto_t1_max"):
         ContinuationConfig(auto_t1_max=0)
-    for budget in (0, -5):
-        with pytest.raises(ValueError, match="measure_rho_budget"):
-            ContinuationConfig(measure_rho_budget=budget)
     with pytest.raises(ValueError):  # option/family mismatch
         ContinuationConfig(solver=SolverSpec(solver="apg"), budget_option=OPTION_I)
     with pytest.raises(ValueError):

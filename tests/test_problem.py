@@ -23,11 +23,9 @@ def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
     return CompositeProblem(data, loss, Regularizer(nu1=nu1, nu2=nu2))
 
 
-def test_regularizer_kind_and_value():
+def test_regularizer_value():
     l1 = Regularizer(nu1=0.5)
     en = Regularizer(nu1=0.5, nu2=1.0)
-    assert l1.kind == "l1" and en.kind == "elastic-net"
-    assert l1.strong_convexity == 0.0 and en.strong_convexity == 1.0
     x = np.array([1.0, -2.0])
     assert l1.value(x) == pytest.approx(1.5)
     assert en.value(x) == pytest.approx(1.5 + 2.5)

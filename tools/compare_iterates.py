@@ -6,8 +6,10 @@ with a batch size above n), every baseline (with and without a start point,
 with a batch size above n, and with a budget below one epoch), both losses on
 dense and CSR input, acc-prox-svrg and fobos at the ``sc-dense`` benchmark
 shape (n = 1000, d = 50 dense rows, batch size 50), ``reference_objective``,
-and every method of ``run_experiment``. For each it keeps the final iterate,
-every callback iterate and the trace columns except wall time. Dump under the
+both continuation drivers with prox-gd and acc-prox-svrg, and every method of
+``run_experiment``. For each it keeps the final iterate, every callback
+iterate, the trace columns except wall time, and each stage report's fields
+except wall time. Dump under the
 reference checkout, then check under the changed one; the check exits 1 if any
 array differs in any bit, and each DIFF line gives that array's largest
 distance in ulps (units in the last place) and largest relative difference,
@@ -24,9 +26,10 @@ import numpy as np
 import scipy.sparse as sps
 
 import cnsopt
-from cnsopt import (BaselineSpec, CompositeProblem, Regularizer, RunConfig, SmoothedProblem,
-                    SparseDataset, SyntheticSpec, reference_objective,
-                    run_baseline, run_experiment, run_solver)
+from cnsopt import (BaselineSpec, CompositeProblem, ContinuationConfig, Regularizer, RunConfig,
+                    SmoothedProblem, SparseDataset, SyntheticSpec, cns_general_convex,
+                    cns_strongly_convex, reference_objective, run_baseline, run_experiment,
+                    run_solver)
 from cnsopt.solvers import SolverSpec
 
 
@@ -125,6 +128,22 @@ def cases():
                        callback_every=10)
     out["fobos/hinge/n1000/b50/x"] = run.x
     out["fobos/hinge/n1000/b50/cb"] = np.array(seen)
+    # both drivers' stage reports, field by field: the strongly convex driver
+    # on the hinge + elastic net problem, the general convex one on the
+    # absolute + l1 problem
+    for loss, driver, lam1 in (("hinge", cns_strongly_convex, 0.0),
+                               ("absolute", cns_general_convex, 1e-3)):
+        prob = problem(loss)
+        for solver, option in (("prox-gd", "I"), ("acc-prox-svrg", "II")):
+            cfg = ContinuationConfig(gamma1=0.05, tau=2.0, t1=20, lam1=lam1, stages=4,
+                                     solver=SolverSpec(solver=solver, batch_size=16, seed=7),
+                                     budget_option=option)
+            x, reports = driver(prob, cfg)
+            key = f"stages/{driver.__name__}/{solver}"
+            out[key + "/x"] = x
+            for name in ("s", "gamma", "lam", "budget", "smoothed_before", "smoothed_after",
+                         "original_after"):
+                out[f"{key}/{name}"] = np.array([getattr(r, name) for r in reports])
     for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
         synth = SyntheticSpec(n=200, d=15, task="classification" if loss == "hinge"
                               else "regression", seed=4)
