@@ -75,10 +75,7 @@ def loss_subgradient(rows, offsets, loss, x):
 
 def _step_size(spec, problem, t):
     if spec.strongly_convex:
-        mu = problem.mu
-        if mu <= 0:
-            raise ValueError("strongly convex schedule needs mu > 0")
-        return spec.eta0 / (mu * t)
+        return spec.eta0 / (problem.mu * t)
     return spec.eta0 / math.sqrt(t)
 
 
@@ -104,8 +101,6 @@ def _rda_step(problem, spec, x0, batches):
     """
     state = {"gbar": np.zeros(problem.d)}
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
-    if spec.strongly_convex and nu2 <= 0:
-        raise ValueError("strongly convex RDA schedule needs nu2 > 0")
 
     def step(t, x):
         g = loss_subgradient(*next(batches), problem.loss, x)
@@ -149,7 +144,10 @@ def run_baseline(problem, spec, budget, x0=None, **kwargs):
     """Run the baseline named by ``spec.method`` from ``x0`` (zeros when None),
     on one ``minibatches`` stream of min(batch_size, n) rows seeded from
     ``spec.seed``, each epoch's rows and offsets gathered once
-    (``epoch_batches``)."""
+    (``epoch_batches``). A strongly convex schedule needs mu = nu2 > 0, which
+    is checked here, once per run."""
+    if spec.strongly_convex and problem.mu <= 0:
+        raise ValueError(f"{spec.method}: strongly convex schedule needs mu = nu2 > 0")
     x0 = start_point(x0, problem.d)
     b = min(spec.batch_size, problem.n)
     blocks = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)

@@ -25,7 +25,7 @@ from .datasets import (
 from .errors import CnsError, TuningError
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, dual_spec
-from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec, solver_family
+from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,9 @@ class RunConfig:
     """Everything one experiment needs.
 
     Exactly one of ``dataset`` (a path) or ``synthetic`` must be given. The
-    continuation-specific fields are ignored by the baselines and vice versa.
+    continuation-specific fields are ignored by the baselines and vice versa;
+    the method's own fields are checked here, by building its
+    ContinuationConfig or BaselineSpec, before any data is read.
     ``cadence`` is the number of inner iterations between metric snapshots;
     snapshot evaluation is excluded from the reported wall times.
     """
@@ -94,8 +96,10 @@ class RunConfig:
         if self.time_budget is not None and self.time_budget < 0:
             raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
-        if self.solver is not None:
-            solver_family(self.solver)  # and for a solver id with no runner
+        if self.method in CONTINUATION_METHODS:
+            continuation_config(self)
+        else:
+            baseline_spec_for(self)
 
 
 class _TimeBudgetExceeded(Exception):
@@ -143,16 +147,13 @@ def solver_spec_for(cfg):
 
 
 def continuation_config(cfg):
-    spec = solver_spec_for(cfg)
-    option = "II" if spec.accelerated else "I"
     return ContinuationConfig(
         gamma1=cfg.gamma1,
         tau=cfg.tau,
         t1=cfg.t1,
         lam1=cfg.lam1,
         stages=cfg.stages,
-        solver=spec,
-        budget_option=option,
+        solver=solver_spec_for(cfg),
         fixed_smoothing=cfg.method == FIXED_GAMMA,
     )
 

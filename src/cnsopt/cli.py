@@ -37,6 +37,9 @@ _SYNTH_OPTIONS = ("sparsity", "noise", "norm_lo", "norm_hi")
 _SYNTH_TYPES = {"synth_n": int, "synth_d": int,
                 **{f"synth_{name}": float for name in _SYNTH_OPTIONS}}
 
+# the errors a bad input raises: one line each, from ``run_cli`` and ``sweep``
+_INPUT_ERRORS = (CnsError, ValueError, OSError)
+
 
 def _option_type(hint):
     """(parse type, optional) of an annotation such as ``float`` or ``int | None``."""
@@ -167,7 +170,7 @@ def _cmd_sweep(args):
         for path, future in zip(args.configs, futures):
             try:
                 output, objective = future.result()
-            except (CnsError, ValueError, OSError) as exc:
+            except _INPUT_ERRORS as exc:
                 failed += 1
                 print(f"{path}: failed: {exc}")
                 continue
@@ -245,5 +248,15 @@ def main(argv=None):
     return args.func(args)
 
 
+def run_cli(argv=None):
+    """The process entry: ``main``, with an input error reported as one
+    ``cnsopt: error: <message>`` line on stderr and exit status 1."""
+    try:
+        return main(argv)
+    except _INPUT_ERRORS as exc:
+        print(f"cnsopt: error: {exc}", file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

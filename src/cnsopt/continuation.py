@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError
 from .problem import SmoothedProblem, objective_original, objective_smoothed
-from .solvers import ACCELERATED, APG, SolverSpec, run_solver, start_point
+from .solvers import APG, SolverSpec, run_solver, start_point
 
 OPTION_I = "I"
 OPTION_II = "II"
@@ -28,8 +28,8 @@ class ContinuationConfig:
 
     ``t1`` = None triggers the automatic stage-1 budget search. ``lam1`` must
     be zero for the strongly convex driver and positive for the general convex
-    one. ``budget_option`` I is for non-accelerated solvers, II for accelerated
-    ones; the config enforces that pairing. ``fixed_smoothing`` freezes gamma,
+    one. ``budget_option`` follows the solver, I for a non-accelerated one and
+    II for an accelerated one; None sets it. ``fixed_smoothing`` freezes gamma,
     lam and the per-stage budget (the no-continuation comparison mode).
     """
 
@@ -39,7 +39,7 @@ class ContinuationConfig:
     lam1: float = 0.0
     stages: int = 1
     solver: SolverSpec = field(default_factory=SolverSpec)
-    budget_option: str = OPTION_I
+    budget_option: "str | None" = None
     x0: "np.ndarray | None" = None
     fixed_smoothing: bool = False
     auto_t1_max: int = 1 << 20
@@ -57,14 +57,11 @@ class ContinuationConfig:
             raise ValueError("stages must be >= 1")
         if self.auto_t1_max < 1:
             raise ValueError("auto_t1_max must be >= 1")
-        if self.budget_option not in (OPTION_I, OPTION_II):
-            raise ValueError(f"unknown budget option {self.budget_option!r}")
-        accelerated = self.budget_option == OPTION_II
-        if (self.solver.family == ACCELERATED) != accelerated:
-            raise ValueError(
-                f"budget option {self.budget_option} does not match "
-                f"{self.solver.family} solver {self.solver.solver!r}"
-            )
+        option = OPTION_II if self.solver.accelerated else OPTION_I
+        if self.budget_option not in (None, option):
+            raise ValueError(f"budget option {self.budget_option!r} does not match "
+                             f"{self.solver.family} solver {self.solver.solver!r}")
+        object.__setattr__(self, "budget_option", option)
 
 
 @dataclass
@@ -81,23 +78,20 @@ class StageReport:
     wall_time: float
 
 
-def stage_budget(t1, tau, exponent, s, fixed=False):
+def stage_budget(t1, tau, exponent, s):
     """Budget of stage s: ceil(t1 * (tau**exponent)**(s-1)).
 
     Computed from stage 1 each time (not by iterating the ceiling), so exact
     powers round exactly. The 1e-12 relative guard absorbs the ulp overshoot
     that floating-point pow can produce on exact products.
     """
-    if fixed:
-        return t1
     raw = t1 * (tau ** exponent) ** (s - 1)
     return math.ceil(raw * (1.0 - 1e-12))
 
 
-def _growth_exponent(budget_option, general_convex):
-    if general_convex:
-        return 2.0 if budget_option == OPTION_I else 1.0
-    return 1.0 if budget_option == OPTION_I else 0.5
+def _growth_exponent(accelerated, general_convex):
+    # option I grows budgets by tau^2 (general convex) or tau, option II by the root
+    return (2.0 if general_convex else 1.0) / (2.0 if accelerated else 1.0)
 
 
 def auto_t1(problem, cfg):
@@ -154,7 +148,9 @@ def measure_stage_reduction(sp, x_before, x_after, oracle_budget):
 
 
 def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None):
-    exponent = _growth_exponent(cfg.budget_option, general_convex)
+    exponent = _growth_exponent(cfg.solver.accelerated, general_convex)
+    # fixed smoothing is the zero-growth schedule: every stage at gamma1, lam1, t1
+    rate = 1.0 if cfg.fixed_smoothing else cfg.tau
     t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg)
     rng = np.random.default_rng(cfg.solver.seed)
     x = start_point(cfg.x0, problem.d)
@@ -162,13 +158,9 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
     done = 0
     total_elapsed = 0.0
     for s in range(1, cfg.stages + 1):
-        if cfg.fixed_smoothing:
-            gamma_s, lam_s = cfg.gamma1, cfg.lam1
-        else:
-            shrink = cfg.tau ** (s - 1)
-            gamma_s = cfg.gamma1 / shrink
-            lam_s = cfg.lam1 / shrink
-        budget = stage_budget(t1, cfg.tau, exponent, s, fixed=cfg.fixed_smoothing)
+        shrink = rate ** (s - 1)
+        gamma_s, lam_s = cfg.gamma1 / shrink, cfg.lam1 / shrink
+        budget = stage_budget(t1, rate, exponent, s)
         sp = SmoothedProblem(problem, gamma_s, lam_s)
         before = objective_smoothed(sp, x)
 

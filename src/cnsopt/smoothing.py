@@ -4,15 +4,15 @@ Each loss is max u * a over a dual interval [u_lo, u_hi], where a = c - r'x
 is the per-sample slack on the problem's row r and offset c
 (``CompositeProblem.features`` and ``offsets``): 1 - y z'x for the hinge,
 y - z'x for the absolute loss. Subtracting the prox term gamma u^2 / 2 inside
-the max gives a surrogate whose derivative in a is the maximizing dual point
-clip(a / gamma, u_lo, u_hi), Lipschitz with constant 1/gamma. The surrogate
-sits within gamma * D_u below the exact loss everywhere, with D_u = max u^2 / 2
-over the interval = 1/2 for both losses. ``_DUAL_SPECS`` is the one table of the
-losses; every other function reads it instead of naming a loss.
+the max gives a surrogate u a - gamma u^2 / 2 at the maximizing dual point
+u = clip(a / gamma, u_lo, u_hi), which is also its derivative in a, Lipschitz
+with constant 1/gamma. The surrogate sits within gamma * D_u below the exact
+loss everywhere, with D_u = max u^2 / 2 over the interval = 1/2 for both
+losses. ``_DUAL_SPECS`` is the one table of the losses, a task and an interval
+each; every other function reads it instead of naming a loss.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
@@ -28,35 +28,28 @@ def _check_gamma(gamma):
         raise ValueError(f"smoothness parameter must be positive, got {gamma}")
 
 
-def _hinge_values(a, gamma):
-    return np.where(a <= 0.0, 0.0, np.where(a > gamma, a - gamma / 2.0, a * a / (2.0 * gamma)))
-
-
-def _absolute_values(a, gamma):
-    m = np.abs(a)
-    return np.where(m >= gamma, m - gamma / 2.0, a * a / (2.0 * gamma))
-
-
 @dataclass(frozen=True)
 class LossDualSpec:
-    """One row of the loss table: the loss as a max over its dual interval.
+    """One row of the loss table: the dataset task a loss needs and the dual
+    interval [u_lo, u_hi] it is the max over.
 
-    The prox-function is fixed to 0.5 u^2 (1-strongly convex, so zeta = 1),
-    which makes d_u = max 0.5 u^2 over [u_lo, u_hi]. Only the surrogate's
-    value ``smoothed(a, gamma)`` differs in form between the losses.
+    The prox-function is fixed to 0.5 u^2, so the interval fixes the
+    surrogate, its gap ``d_u`` and its smoothness.
     """
 
     task: str
     u_lo: float
     u_hi: float
-    smoothed: Callable
-    d_u: float = 0.5
-    zeta: float = 1.0
+
+    @property
+    def d_u(self):
+        """max 0.5 u^2 over the dual interval."""
+        return 0.5 * max(self.u_lo**2, self.u_hi**2)
 
 
 _DUAL_SPECS = {
-    HINGE: LossDualSpec(CLASSIFICATION, 0.0, 1.0, smoothed=_hinge_values),
-    ABSOLUTE: LossDualSpec(REGRESSION, -1.0, 1.0, smoothed=_absolute_values),
+    HINGE: LossDualSpec(CLASSIFICATION, 0.0, 1.0),
+    ABSOLUTE: LossDualSpec(REGRESSION, -1.0, 1.0),
 }
 LOSSES = tuple(_DUAL_SPECS)
 
@@ -77,10 +70,13 @@ def exact_loss_values(a, loss):
 
 
 def smoothed_loss_values(a, loss, gamma):
-    """Smoothed per-sample losses at slacks a."""
+    """Smoothed per-sample losses u a - gamma u^2 / 2 at slacks a, where
+    u = clip(a / gamma, u_lo, u_hi) is each sample's dual point."""
     spec = dual_spec(loss)
     _check_gamma(gamma)
-    return spec.smoothed(np.asarray(a, dtype=float), gamma)
+    a = np.asarray(a, dtype=float)
+    u = np.clip(a / gamma, spec.u_lo, spec.u_hi)
+    return u * a - gamma * u * u / 2.0
 
 
 def smoothing_gap(spec, gamma):
@@ -174,15 +170,11 @@ def max_row_sq_norm(features):
 def lipschitz_constant(sp):
     """Upper bound on the smooth part's gradient Lipschitz constant.
 
-    Uses the per-row bound max_i ||z_i||^2 / (gamma * zeta) + lam, which is
-    valid for sample-averaged losses and cheap on sparse data (a spectral
-    bound on the stacked matrix would be tighter but costlier).
+    Uses the per-row bound max_i ||z_i||^2 / gamma + lam, which is valid for
+    sample-averaged losses and cheap on sparse data (a spectral bound on the
+    stacked matrix would be tighter but costlier).
     """
-    _check_gamma(sp.gamma)
-    if sp.base.data.n < 1:
-        raise ValueError("empty dataset")
-    spec = dual_spec(sp.base.loss)
-    return sp.base.max_row_sq_norm / (sp.gamma * spec.zeta) + sp.lam
+    return sp.base.max_row_sq_norm / sp.gamma + sp.lam
 
 
 def condition_number(sp, mu_eff):

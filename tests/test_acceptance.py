@@ -219,7 +219,7 @@ def test_criterion_06_reduction_propagation():
     start = time.perf_counter()
     prob = strongly_convex_problem(0)
     cfg = ContinuationConfig(gamma1=1.0, tau=2.0, t1=None, stages=6,
-                             solver=SolverSpec(solver="prox-gd"), budget_option="I")
+                             solver=SolverSpec(solver="prox-gd"))
     # each stage's last iterate, keyed by stage; stage 1 starts at x = 0
     ends = {0: np.zeros(prob.d)}
 
@@ -250,14 +250,12 @@ def test_criterion_07_strongly_convex_rate_shapes(sc_reference):
         p_star = sc_reference(seed)
         cfg_a = ContinuationConfig(
             gamma1=0.01, tau=2.0, t1=500, stages=8,
-            solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=seed),
-            budget_option="II")
+            solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=seed))
         _, rep = cns_strongly_convex(prob, cfg_a)
         slopes_a.append(slope_of(rep, p_star))
         cfg_na = ContinuationConfig(
             gamma1=0.01, tau=2.0, t1=600, stages=8,
-            solver=SolverSpec(solver="prox-svrg", theta=0.04, batch_size=50, seed=seed),
-            budget_option="I")
+            solver=SolverSpec(solver="prox-svrg", theta=0.04, batch_size=50, seed=seed))
         _, rep = cns_strongly_convex(prob, cfg_na)
         slopes_na.append(slope_of(rep, p_star))
     med_a, med_na = np.median(slopes_a), np.median(slopes_na)
@@ -274,14 +272,12 @@ def test_criterion_08_general_convex_rate_shapes(gc_reference):
         p_star = gc_reference(seed)
         cfg_a = ContinuationConfig(
             gamma1=0.1, tau=2.0, t1=100, lam1=1e-5, stages=8,
-            solver=SolverSpec(solver="acc-prox-svrg", batch_size=100, seed=seed),
-            budget_option="II")
+            solver=SolverSpec(solver="acc-prox-svrg", batch_size=100, seed=seed))
         _, rep = cns_general_convex(prob, cfg_a)
         slopes_a.append(slope_of(rep, p_star))
         cfg_na = ContinuationConfig(
             gamma1=0.1, tau=math.sqrt(2.0), t1=300, lam1=1e-5, stages=8,
-            solver=SolverSpec(solver="prox-svrg", theta=0.1, batch_size=100, seed=seed),
-            budget_option="I")
+            solver=SolverSpec(solver="prox-svrg", theta=0.1, batch_size=100, seed=seed))
         _, rep = cns_general_convex(prob, cfg_na)
         slopes_na.append(slope_of(rep, p_star))
     med_a, med_na = np.median(slopes_a), np.median(slopes_na)
@@ -360,15 +356,13 @@ def test_criterion_10_method_ordering():
         cfg_a = ContinuationConfig(
             gamma1=0.1, tau=2.0, t1=110, stages=8,
             solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=seed,
-                              step_scale=tuned["cns-a"]),
-            budget_option="II")
+                              step_scale=tuned["cns-a"]))
         x_a, rep_a = cns_strongly_convex(prob, cfg_a)
         finals["cns-a"].append(objective_original(prob, x_a))
         cfg_na = ContinuationConfig(
             gamma1=0.1, tau=2.0, t1=16, stages=8,
             solver=SolverSpec(solver="prox-svrg", theta=0.1, batch_size=50, seed=seed,
-                              step_scale=tuned["cns-na"]),
-            budget_option="I")
+                              step_scale=tuned["cns-na"]))
         x_na, rep_na = cns_strongly_convex(prob, cfg_na)
         finals["cns-na"].append(objective_original(prob, x_na))
         budget = max(sum(r.budget for r in rep_a), sum(r.budget for r in rep_na))
@@ -388,15 +382,13 @@ def test_criterion_10_method_ordering():
         cfg_a = ContinuationConfig(
             gamma1=0.1, tau=2.0, t1=300, lam1=1e-5, stages=8,
             solver=SolverSpec(solver="acc-prox-svrg", batch_size=100, seed=seed,
-                              step_scale=gtuned["cns-a"]),
-            budget_option="II")
+                              step_scale=gtuned["cns-a"]))
         x_a, rep_a = cns_general_convex(prob, cfg_a)
         gfinals["cns-a"].append(objective_original(prob, x_a))
         cfg_na = ContinuationConfig(
             gamma1=0.1, tau=math.sqrt(2.0), t1=300, lam1=1e-5, stages=8,
             solver=SolverSpec(solver="prox-svrg", theta=0.1, batch_size=100, seed=seed,
-                              step_scale=gtuned["cns-na"]),
-            budget_option="I")
+                              step_scale=gtuned["cns-na"]))
         x_na, rep_na = cns_general_convex(prob, cfg_na)
         gfinals["cns-na"].append(objective_original(prob, x_na))
         budget = max(sum(r.budget for r in rep_a), sum(r.budget for r in rep_na))
@@ -430,8 +422,7 @@ def test_criterion_11_sparsity(sc_reference):
     prob = strongly_convex_problem(0)
     cfg_a = ContinuationConfig(
         gamma1=0.01, tau=2.0, t1=500, stages=8,
-        solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=0),
-        budget_option="II")
+        solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=0))
     x_cns, _ = cns_strongly_convex(prob, cfg_a)
     zeros = {"cns-a": int(np.sum(x_cns == 0.0))}
     for method, eta in (("fobos", 0.5), ("rda", 0.5), ("poly-sgd", 0.5)):
@@ -454,8 +445,7 @@ def test_criterion_12_determinism(tmp_path):
         prob = strongly_convex_problem(0)
         cfg = ContinuationConfig(
             gamma1=0.01, tau=2.0, t1=40, stages=4,
-            solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=7),
-            budget_option="II")
+            solver=SolverSpec(solver="acc-prox-svrg", batch_size=50, seed=7))
         x, _ = cns_strongly_convex(prob, cfg)
         return x
 

@@ -53,6 +53,24 @@ def test_run_config_validation():
             _config(method=method, time_budget=-1.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(tau=0.5), "tau must be > 1"),
+    (dict(stages=0), "stages must be >= 1"),
+    (dict(batch_size=0), "batch_size must be >= 1"),
+    (dict(method="fobos", eta0=0.0), "step scales must be positive"),
+])
+def test_run_config_checks_the_methods_own_settings(bad, message):
+    # the method's ContinuationConfig or BaselineSpec is built with the RunConfig
+    with pytest.raises(ValueError, match=message):
+        _config(**bad)
+
+
+def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
+    missing = tmp_path / "absent.libsvm"
+    with pytest.raises(ValueError, match="tau must be > 1"):
+        main(["run", "--method", "cns-a", "--dataset", str(missing), "--tau", "0.5"])
+
+
 def test_run_experiment_stage_tags_and_rows():
     rows = run_experiment(_config())
     assert rows[0].cumulative_iterations == 0 and rows[0].stage == 0
@@ -437,16 +455,28 @@ def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monke
     assert lines[2].startswith(f"{paths[2]}: objective ")
 
 
-def test_cli_entry_point_runs():
+def _python_m_cnsopt(*args):
     # the subprocess imports the same cnsopt as this test, wherever it lives
     package_root = os.path.dirname(os.path.dirname(cnsopt.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cnsopt", "--help"], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-m", "cnsopt", *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_entry_point_runs():
+    proc = _python_m_cnsopt("--help")
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
+    proc = _python_m_cnsopt("run", "--method", "cns-na", "--solver", "saga",
+                            "--dataset", str(tmp_path / "absent.libsvm"))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["cnsopt: error: unknown solver 'saga'"]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 # --- golden: the written traces and the run flags ----------------------------

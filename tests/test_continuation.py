@@ -47,7 +47,7 @@ def _reg_suite(seed=0, nu1=0.01):
 def test_strongly_convex_schedule_option_one():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=100, stages=3,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     _, reports = cns_strongly_convex(prob, cfg)
     assert [(r.gamma, r.budget) for r in reports] == [
         (0.01, 100), (0.005, 200), (0.0025, 400)]
@@ -57,7 +57,7 @@ def test_strongly_convex_schedule_option_one():
 def test_strongly_convex_schedule_option_two_rounding():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=100, stages=3,
-                             solver=SolverSpec(solver="apg"), budget_option=OPTION_II)
+                             solver=SolverSpec(solver="apg"))
     _, reports = cns_strongly_convex(prob, cfg)
     assert [r.budget for r in reports] == [100, 142, 200]
 
@@ -65,8 +65,7 @@ def test_strongly_convex_schedule_option_two_rounding():
 def test_general_convex_schedule_option_two():
     prob = _reg_suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=50, lam1=1e-5, stages=3,
-                             solver=SolverSpec(solver="acc-prox-svrg"),
-                             budget_option=OPTION_II)
+                             solver=SolverSpec(solver="acc-prox-svrg"))
     _, reports = cns_general_convex(prob, cfg)
     assert [(r.lam, r.budget) for r in reports] == [
         (1e-5, 50), (5e-6, 100), (2.5e-6, 200)]
@@ -75,8 +74,7 @@ def test_general_convex_schedule_option_two():
 def test_general_convex_schedule_option_one():
     prob = _reg_suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=50, lam1=1e-5, stages=3,
-                             solver=SolverSpec(solver="prox-svrg", theta=0.04),
-                             budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-svrg", theta=0.04))
     _, reports = cns_general_convex(prob, cfg)
     assert [r.budget for r in reports] == [50, 200, 800]
 
@@ -84,7 +82,7 @@ def test_general_convex_schedule_option_one():
 def test_schedule_exactness_floating_point():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=5, stages=7,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     _, reports = cns_strongly_convex(prob, cfg)
     for r in reports:
         assert r.gamma == 0.01 / 2.0 ** (r.s - 1)
@@ -109,7 +107,7 @@ def test_single_stage_equals_direct_solver_call():
     prob = _suite()
     spec = SolverSpec(solver="prox-svrg", seed=5)
     cfg = ContinuationConfig(gamma1=0.02, tau=2.0, t1=40, stages=1,
-                             solver=spec, budget_option=OPTION_I)
+                             solver=spec)
     x, reports = cns_strongly_convex(prob, cfg)
     sp = SmoothedProblem(prob, 0.02)
     direct = run_solver(spec, sp, np.zeros(prob.d), 40, mu_eff=prob.mu,
@@ -122,7 +120,7 @@ def test_warm_start_chains_stages():
     prob = _suite()
     spec = SolverSpec(solver="prox-gd")
     cfg = ContinuationConfig(gamma1=0.02, tau=2.0, t1=30, stages=3,
-                             solver=spec, budget_option=OPTION_I)
+                             solver=spec)
     x, reports = cns_strongly_convex(prob, cfg)
 
     # replay stage by stage: each stage must start from the previous output
@@ -139,13 +137,13 @@ def test_wrong_driver_errors():
     sc = _suite()
     gc = _reg_suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=10, stages=2,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     with pytest.raises(WrongDriverError):
         cns_strongly_convex(gc, cfg)  # mu = 0
     with pytest.raises(WrongDriverError):
         cns_general_convex(sc, cfg)  # lam1 = 0
     bad = ContinuationConfig(gamma1=0.01, tau=2.0, t1=10, lam1=1e-4, stages=2,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     with pytest.raises(WrongDriverError):
         cns_strongly_convex(sc, bad)
 
@@ -163,21 +161,50 @@ def test_config_validation():
         ContinuationConfig(solver=SolverSpec(solver="apg"), budget_option=OPTION_I)
     with pytest.raises(ValueError):
         ContinuationConfig(solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_II)
+    with pytest.raises(ValueError, match="'III'"):
+        ContinuationConfig(budget_option="III")
+
+
+# the paper's budget options: I pairs with the non-accelerated solvers, II with
+# the accelerated ones; per-stage growth exponents (strongly convex, general)
+_OPTIONS = {"prox-gd": OPTION_I, "prox-svrg": OPTION_I, "apg": OPTION_II,
+            "acc-prox-svrg": OPTION_II}
+_EXPONENTS = {OPTION_I: (1.0, 2.0), OPTION_II: (0.5, 1.0)}
+
+
+@pytest.mark.parametrize("solver", sorted(_OPTIONS))
+def test_budget_option_follows_solver(solver):
+    option = _OPTIONS[solver]
+    for driver, prob, lam1, exponent in zip(
+            (cns_strongly_convex, cns_general_convex), (_suite(), _reg_suite()), (0.0, 1e-4),
+            _EXPONENTS[option]):
+        settings = dict(gamma1=0.05, tau=2.0, t1=9, lam1=lam1, stages=3,
+                        solver=SolverSpec(solver=solver, theta=0.04, batch_size=50))
+        derived = ContinuationConfig(**settings)
+        assert derived.budget_option == option
+        explicit = ContinuationConfig(budget_option=option, **settings)
+        budgets = [r.budget for r in driver(prob, derived)[1]]
+        assert budgets == [r.budget for r in driver(prob, explicit)[1]]
+        assert budgets == [stage_budget(9, 2.0, exponent, s) for s in (1, 2, 3)]
 
 
 def test_fixed_smoothing_holds_schedule_constant():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=25, stages=4, fixed_smoothing=True,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     _, reports = cns_strongly_convex(prob, cfg)
     assert [(r.gamma, r.lam, r.budget) for r in reports] == [(0.01, 0.0, 25)] * 4
+    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=25, lam1=1e-4, stages=3,
+                             fixed_smoothing=True, solver=SolverSpec(solver="acc-prox-svrg"))
+    _, reports = cns_general_convex(_reg_suite(), cfg)
+    assert [(r.gamma, r.lam, r.budget) for r in reports] == [(0.01, 1e-4, 25)] * 3
 
 
 def test_stage_gap_bound_realized():
     # at every stage end the sandwich 0 <= P - P_smoothed <= gamma * D_u holds
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.02, tau=2.0, t1=60, stages=4,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     _, reports = cns_strongly_convex(prob, cfg)
     for r in reports:
         gap = r.original_after - r.smoothed_after
@@ -204,8 +231,7 @@ def test_auto_t1_probe_size():
     # ceil(n / batch): 1000 samples at batch 50 probes 20 first
     prob = _suite(n=1000, d=10, nu1=0.002, nu2=0.05)
     cfg = ContinuationConfig(gamma1=2.0, tau=2.0, stages=1,
-                             solver=SolverSpec(solver="prox-gd", batch_size=50),
-                             budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd", batch_size=50))
     assert math.ceil(prob.n / cfg.solver.batch_size) == 20
     t1 = auto_t1(prob, cfg)
     assert t1 % 20 == 0 and t1 >= 20
@@ -219,8 +245,7 @@ def test_auto_t1_trivial_when_start_is_optimal():
     margins = data.labels * (data.features @ ref.w_true)
     x0 = (1.01 / margins.min()) * ref.w_true
     cfg = ContinuationConfig(gamma1=1e-4, tau=2.0, stages=1, x0=x0,
-                             solver=SolverSpec(solver="prox-gd", batch_size=50),
-                             budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd", batch_size=50))
     assert auto_t1(prob, cfg) == math.ceil(prob.n / 50)
 
 
@@ -228,7 +253,7 @@ def test_auto_t1_cap_error():
     # an optimum above the stage-1 target can never satisfy the test
     prob = _suite(nu1=0.5, nu2=0.5)  # heavy regularization keeps the objective high
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1, auto_t1_max=64,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     with pytest.raises(BudgetEstimationError):
         auto_t1(prob, cfg)
 
@@ -237,8 +262,7 @@ def test_auto_t1_cap_below_the_first_probe():
     # the first probe, ceil(200 / 10) = 20 steps, is already above the cap
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1, auto_t1_max=5,
-                             solver=SolverSpec(solver="prox-gd", batch_size=10),
-                             budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd", batch_size=10))
     with pytest.raises(BudgetEstimationError, match=r"cap 5 .* = 20$"):
         auto_t1(prob, cfg)
 
@@ -246,8 +270,7 @@ def test_auto_t1_cap_below_the_first_probe():
 def test_auto_t1_satisfies_reduction_against_oracle():
     prob = _suite(n=400, d=10, nu1=0.005, nu2=0.1)
     cfg = ContinuationConfig(gamma1=0.5, tau=2.0, stages=1,
-                             solver=SolverSpec(solver="prox-gd", batch_size=50),
-                             budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd", batch_size=50))
     t1 = auto_t1(prob, cfg)
     sp1 = SmoothedProblem(prob, 0.5)
     x0 = np.zeros(prob.d)
@@ -289,7 +312,7 @@ def test_divergence_carries_stage_index():
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=5, stages=2,
                              x0=np.full(prob.d, np.inf),
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match="stage 1"):
             cns_strongly_convex(prob, cfg)
@@ -299,7 +322,7 @@ def test_driver_callback_counts_cumulative_iterations():
     prob = _suite()
     seen = []
     cfg = ContinuationConfig(gamma1=0.02, tau=2.0, t1=10, stages=3,
-                             solver=SolverSpec(solver="prox-gd"), budget_option=OPTION_I)
+                             solver=SolverSpec(solver="prox-gd"))
     cns_strongly_convex(prob, cfg, callback=lambda t, x, e, s: seen.append((t, s)),
                         callback_every=10)
     assert seen == [(10, 1), (20, 2), (30, 2), (40, 3), (50, 3), (60, 3), (70, 3)]

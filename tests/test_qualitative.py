@@ -47,7 +47,7 @@ def test_fixed_gamma_floor_ordering():
     floor_fine = converged_floor(1e-3)
 
     cfg = ContinuationConfig(gamma1=1e-2, tau=2.0, t1=300, stages=8,
-                             solver=SolverSpec(solver="apg"), budget_option="II")
+                             solver=SolverSpec(solver="apg"))
     x_cns, _ = cns_strongly_convex(prob, cfg)
     gap_cns = objective_original(prob, x_cns) - p_star
 

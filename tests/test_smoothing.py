@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -6,6 +8,7 @@ from cnsopt import (
     ABSOLUTE,
     HINGE,
     CompositeProblem,
+    LossDualSpec,
     Regularizer,
     SmoothedProblem,
     SparseDataset,
@@ -123,6 +126,39 @@ def test_uniform_approximation_band(loss, gamma):
     assert diff.max() <= gamma / 2.0 + 1e-15
 
 
+def _piecewise_hinge(a, gamma):
+    return np.where(a <= 0.0, 0.0, np.where(a > gamma, a - gamma / 2.0, a * a / (2.0 * gamma)))
+
+
+def _piecewise_absolute(a, gamma):
+    m = np.abs(a)
+    return np.where(m >= gamma, m - gamma / 2.0, a * a / (2.0 * gamma))
+
+
+def _ordinal(v):
+    # the bits of |v| as an integer grow with |v|, by one per double
+    bits = np.abs(v).view(np.int64)
+    return np.where(np.signbit(v), -bits, bits)
+
+
+@pytest.mark.parametrize("loss, piecewise, quadratic", [
+    (HINGE, _piecewise_hinge, lambda a, gamma: (a > 0.0) & (a <= gamma)),
+    (ABSOLUTE, _piecewise_absolute, lambda a, gamma: np.abs(a) < gamma),
+])
+def test_interval_form_matches_piecewise_oracle(loss, piecewise, quadratic):
+    # u a - gamma u^2 / 2 at u = clip(a / gamma, u_lo, u_hi) against the
+    # branch-by-branch closed forms: equal on the flat and linear branches,
+    # within 4 ulps on the quadratic one (a * a / (2 gamma) rounds differently)
+    rng = np.random.default_rng(3)
+    for gamma in np.geomspace(1e-7, 2.0, 25):
+        a = np.concatenate([gamma * rng.uniform(-3.0, 3.0, 4000),
+                            gamma * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])])
+        got, want = smoothed_loss_values(a, loss, gamma), piecewise(a, gamma)
+        quad = quadratic(a, gamma)
+        assert np.array_equal(got[~quad], want[~quad])
+        assert np.abs(_ordinal(got[quad]) - _ordinal(want[quad])).max() <= 4
+
+
 def test_hinge_converges_pointwise_to_exact():
     grid = np.linspace(-3.0, 3.0, 601)
     smooth = smoothed_loss_values(1.0 - grid, HINGE, 1e-8)
@@ -143,7 +179,7 @@ def test_dual_specs():
     assert (h.u_lo, h.u_hi) == (0.0, 1.0)
     assert (a.u_lo, a.u_hi) == (-1.0, 1.0)
     assert h.d_u == a.d_u == 0.5
-    assert h.zeta == a.zeta == 1.0
+    assert [f.name for f in fields(LossDualSpec)] == ["task", "u_lo", "u_hi"]
 
 
 def test_du_matches_enumeration_oracle():

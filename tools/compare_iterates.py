@@ -6,7 +6,8 @@ with a batch size above n), every baseline (with and without a start point,
 with a batch size above n, and with a budget below one epoch), both losses on
 dense and CSR input, acc-prox-svrg and fobos at the ``sc-dense`` benchmark
 shape (n = 1000, d = 50 dense rows, batch size 50), ``reference_objective``,
-both continuation drivers with prox-gd and acc-prox-svrg, and every method of
+both continuation drivers with prox-gd and acc-prox-svrg (with a given t1, with
+the automatic t1 search, and with fixed smoothing), and every method of
 ``run_experiment``. For each it keeps the final iterate, every callback
 iterate, the trace columns except wall time, and each stage report's fields
 except wall time. Dump under the
@@ -130,20 +131,21 @@ def cases():
     out["fobos/hinge/n1000/b50/cb"] = np.array(seen)
     # both drivers' stage reports, field by field: the strongly convex driver
     # on the hinge + elastic net problem, the general convex one on the
-    # absolute + l1 problem
+    # absolute + l1 problem, each with a growing and with a fixed schedule
     for loss, driver, lam1 in (("hinge", cns_strongly_convex, 0.0),
                                ("absolute", cns_general_convex, 1e-3)):
         prob = problem(loss)
-        for solver, option in (("prox-gd", "I"), ("acc-prox-svrg", "II")):
-            cfg = ContinuationConfig(gamma1=0.05, tau=2.0, t1=20, lam1=lam1, stages=4,
-                                     solver=SolverSpec(solver=solver, batch_size=16, seed=7),
-                                     budget_option=option)
-            x, reports = driver(prob, cfg)
-            key = f"stages/{driver.__name__}/{solver}"
-            out[key + "/x"] = x
-            for name in ("s", "gamma", "lam", "budget", "smoothed_before", "smoothed_after",
-                         "original_after"):
-                out[f"{key}/{name}"] = np.array([getattr(r, name) for r in reports])
+        for solver in ("prox-gd", "acc-prox-svrg"):
+            for fixed in (False, True):
+                stages(out, f"stages/{driver.__name__}/{solver}" + "/fixed" * fixed, driver,
+                       prob, solver, gamma1=0.05, t1=20, lam1=lam1, stages=4,
+                       fixed_smoothing=fixed)
+    # the automatic t1 search compares the smoothed objective against
+    # P_gamma1(x0) / tau^2; on this instance it picks t1 = 80 for prox-gd and
+    # 20 for acc-prox-svrg (the hinge instance never reaches that target)
+    for solver in ("prox-gd", "acc-prox-svrg"):
+        stages(out, f"stages/auto_t1/{solver}", cns_general_convex, problem("absolute"),
+               solver, gamma1=0.5, t1=None, lam1=1e-3, stages=3)
     for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
         synth = SyntheticSpec(n=200, d=15, task="classification" if loss == "hinge"
                               else "regression", seed=4)
@@ -156,6 +158,17 @@ def cases():
             table = [[v for k, v in asdict(r).items() if k != "wall_time_s"] for r in rows]
             out[f"exp/{loss}/{method}"] = np.array(table, dtype=float)
     return out
+
+
+def stages(out, key, driver, prob, solver, **settings):
+    """Record a driver's final iterate and its stage reports, field by field."""
+    cfg = ContinuationConfig(tau=2.0, solver=SolverSpec(solver=solver, batch_size=16, seed=7),
+                             **settings)
+    x, reports = driver(prob, cfg)
+    out[key + "/x"] = x
+    for name in ("s", "gamma", "lam", "budget", "smoothed_before", "smoothed_after",
+                 "original_after"):
+        out[f"{key}/{name}"] = np.array([getattr(r, name) for r in reports])
 
 
 def distance(ref, got):
