@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import epoch_batches, minibatches
 from .prox import prox_l1, prox_regularizer
 from .smoothing import dual_spec
-from .solvers import drive, start_point
+from .solvers import drive, precast, start_point
 
 FOBOS = "fobos"
 RDA = "rda"
@@ -52,7 +52,17 @@ class BaselineSpec:
             raise ValueError("batch_size must be >= 1")
 
 
-def loss_subgradient(rows, offsets, loss, x):
+def subgradient_scalars(loss, count):
+    """The scalar operands of ``loss_subgradient`` over ``count`` rows, as
+    ``(-u_hi, -u_lo, count)``, a bound None where it never binds on a sign
+    (magnitude 1): Python numbers, which ``run_baseline`` casts once per run
+    (``solvers.precast``)."""
+    spec = dual_spec(loss)
+    return (-spec.u_hi if spec.u_hi < 1.0 else None,
+            -spec.u_lo if spec.u_lo > -1.0 else None, count)
+
+
+def loss_subgradient(rows, offsets, loss, x, scalars=None):
     """Mean minimal-norm subgradient of the nonsmooth loss over pre-sliced
     rows and offsets.
 
@@ -60,17 +70,25 @@ def loss_subgradient(rows, offsets, loss, x):
     minimal-norm dual point (both dual intervals lie in [-1, 1]); it is
     negated here, like the smoothed kernels' weights, since the slack
     a = c - s falls one for one with the score s on the problem's rows.
+    ``scalars`` are ``subgradient_scalars(loss, len(offsets))``, built here
+    when None.
     """
-    spec = dual_spec(loss)
+    if scalars is None:
+        scalars = subgradient_scalars(loss, len(offsets))
+    neg_u_hi, neg_u_lo, count = scalars
     # .dot, not @: the same BLAS call without the matmul gufunc's dispatch
-    weights = np.sign(rows.dot(x) - offsets)
-    # the clip to [-u_hi, -u_lo], one bound at a time: a bound of magnitude 1
-    # never binds on a sign, and a single ufunc costs less than np.clip
-    if spec.u_hi < 1.0:
-        np.maximum(weights, -spec.u_hi, out=weights)
-    if spec.u_lo > -1.0:
-        np.minimum(weights, -spec.u_lo, out=weights)
-    return rows.T.dot(weights) / len(offsets)
+    weights = rows.dot(x)
+    weights -= offsets
+    np.sign(weights, out=weights)
+    # the clip to [-u_hi, -u_lo], one bound at a time: a single ufunc costs
+    # less than np.clip
+    if neg_u_hi is not None:
+        np.maximum(weights, neg_u_hi, out=weights)
+    if neg_u_lo is not None:
+        np.minimum(weights, neg_u_lo, out=weights)
+    g = rows.T.dot(weights)
+    g /= count
+    return g
 
 
 def _step_size(spec, problem, t):
@@ -79,18 +97,20 @@ def _step_size(spec, problem, t):
     return spec.eta0 / math.sqrt(t)
 
 
-def _fobos_step(problem, spec, x0, batches):
-    """Forward-backward splitting: subgradient step on the loss, prox on r."""
+def _fobos_step(problem, spec, x0, batches, scalars):
+    """Forward-backward splitting: subgradient step on the loss, prox on r.
+    The step size changes every step, so its prox operands stay floats."""
 
     def step(t, x):
         eta = _step_size(spec, problem, t)
-        g = loss_subgradient(*next(batches), problem.loss, x)
-        return prox_regularizer(x - eta * g, eta, problem.reg)
+        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
+        g *= eta
+        return prox_regularizer(np.subtract(x, g, out=g), eta, problem.reg)
 
     return step
 
 
-def _rda_step(problem, spec, x0, batches):
+def _rda_step(problem, spec, x0, batches, scalars):
     """Regularized dual averaging with closed-form per-step minimization.
 
     x_{t+1} minimizes <gbar_t, x> + r(x) + (beta_t / 2t) ||x||^2, i.e.
@@ -103,7 +123,7 @@ def _rda_step(problem, spec, x0, batches):
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
 
     def step(t, x):
-        g = loss_subgradient(*next(batches), problem.loss, x)
+        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
         state["gbar"] = ((t - 1) * state["gbar"] + g) / t
         beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
         quad = nu2 + beta_t / t
@@ -112,7 +132,7 @@ def _rda_step(problem, spec, x0, batches):
     return step
 
 
-def _poly_sgd_step(problem, spec, x0, batches):
+def _poly_sgd_step(problem, spec, x0, batches, scalars):
     """Stochastic subgradient on the full objective with polynomial-decay averaging.
 
     No prox: the regularizer enters through its subgradient, so l1 weights do
@@ -124,7 +144,7 @@ def _poly_sgd_step(problem, spec, x0, batches):
     k = spec.averaging_exponent
 
     def step(t, avg):
-        g = loss_subgradient(*next(batches), problem.loss, state["x"])
+        g = loss_subgradient(*next(batches), problem.loss, state["x"], scalars)
         if nu1:
             g = g + nu1 * np.sign(state["x"])
         if nu2:
@@ -153,5 +173,6 @@ def run_baseline(problem, spec, budget, x0=None, **kwargs):
     blocks = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
     batches = itertools.chain.from_iterable(
         epoch_batches(block, problem.features, problem.offsets) for block in blocks)
-    step = _STEPS[spec.method](problem, spec, x0, batches)
+    scalars = precast(*subgradient_scalars(problem.loss, b))
+    step = _STEPS[spec.method](problem, spec, x0, batches, scalars)
     return drive(step, x0, budget, context=f"{spec.method}: ", **kwargs)

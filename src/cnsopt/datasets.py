@@ -105,8 +105,18 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     files using {0,1} labels are remapped to {-1,+1}, and the remap is logged;
     any other classification label that is not +1/-1 raises LibsvmFormatError
     at its line, and so do a non-finite label or feature value and a feature
-    index beyond the int32 range of the CSR indices.
+    index beyond the int32 range of the CSR indices. When ``source`` is a
+    path, the error names it.
     """
+    try:
+        return _parse_libsvm(source, task, n_features)
+    except LibsvmFormatError as err:
+        if not isinstance(source, (str, os.PathLike)):
+            raise
+        raise LibsvmFormatError(err.lineno, err.message, os.fspath(source)) from None
+
+
+def _parse_libsvm(source, task, n_features):
     stream, owned = _open_maybe_gzip(source, "r")
     labels = []
     linenos = []  # the line of each sample, for errors found after the loop

@@ -30,13 +30,16 @@ class TuningError(CnsError):
 
 
 class LibsvmFormatError(CnsError):
-    """Malformed LIBSVM input. Carries the 1-based line number."""
+    """Malformed LIBSVM input. Carries the 1-based line number, and the path
+    when the input was read from one."""
 
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno, message, path=None):
+        where = f"line {lineno}: {message}"
+        super().__init__(where if path is None else f"{path}: {where}")
         self.lineno = lineno
         self.message = message
+        self.path = path
 
     def __reduce__(self):
-        # rebuilt from both arguments, so the error survives a process pool
-        return type(self), (self.lineno, self.message)
+        # rebuilt from every argument, so the error survives a process pool
+        return type(self), (self.lineno, self.message, self.path)

@@ -97,34 +97,52 @@ def slacks(problem, x):
     return problem.offsets - problem.features.dot(x)
 
 
-def _score_weights(spec, c, scores, gamma):
+def kernel_scalars(loss, gamma, count):
+    """The scalar operands of a gradient kernel over ``count`` rows, as
+    ``(-gamma, -u_hi, -u_lo, count)``: Python numbers, which a solver casts
+    once per stage (``solvers.precast``) and passes to every kernel call of
+    the stage as ``scalars``."""
+    spec = dual_spec(loss)
+    return -gamma, -spec.u_hi, -spec.u_lo, count
+
+
+def _score_weights(scalars, c, scores):
     """-alpha at each sample, where alpha = clip(a / gamma, u_lo, u_hi) is its
     dual point at slack a = c - s, in one clip by dividing by -gamma. It is the
-    smoothed loss's derivative in the score s, since da/ds is -1.
+    smoothed loss's derivative in the score s, since da/ds is -1. ``scalars``
+    are ``kernel_scalars``.
 
     Overwrites ``scores`` (a float array whose last axis runs over the
     samples) with the weights and returns it.
     """
+    neg_gamma, neg_u_hi, neg_u_lo, _ = scalars
+    # (c - s) / -gamma, not (s - c) / gamma: they differ in the sign of a zero
+    # weight, and the hinge's bound -0.0 passes that sign on
     np.subtract(c, scores, out=scores)
-    np.divide(scores, -gamma, out=scores)
+    np.divide(scores, neg_gamma, out=scores)
     # bound first: on a tie (the hinge's bound is -0.0) these return the
     # score, as ndarray.clip does, so the weights keep clip's bits
-    np.maximum(-spec.u_hi, scores, out=scores)
-    return np.minimum(-spec.u_lo, scores, out=scores)
+    np.maximum(neg_u_hi, scores, out=scores)
+    return np.minimum(neg_u_lo, scores, out=scores)
 
 
-def gradient_kernel(rows, offsets, loss, gamma, x):
+def gradient_kernel(rows, offsets, loss, gamma, x, scalars=None):
     """Mean gradient of the smoothed loss over pre-sliced rows and offsets,
-    and the per-sample weights -alpha that it averages."""
-    spec = dual_spec(loss)
+    and the per-sample weights -alpha that it averages. ``scalars`` are
+    ``kernel_scalars(loss, gamma, len(offsets))``, built here when None."""
+    if scalars is None:
+        scalars = kernel_scalars(loss, gamma, len(offsets))
     # ndarray.dot calls the BLAS directly: on the contiguous rows the solvers
     # pass, the bits of @ without the matmul gufunc's dispatch, which costs
     # more than the product itself at b x 50
-    weights = _score_weights(spec, offsets, rows.dot(x), gamma)
-    return rows.T.dot(weights) / len(offsets), weights
+    weights = _score_weights(scalars, offsets, rows.dot(x))
+    g = rows.T.dot(weights)
+    g /= scalars[3]
+    return g, weights
 
 
-def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
+def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient,
+                       scalars=None):
     """Variance-reduced estimate over pre-sliced rows and offsets:
 
     batch gradient at x, minus batch gradient at the snapshot, plus the full
@@ -134,20 +152,27 @@ def vr_gradient_kernel(rows, offsets, loss, gamma, x, snapshot_weights, full_gra
     once for the scores at x and once for the correction. When x == snapshot
     the estimate equals ``full_gradient`` up to the rounding of the batch
     scores, which the BLAS may sum in another order than the full pass's.
+    ``scalars`` as in ``gradient_kernel``.
     """
-    spec = dual_spec(loss)
+    if scalars is None:
+        scalars = kernel_scalars(loss, gamma, len(offsets))
     # .dot, not @: see gradient_kernel
-    weights = _score_weights(spec, offsets, rows.dot(x), gamma)
+    weights = _score_weights(scalars, offsets, rows.dot(x))
     weights -= snapshot_weights
-    return rows.T.dot(weights) / len(offsets) + full_gradient
+    g = rows.T.dot(weights)
+    g /= scalars[3]
+    g += full_gradient
+    return g
 
 
-def loss_gradient(sp, x, with_weights=False):
+def loss_gradient(sp, x, with_weights=False, scalars=None):
     """Gradient of the averaged smoothed loss alone (no ridge term); with
-    ``with_weights``, the pair (gradient, per-sample weights -alpha at x)."""
+    ``with_weights``, the pair (gradient, per-sample weights -alpha at x).
+    ``scalars`` are ``kernel_scalars(loss, gamma, n)``, built when None."""
     problem = sp.base
     _check_x(problem, x)
-    out = gradient_kernel(problem.features, problem.offsets, problem.loss, sp.gamma, x)
+    out = gradient_kernel(problem.features, problem.offsets, problem.loss, sp.gamma, x,
+                          scalars)
     return out if with_weights else out[0]
 
 

@@ -16,10 +16,11 @@ from cnsopt import (
     run_baseline,
 )
 from cnsopt import datasets
-from cnsopt.baselines import loss_subgradient
+from cnsopt.baselines import loss_subgradient, subgradient_scalars
 from cnsopt.smoothing import dual_spec
 from tests.test_prox import golden_section
-from tests.test_smoothing import layout_batches, layout_problem
+from tests.test_smoothing import (_read_only_scalars, _signed_zeros_and_nan, layout_batches,
+                                  layout_problem)
 
 
 def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
@@ -236,3 +237,19 @@ def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
         for rows, c in layout_batches(rng, prob, b):
             got = loss_subgradient(rows, c, loss, x)
             assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("layout", ("c", "f", "csr"))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_loss_subgradient_keeps_its_bits_with_precast_scalars(loss, layout, b):
+    # run_baseline casts the bounds and the batch size once per run; zero
+    # scores (x = 0) against signed-zero offsets hit sign(+-0), and NaN passes
+    rng = np.random.default_rng(41 + b)
+    prob = layout_problem(rng, loss, layout)
+    scalars = _read_only_scalars(*subgradient_scalars(loss, b))
+    for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
+        for rows, c in layout_batches(rng, prob, b):
+            c = _signed_zeros_and_nan(rng, c)
+            got = loss_subgradient(rows, c, loss, x, scalars)
+            assert got.tobytes() == loss_subgradient(rows, c, loss, x).tobytes()

@@ -25,7 +25,7 @@ from cnsopt import (
 from cnsopt import bench
 from cnsopt.bench import TraceRow, gap_slope, read_trace, render_report, write_trace
 from cnsopt.bench import test_metric as eval_metric
-from cnsopt.cli import _add_run_flags, build_run_config, main, read_config_file
+from cnsopt.cli import _add_run_flags, build_run_config, main, read_config_file, run_cli
 
 SYNTH = SyntheticSpec(n=120, d=10, task="classification", noise=0.2, separation=1.2,
                       seed=0)
@@ -69,6 +69,27 @@ def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
     missing = tmp_path / "absent.libsvm"
     with pytest.raises(ValueError, match="tau must be > 1"):
         main(["run", "--method", "cns-a", "--dataset", str(missing), "--tau", "0.5"])
+
+
+def test_cli_run_names_a_malformed_dataset(tmp_path, capsys):
+    bad = tmp_path / "bad.libsvm"
+    bad.write_text("1 1:0.5\n-1 x:2\n")
+    assert run_cli(["run", "--method", "cns-a", "--dataset", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"cnsopt: error: {bad}: line 2: bad feature token 'x:2'\n")
+
+
+def test_cli_run_names_a_malformed_test_dataset(tmp_path, capsys):
+    # the training file parses, so the error is the test file's, by name
+    data, _ = make_synthetic(SyntheticSpec(n=30, d=4, task="classification", seed=1))
+    train, bad = tmp_path / "train.libsvm", tmp_path / "test.libsvm"
+    serialize_libsvm(data, train)
+    bad.write_text("1 1:0.5\n\n-1 3:1 2:1\n")
+    argv = ["run", "--method", "fobos", "--dataset", str(train), "--test-dataset", str(bad),
+            "--iterations", "5"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        f"cnsopt: error: {bad}: line 3: feature indices not strictly ascending at 2\n")
 
 
 def test_run_experiment_stage_tags_and_rows():
@@ -453,6 +474,23 @@ def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monke
     assert lines[0].startswith(f"{paths[0]}: objective ")
     assert lines[1].startswith(f"{paths[1]}: failed: ") and reason in lines[1]
     assert lines[2].startswith(f"{paths[2]}: objective ")
+
+
+def test_cli_sweep_names_the_malformed_dataset_of_a_failing_config(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the error crosses the process pool with its path, line and message
+    monkeypatch.setenv("CNSOPT_WORKERS", "2")
+    bad = tmp_path / "bad.libsvm"
+    bad.write_text("1 1:0.5\n-1 x:2\n")
+    common = ("method = fobos\nloss = hinge\nnu1 = 0.01\nnu2 = 0.05\neta0 = 0.5\n"
+              "iterations = 40\ncadence = 20\nbatch-size = 20\n")
+    good, failing = tmp_path / "good.cfg", tmp_path / "failing.cfg"
+    good.write_text(common + "synth-n = 60\nseed = 1\n")
+    failing.write_text(common + f"dataset = {bad}\n")
+    assert main(["sweep", str(good), str(failing)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{good}: objective ")
+    assert lines[1] == f"{failing}: failed: {bad}: line 2: bad feature token 'x:2'"
 
 
 def _python_m_cnsopt(*args):

@@ -1,6 +1,7 @@
 import gzip
 import io
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +51,27 @@ def test_parse_malformed_token():
     with pytest.raises(LibsvmFormatError) as err:
         parse_libsvm(["+1 1:one"])
     assert err.value.lineno == 1
+
+
+def test_parse_error_names_a_path_and_crosses_a_pickle(tmp_path, monkeypatch):
+    # read from a path, the message names it as given; the line number and
+    # message stay, and pickling (a sweep's process pool) keeps all three
+    import pickle
+    (tmp_path / "bad.libsvm").write_text("1 1:0.5\n-1 x:2\n")
+    monkeypatch.chdir(tmp_path)
+    for source in ("bad.libsvm", tmp_path / "bad.libsvm"):
+        with pytest.raises(LibsvmFormatError) as err:
+            parse_libsvm(source)
+        text = f"{os.fspath(source)}: line 2: bad feature token 'x:2'"
+        assert str(err.value) == text
+        assert (err.value.lineno, err.value.path) == (2, os.fspath(source))
+        again = pickle.loads(pickle.dumps(err.value))
+        assert (str(again), again.lineno, again.message, again.path) == (
+            text, 2, "bad feature token 'x:2'", os.fspath(source))
+    # lines and streams have no path to name
+    with pytest.raises(LibsvmFormatError, match="^line 2: ") as err:
+        parse_libsvm(["1 1:0.5", "-1 x:2"])
+    assert err.value.path is None
 
 
 def test_parse_rejects_nonascending_indices():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cnsopt import Regularizer, prox_l1, prox_regularizer
+from cnsopt.prox import prox_scalars
+from tests.test_smoothing import _read_only_scalars
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -186,3 +188,31 @@ def test_prox_regularizer_is_prox_l1_then_shrink(nu1, nu2, lam_extra):
     got = prox_regularizer(v, eta, reg, lam_extra)
     assert got.tobytes() == ref.tobytes()
     assert got is not v and v.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("nu1", (0.0, 0.3))
+@pytest.mark.parametrize("nu2, lam_extra", ((0.0, 0.0), (0.2, 0.0), (0.0, 1e-3), (0.2, 1e-3)))
+def test_prox_regularizer_keeps_its_bits_with_precast_scalars(nu1, nu2, lam_extra):
+    # a solver with a constant step casts the prox's operands once per stage;
+    # nu1 = 0 is the zero-threshold branch and nu2 + lam_extra = 0 the
+    # zero-quad one, whose operands stay None
+    rng = np.random.default_rng(9)
+    reg = Regularizer(nu1=nu1, nu2=nu2)
+    for eta in (0.7, 1e-3):
+        t = eta * nu1
+        v = np.concatenate([rng.normal(size=200),
+                            [0.0, -0.0, t, -t, np.nextafter(t, 1.0), np.nan, np.inf, -np.inf]])
+        before = v.copy()
+        scalars = prox_scalars(eta, reg, lam_extra)
+        assert (scalars[0] is None) == (scalars[1] is None) == (nu1 == 0.0)
+        assert (scalars[2] is None) == (nu2 + lam_extra == 0.0)
+        got = prox_regularizer(v, eta, reg, lam_extra, _read_only_scalars(*scalars))
+        assert got.tobytes() == prox_regularizer(v, eta, reg, lam_extra).tobytes()
+        assert got is not v and v.tobytes() == before.tobytes()
+
+
+def test_prox_scalars_check_their_arguments():
+    with pytest.raises(ValueError, match="step size"):
+        prox_scalars(0.0, Regularizer(nu1=0.1))
+    with pytest.raises(ValueError, match="lam_extra"):
+        prox_scalars(0.5, Regularizer(nu1=0.1), -1e-3)

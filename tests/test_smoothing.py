@@ -21,10 +21,12 @@ from cnsopt import (
     smoothing_gap,
 )
 from cnsopt.datasets import epoch_batches
+from cnsopt.solvers import precast
 from cnsopt.smoothing import (
     _score_weights,
     exact_loss_values,
     gradient_kernel,
+    kernel_scalars,
     loss_gradient,
     smoothed_loss_values,
     vr_gradient_kernel,
@@ -334,17 +336,19 @@ def test_score_weights_keep_the_bits_of_clip(loss):
     c[8:12] = [-0.0, 0.0, -0.0, 0.0]
     s[0, 12] = np.nan
     ref = ((c - s) / -gamma).clip(-spec.u_hi, -spec.u_lo)
-    assert _score_weights(spec, c, s.copy(), gamma).tobytes() == ref.tobytes()
+    scalars = kernel_scalars(loss, gamma, 40)
+    assert _score_weights(scalars, c, s.copy()).tobytes() == ref.tobytes()
+    # the same bytes from the stage's precast operands
+    assert _score_weights(precast(*scalars), c, s.copy()).tobytes() == ref.tobytes()
 
 
 def _two_matvec_estimate(rows, offsets, loss, gamma, x, snapshot, full_gradient):
     """The variance-reduced estimate with the snapshot's batch scores computed
     per batch, as a second ``rows @ snapshot`` beside ``rows @ x``."""
-    spec = dual_spec(loss)
     scores = np.empty((2, len(offsets)))
     scores[0] = rows @ x
     scores[1] = rows @ snapshot
-    weights = _score_weights(spec, offsets, scores, gamma)
+    weights = _score_weights(kernel_scalars(loss, gamma, len(offsets)), offsets, scores)
     return (rows.T @ (weights[0] - weights[1])) / len(offsets) + full_gradient
 
 
@@ -384,13 +388,13 @@ def test_snapshot_weight_reuse_matches_two_matvec_estimate(loss, csr, b):
 
 def _matmul_gradient(rows, offsets, loss, gamma, x):
     """``gradient_kernel`` written with the @ operator."""
-    weights = _score_weights(dual_spec(loss), offsets, rows @ x, gamma)
+    weights = _score_weights(kernel_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
     return (rows.T @ weights) / len(offsets), weights
 
 
 def _matmul_vr_estimate(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
     """``vr_gradient_kernel`` written with the @ operator."""
-    weights = _score_weights(dual_spec(loss), offsets, rows @ x, gamma)
+    weights = _score_weights(kernel_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
     weights -= snapshot_weights
     return (rows.T @ weights) / len(offsets) + full_gradient
 
@@ -446,3 +450,61 @@ def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
             got = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full)
             ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
             assert got.tobytes() == ref.tobytes()
+
+
+def _read_only_scalars(*values):
+    """``precast(*values)``, after checking that each number became a
+    read-only 0-d float64 array holding its value, and each None stayed."""
+    cast = precast(*values)
+    assert len(cast) == len(values)
+    for value, arr in zip(values, cast):
+        if value is None:
+            assert arr is None
+            continue
+        assert arr.shape == () and arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array(value, dtype=float).tobytes() == arr.tobytes()
+        with pytest.raises(ValueError):
+            arr[...] = 1.0
+    return cast
+
+
+def _signed_zeros_and_nan(rng, c):
+    """Offsets ``c`` with some entries replaced by +0.0, -0.0 and NaN."""
+    c = c.copy()
+    c[rng.random(size=c.shape) < 0.3] = -0.0
+    c[rng.random(size=c.shape) < 0.1] = 0.0
+    c[rng.random(size=c.shape) < 0.05] = np.nan
+    return c
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("layout", ("c", "f", "csr"))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_kernels_keep_their_bits_with_precast_scalars(loss, layout, b):
+    # a solver passes each kernel its stage's scalars cast once to read-only
+    # 0-d arrays; the bytes must be those of the Python-float form, at zero
+    # scores (x = 0), signed-zero and NaN offsets, and on every batch layout
+    rng = np.random.default_rng(37 + b)
+    prob = layout_problem(rng, loss, layout)
+    for gamma in (2.0, 0.05):
+        sp = SmoothedProblem(prob, gamma)
+        full_scalars = _read_only_scalars(*kernel_scalars(loss, gamma, prob.n))
+        batch_scalars = _read_only_scalars(*kernel_scalars(loss, gamma, b))
+        for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
+            ref = loss_gradient(sp, x, with_weights=True)
+            got = loss_gradient(sp, x, True, full_scalars)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert (loss_gradient(sp, x, False, full_scalars).tobytes()
+                    == loss_gradient(sp, x).tobytes())
+            full = ref[0]
+            for rows, c, snap_weights in layout_batches(rng, prob, b, ref[1]):
+                c = _signed_zeros_and_nan(rng, c)
+                ref_b = gradient_kernel(rows, c, loss, gamma, x)
+                got_b = gradient_kernel(rows, c, loss, gamma, x, batch_scalars)
+                assert got_b[0].tobytes() == ref_b[0].tobytes()
+                assert got_b[1].tobytes() == ref_b[1].tobytes()
+                ref_vr = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full)
+                got_vr = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full,
+                                            batch_scalars)
+                assert got_vr.tobytes() == ref_vr.tobytes()

@@ -266,9 +266,9 @@ def test_nan_gradient_raises_divergence_at_its_iteration(monkeypatch):
     sp = SmoothedProblem(prob, 0.1)
     real, calls = smoothing.loss_gradient, []
 
-    def nan_on_third(sp_, x):
+    def nan_on_third(sp_, x, *args):
         calls.append(1)
-        g = real(sp_, x)
+        g = real(sp_, x, *args)
         return np.full_like(g, np.nan) if len(calls) == 3 else g
 
     monkeypatch.setattr(smoothing, "loss_gradient", nan_on_third)

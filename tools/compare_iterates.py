@@ -5,7 +5,10 @@ a caller-supplied rng, once shared by two runs of an odd batch size and once
 with a batch size above n), every baseline (with and without a start point,
 with a batch size above n, and with a budget below one epoch), both losses on
 dense and CSR input, acc-prox-svrg and fobos at the ``sc-dense`` benchmark
-shape (n = 1000, d = 50 dense rows, batch size 50), ``reference_objective``,
+shape (n = 1000, d = 50 dense rows, batch size 50), acc-prox-svrg, prox-svrg,
+apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
+(absolute loss + l1 on n = 600, d = 50 rows read back from LIBSVM text,
+batch size 100), ``reference_objective``,
 both continuation drivers with prox-gd and acc-prox-svrg (with a given t1, with
 the automatic t1 search, and with fixed smoothing), and every method of
 ``run_experiment``. For each it keeps the final iterate, every callback
@@ -19,6 +22,7 @@ so an array that moved only in its last bits shows as such.
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
 """
+import io
 import math
 import sys
 from dataclasses import asdict
@@ -29,8 +33,8 @@ import scipy.sparse as sps
 import cnsopt
 from cnsopt import (BaselineSpec, CompositeProblem, ContinuationConfig, Regularizer, RunConfig,
                     SmoothedProblem, SparseDataset, SyntheticSpec, cns_general_convex,
-                    cns_strongly_convex, reference_objective, run_baseline, run_experiment,
-                    run_solver)
+                    cns_strongly_convex, libsvm_dumps, make_synthetic, parse_libsvm,
+                    reference_objective, run_baseline, run_experiment, run_solver)
 from cnsopt.solvers import SolverSpec
 
 
@@ -129,6 +133,22 @@ def cases():
                        callback_every=10)
     out["fobos/hinge/n1000/b50/x"] = run.x
     out["fobos/hinge/n1000/b50/cb"] = np.array(seen)
+    # the gc-libsvm shape: LIBSVM text read back as CSR, which CompositeProblem
+    # densifies; the general convex driver's stage ridge lam1 = 1e-5 gives a
+    # constant momentum near 1 and a prox that shrinks
+    data, _ = make_synthetic(SyntheticSpec(n=600, d=50, task="regression", seed=8))
+    data = parse_libsvm(io.StringIO(libsvm_dumps(data)), task="regression")
+    prob = CompositeProblem(data, "absolute", Regularizer(nu1=0.005))
+    assert sps.issparse(data.features) and not sps.issparse(prob.features)
+    for solver, t1 in (("acc-prox-svrg", 100), ("prox-svrg", 300), ("apg", 100)):
+        stages(out, f"stages/gc-libsvm/{solver}", cns_general_convex, prob, solver,
+               batch_size=100, gamma1=0.1, t1=t1, lam1=1e-5, stages=3)
+    spec = BaselineSpec(method="fobos", eta0=1.0, batch_size=100, seed=3)
+    seen = []
+    run = run_baseline(prob, spec, 600, callback=lambda t, x, e: seen.append(x.copy()),
+                       callback_every=50)
+    out["fobos/absolute/gc-libsvm/x"] = run.x
+    out["fobos/absolute/gc-libsvm/cb"] = np.array(seen)
     # both drivers' stage reports, field by field: the strongly convex driver
     # on the hinge + elastic net problem, the general convex one on the
     # absolute + l1 problem, each with a growing and with a fixed schedule
@@ -160,10 +180,10 @@ def cases():
     return out
 
 
-def stages(out, key, driver, prob, solver, **settings):
+def stages(out, key, driver, prob, solver, batch_size=16, **settings):
     """Record a driver's final iterate and its stage reports, field by field."""
-    cfg = ContinuationConfig(tau=2.0, solver=SolverSpec(solver=solver, batch_size=16, seed=7),
-                             **settings)
+    cfg = ContinuationConfig(tau=2.0, solver=SolverSpec(solver=solver, batch_size=batch_size,
+                                                        seed=7), **settings)
     x, reports = driver(prob, cfg)
     out[key + "/x"] = x
     for name in ("s", "gamma", "lam", "budget", "smoothed_before", "smoothed_after",
