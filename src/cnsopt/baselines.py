@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import epoch_batches, minibatches
-from .prox import prox_l1, prox_regularizer
+from .prox import _soft_threshold, prox_regularizer
 from .smoothing import dual_spec
 from .solvers import drive, precast, start_point
 
@@ -119,15 +119,22 @@ def _rda_step(problem, spec, x0, batches, scalars):
     strongly convex schedule the regularizer's own modulus does the damping
     and beta_t = 0.
     """
-    state = {"gbar": np.zeros(problem.d)}
+    gbar = np.zeros(problem.d)
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
+    threshold = precast(-nu1, nu1) if nu1 else None
 
     def step(t, x):
         g = loss_subgradient(*next(batches), problem.loss, x, scalars)
-        state["gbar"] = ((t - 1) * state["gbar"] + g) / t
+        # gbar = ((t - 1) gbar + g) / t, in place
+        np.multiply(gbar, t - 1, out=gbar)
+        np.add(gbar, g, out=gbar)
+        np.divide(gbar, t, out=gbar)
         beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
         quad = nu2 + beta_t / t
-        return -prox_l1(state["gbar"], nu1) / quad
+        out = gbar.copy() if threshold is None else _soft_threshold(gbar, *threshold)
+        # -p / quad as p / -quad: the same bits, in one ufunc
+        out /= -quad
+        return out
 
     return step
 
@@ -139,20 +146,25 @@ def _poly_sgd_step(problem, spec, x0, batches, scalars):
     not sparsify the iterates. Reports the running average, which weights
     iterate t by (exponent + 1)/(t + exponent).
     """
-    state = {"x": x0}
-    nu1, nu2 = problem.reg.nu1, problem.reg.nu2
+    x = x0.copy()
+    buf = np.empty_like(x)
+    nu1, nu2 = precast(problem.reg.nu1 or None, problem.reg.nu2 or None)
     k = spec.averaging_exponent
 
     def step(t, avg):
-        g = loss_subgradient(*next(batches), problem.loss, state["x"], scalars)
-        if nu1:
-            g = g + nu1 * np.sign(state["x"])
-        if nu2:
-            g = g + nu2 * state["x"]
-        eta = _step_size(spec, problem, t)
-        state["x"] = state["x"] - eta * g
+        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
+        if nu1 is not None:
+            g += np.multiply(np.sign(x, out=buf), nu1, out=buf)
+        if nu2 is not None:
+            g += np.multiply(x, nu2, out=buf)
+        g *= _step_size(spec, problem, t)
+        np.subtract(x, g, out=x)
+        # the average (1 - w) avg + w x in one new array: drive and its
+        # callback may hold the previous one
         w = (k + 1.0) / (t + k)
-        return (1.0 - w) * avg + w * state["x"]
+        out = np.multiply(avg, 1.0 - w)
+        out += np.multiply(x, w, out=buf)
+        return out
 
     return step
 

@@ -1,13 +1,24 @@
 """Experiment harness: run a method on a dataset, snapshot metrics on a cadence,
-emit CSV traces, and compare traces against a reference optimum."""
+emit CSV traces, and compare traces against a reference optimum.
+
+``load_problem`` builds each input once per process: it keeps the datasets of
+the last two inputs it built (a training set and its test set), by the
+digest of a LIBSVM file's bytes or by the synthetic spec, with every array
+read-only, so that the runs of a race or a sweep share them. A snapshot on the
+training set takes the objective and the metric from one product of its rows.
+"""
 
 import csv
+import hashlib
 import logging
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import baselines as bl
 from .continuation import (
@@ -106,26 +117,90 @@ class _TimeBudgetExceeded(Exception):
     pass
 
 
+class _RecentInputs:
+    """The datasets of the last ``size`` inputs built, by key, least recently
+    used first out. Each dataset is frozen when built (every array
+    read-only), so all callers can share it; a build that raises stores
+    nothing."""
+
+    def __init__(self, size):
+        self.size = size
+        self._datasets = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._datasets)
+
+    def get(self, key, build):
+        """The dataset stored under ``key``, else ``build()``'s, stored."""
+        with self._lock:
+            if key in self._datasets:
+                self._datasets.move_to_end(key)
+                return self._datasets[key]
+        dataset = build()
+        feats = dataset.features
+        arrays = (feats.data, feats.indices, feats.indptr) if sparse.issparse(feats) else (feats,)
+        for a in (*arrays, dataset.labels):
+            a.flags.writeable = False
+        with self._lock:
+            self._datasets[key] = dataset
+            if len(self._datasets) > self.size:
+                self._datasets.popitem(last=False)
+        return dataset
+
+
+# a training set and its test set
+_RECENT_INPUTS = _RecentInputs(2)
+
+
+def _libsvm_dataset(path, task, n_features=None):
+    """The parsed LIBSVM file at ``path``, keyed on the sha256 of its bytes
+    (hashing costs a few percent of a parse), so a file rewritten with other
+    bytes is parsed again, even at the same size and mtime, and one rewritten
+    with the same bytes is not."""
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").digest()
+    return _RECENT_INPUTS.get(
+        (digest, task, n_features),
+        lambda: parse_libsvm(path, task=task, n_features=n_features))
+
+
+def _synthetic_dataset(spec):
+    return _RECENT_INPUTS.get(spec, lambda: make_synthetic(spec)[0])
+
+
 def load_problem(cfg):
-    """Materialize (train problem, test dataset or None) from a RunConfig."""
+    """Materialize (train problem, test dataset or None) from a RunConfig.
+
+    The datasets are built once per process for as long as they are among
+    the last two inputs built (``_RECENT_INPUTS``), and are read-only."""
     task = dual_spec(cfg.loss).task
     if cfg.synthetic is not None:
-        train, _ = make_synthetic(cfg.synthetic)
-        test_spec = replace(cfg.synthetic, seed=cfg.synthetic.seed + 1)
-        test, _ = make_synthetic(test_spec)
+        train = _synthetic_dataset(cfg.synthetic)
+        test = _synthetic_dataset(replace(cfg.synthetic, seed=cfg.synthetic.seed + 1))
     else:
-        train = parse_libsvm(cfg.dataset, task=task)
+        train = _libsvm_dataset(cfg.dataset, task)
         test = None
         if cfg.test_dataset is not None:
-            test = parse_libsvm(cfg.test_dataset, task=task, n_features=train.d)
+            test = _libsvm_dataset(cfg.test_dataset, task, n_features=train.d)
     reg = Regularizer(nu1=cfg.nu1, nu2=cfg.nu2)
     return CompositeProblem(train, cfg.loss, reg), test
 
 
-def test_metric(dataset, x):
+def test_metric(dataset, x, scores=None):
     """Misclassification rate of sign(z'x) on a classification dataset, mean
-    absolute residual on a regression one."""
-    scores = dataset.features.dot(x)
+    absolute residual on a regression one.
+
+    ``scores``, when given, is ``CompositeProblem.features.dot(x)`` of a
+    problem on ``dataset``, which a snapshot on the training set shares with
+    the objective. For classification those rows are signed by the +/-1
+    labels, and the labels sign the scores back exactly, up to the sign of a
+    zero, which ``>= 0`` does not see.
+    """
+    if scores is None:
+        scores = dataset.features.dot(x)
+    elif dataset.task == CLASSIFICATION:
+        scores = dataset.labels * scores
     if dataset.task == CLASSIFICATION:
         predicted = np.where(scores >= 0, 1.0, -1.0)
         return float(np.mean(predicted != dataset.labels))
@@ -214,13 +289,15 @@ def run_experiment(cfg):
     rows = []
 
     def snapshot(iterations, x, elapsed, stage):
+        # without a test set, the objective and the metric share one product
+        scores = problem.features.dot(x) if test is None else None
         rows.append(
             TraceRow(
                 wall_time_s=elapsed,
                 cumulative_iterations=iterations,
                 stage=stage,
-                objective_original=objective_original(problem, x),
-                test_metric=test_metric(eval_data, x),
+                objective_original=objective_original(problem, x, scores),
+                test_metric=test_metric(eval_data, x, scores),
                 nnz=int(np.count_nonzero(x)),
             )
         )
@@ -392,7 +469,10 @@ def default_worker_count():
     env = os.environ.get("CNSOPT_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"CNSOPT_WORKERS must be an integer, got {env!r}") from None
+            workers = 0  # not an integer: the same error as a count below one
+        if workers < 1:
+            raise ValueError(f"CNSOPT_WORKERS must be a positive integer, got {env!r}")
+        return workers
     return os.cpu_count() or 1

@@ -99,9 +99,11 @@ def auto_t1(problem, cfg):
     the stage-1 objective by at least 1/tau^2 from the start point.
 
     Doubles the probe budget until the objective test passes; raises
-    BudgetEstimationError at ``cfg.auto_t1_max``. Because the stage objective
-    is nonnegative, passing the absolute test also certifies the suboptimality
-    reduction the schedule analysis needs.
+    BudgetEstimationError at ``cfg.auto_t1_max``, and as soon as a doubled
+    probe ends no lower than the previous one: the target then lies below
+    what the solver reaches on the stage, which no budget mends. Because the
+    stage objective is nonnegative, passing the absolute test also certifies
+    the suboptimality reduction the schedule analysis needs.
     """
     sp = SmoothedProblem(problem, cfg.gamma1, cfg.lam1)
     x0 = start_point(cfg.x0, problem.d)
@@ -113,12 +115,20 @@ def auto_t1(problem, cfg):
             f"auto t1 cap {cfg.auto_t1_max} is below the first probe budget "
             f"ceil(n / batch_size) = {budget}"
         )
+    previous = None
     while budget <= cfg.auto_t1_max:
         rng = np.random.default_rng(cfg.solver.seed)
         run = run_solver(cfg.solver, sp, x0, budget, rng=rng)
         achieved = objective_smoothed(sp, run.x)
         if achieved <= target:
             return budget
+        if previous is not None and not achieved < previous:
+            raise BudgetEstimationError(
+                f"auto t1 stalled: stage-1 objective {achieved:.17g} after {budget} "
+                f"iterations is not below {previous:.17g} after {budget // 2}, "
+                f"above target {target:.17g}"
+            )
+        previous = achieved
         budget *= 2
     raise BudgetEstimationError(
         f"auto t1 exceeded cap {cfg.auto_t1_max}: stage-1 objective "

@@ -120,9 +120,14 @@ class SmoothedProblem:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
 
-def objective_original(problem, x):
-    """Exact nonsmooth objective: mean hinge/absolute loss plus regularizer."""
-    a = smoothing.slacks(problem, x)
+def objective_original(problem, x, scores=None):
+    """Exact nonsmooth objective: mean hinge/absolute loss plus regularizer.
+
+    ``scores``, when given, is ``problem.features.dot(x)``, which a caller
+    that already has it passes so that the slacks c - Z x need no second
+    product (the same bits).
+    """
+    a = smoothing.slacks(problem, x) if scores is None else problem.offsets - scores
     losses = smoothing.exact_loss_values(a, problem.loss)
     return float(losses.mean()) + problem.reg.value(x)
 

@@ -9,11 +9,14 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import cnsopt
 from cnsopt import (
     DivergenceError,
+    LibsvmFormatError,
     RunConfig,
+    SparseDataset,
     SyntheticSpec,
     TuningError,
     compare_report,
@@ -143,8 +146,6 @@ def test_csv_round_trip_and_determinism(tmp_path):
 
 
 def test_eval_metric_classification_and_regression():
-    from cnsopt import SparseDataset
-
     ds = SparseDataset(np.array([[1.0], [1.0], [-1.0]]), np.array([1.0, -1.0, -1.0]),
                        "classification")
     # sign(z'x) with x = 1 predicts +1, +1, -1: one error in three
@@ -260,12 +261,124 @@ def test_libsvm_run_matches_in_memory_run(tmp_path, method, loss):
     reg = dict(nu1=0.01, nu2=0.05) if loss == "hinge" else dict(nu1=0.01, nu2=0.0, lam1=1e-3)
     common = dict(method=method, loss=loss, eta0=0.5, iterations=60, **reg)
     in_memory = run_experiment(_config(synthetic=spec, **common))
-    from_file = run_experiment(_config(synthetic=None, dataset=str(path), **common))
+    # without a test set, the file run's metric is on its training rows: record
+    # the iterate of each snapshot
+    iterates = []
+    metric = bench.test_metric
+
+    def recording(dataset, x, scores=None):
+        iterates.append(x.copy())
+        return metric(dataset, x, scores)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "test_metric", recording)
+        from_file = run_experiment(_config(synthetic=None, dataset=str(path), **common))
 
     def columns(rows):
         return [(r.cumulative_iterations, r.stage, r.objective_original, r.nnz) for r in rows]
 
     assert columns(from_file) == columns(in_memory)
+    dense = make_synthetic(spec)[0]
+    assert len(iterates) == len(from_file)
+    assert ([r.test_metric for r in from_file]
+            == [eval_metric(dense, x) for x in iterates])
+
+
+def _libsvm_config(path, **kw):
+    return _config(synthetic=None, dataset=str(path), **kw)
+
+
+def test_load_problem_parses_a_file_content_once(tmp_path):
+    path = tmp_path / "train.libsvm"
+    serialize_libsvm(make_synthetic(SYNTH)[0], str(path))
+    first, _ = bench.load_problem(_libsvm_config(path))
+    assert bench.load_problem(_libsvm_config(path, method="fobos"))[0].data is first.data
+    # the same bytes written again: the same dataset
+    path.write_bytes(path.read_bytes())
+    assert bench.load_problem(_libsvm_config(path))[0].data is first.data
+    # the same bytes under another name, too
+    other = tmp_path / "copy.libsvm"
+    other.write_bytes(path.read_bytes())
+    assert bench.load_problem(_libsvm_config(other))[0].data is first.data
+
+
+def test_load_problem_parses_a_same_size_rewrite_with_the_old_mtime(tmp_path):
+    path = tmp_path / "train.libsvm"
+    path.write_text("+1 1:0.5 2:0.25\n-1 1:0.75\n")
+    stat = os.stat(path)
+    first, _ = bench.load_problem(_libsvm_config(path))
+    path.write_text("+1 1:0.5 2:0.75\n-1 1:0.25\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    second, _ = bench.load_problem(_libsvm_config(path))
+    assert second.data is not first.data
+    assert second.data.features.toarray().tolist() == [[0.5, 0.75], [0.25, 0.0]]
+
+
+def test_load_problem_names_a_malformed_file_on_every_call(tmp_path):
+    path = tmp_path / "bad.libsvm"
+    path.write_text("+1 1:0.5\n-1 x:2\n")
+    for _ in range(2):
+        with pytest.raises(LibsvmFormatError) as err:
+            bench.load_problem(_libsvm_config(path))
+        assert str(err.value) == f"{path}: line 2: bad feature token 'x:2'"
+    path.write_text("+1 1:0.5\n-1 2:2\n")
+    assert bench.load_problem(_libsvm_config(path))[0].n == 2
+
+
+def _dataset_arrays(data):
+    feats = data.features
+    if sparse.issparse(feats):
+        return [feats.data, feats.indices, feats.indptr, data.labels]
+    return [feats, data.labels]
+
+
+@pytest.mark.parametrize("loss", ("hinge", "absolute"))
+@pytest.mark.parametrize("density", (1.0, 0.1))
+def test_remembered_datasets_are_read_only_and_no_run_writes_them(tmp_path, loss, density):
+    task = "classification" if loss == "hinge" else "regression"
+    data = make_synthetic(SyntheticSpec(n=120, d=10, task=task, noise=0.2, seed=1))[0]
+    if density < 1.0:
+        # a CSR sparse enough that the problem solves on it as is
+        keep = np.random.default_rng(0).random(data.features.shape) < density
+        data = SparseDataset(sparse.csr_matrix(data.features * keep), data.labels, task)
+    path = tmp_path / "train.libsvm"
+    serialize_libsvm(data, str(path))
+    reg = dict(nu1=0.01, nu2=0.05) if loss == "hinge" else dict(nu1=0.01, nu2=0.0, lam1=1e-3)
+    configs = [_libsvm_config(path, method=m, loss=loss, eta0=0.5, iterations=40, **reg)
+               for m in bench.METHODS]
+    configs.append(_config(method="cns-a", loss=loss, eta0=0.5,
+                           synthetic=SyntheticSpec(n=60, d=5, task=task, seed=2), **reg))
+    for cfg in configs:
+        problem, test = bench.load_problem(cfg)
+        assert sparse.issparse(problem.features) == (density < 1.0 and cfg.dataset is not None)
+        held = [a for ds in (problem.data, test) if ds is not None for a in _dataset_arrays(ds)]
+        assert not any(a.flags.writeable for a in held)
+        before = [a.copy() for a in held]
+        run_experiment(cfg)
+        assert bench.load_problem(cfg)[0].data is problem.data
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
+
+
+def test_load_problem_remembers_the_last_two_inputs(tmp_path):
+    paths = []
+    for seed in range(3):
+        data = make_synthetic(SyntheticSpec(n=20, d=4, task="classification", seed=seed))[0]
+        paths.append(tmp_path / f"input{seed}.libsvm")
+        serialize_libsvm(data, str(paths[-1]))
+    loaded = [bench.load_problem(_libsvm_config(p))[0].data for p in paths]
+    assert len(bench._RECENT_INPUTS) == 2
+    # the two last stay; the first was dropped and is parsed again
+    assert bench.load_problem(_libsvm_config(paths[2]))[0].data is loaded[2]
+    assert bench.load_problem(_libsvm_config(paths[1]))[0].data is loaded[1]
+    assert bench.load_problem(_libsvm_config(paths[0]))[0].data is not loaded[0]
+    assert len(bench._RECENT_INPUTS) == 2
+    # a synthetic run holds its training and its test set
+    problem, test = bench.load_problem(_config())
+    assert len(bench._RECENT_INPUTS) == 2
+    again, again_test = bench.load_problem(_config(method="fobos"))
+    assert again.data is problem.data and again_test is test
 
 
 # --- CLI ------------------------------------------------------------------
@@ -416,9 +529,12 @@ def test_cli_tune(capsys):
 
 
 def test_worker_count_names_a_bad_environment_value(monkeypatch):
-    monkeypatch.setenv("CNSOPT_WORKERS", "two")
-    with pytest.raises(ValueError, match="CNSOPT_WORKERS must be an integer, got 'two'"):
-        bench.default_worker_count()
+    # a count below one is rejected like a non-integer, not raised to one
+    for value in ("two", "0", "-3"):
+        monkeypatch.setenv("CNSOPT_WORKERS", value)
+        with pytest.raises(ValueError,
+                           match=f"^CNSOPT_WORKERS must be a positive integer, got '{value}'$"):
+            bench.default_worker_count()
     monkeypatch.setenv("CNSOPT_WORKERS", "3")
     assert bench.default_worker_count() == 3
 

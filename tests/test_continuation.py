@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +258,27 @@ def test_auto_t1_cap_error():
                              solver=SolverSpec(solver="prox-gd"))
     with pytest.raises(BudgetEstimationError):
         auto_t1(prob, cfg)
+
+
+def test_auto_t1_stops_when_a_doubled_probe_does_not_lower_the_objective():
+    # hinge + elastic net with gamma1 = 0.05: the stage-1 optimum (about 0.71)
+    # lies above the target P(0) / tau^2 = 0.24, so prox-gd's probes level off
+    # long before the cap of 2^20 iterations
+    rng = np.random.default_rng(42)
+    z = rng.normal(size=(150, 12)) / np.sqrt(12)
+    y = np.where(z @ rng.normal(size=12) + 0.3 * rng.normal(size=150) >= 0, 1.0, -1.0)
+    prob = CompositeProblem(SparseDataset(z, y, "classification"), HINGE,
+                            Regularizer(nu1=0.01, nu2=0.05))
+    cfg = ContinuationConfig(gamma1=0.05, tau=2.0, stages=1,
+                             solver=SolverSpec(solver="prox-gd", batch_size=16, seed=7))
+    start = time.perf_counter()
+    with pytest.raises(BudgetEstimationError) as err:
+        auto_t1(prob, cfg)
+    assert time.perf_counter() - start < 15.0
+    found = re.fullmatch(r"auto t1 stalled: stage-1 objective 0\.7107\d* after (\d+) iterations "
+                         r"is not below 0\.7107\d* after \d+, above target 0\.2437\d*",
+                         str(err.value))
+    assert found and int(found[1]) < cfg.auto_t1_max // 16
 
 
 def test_auto_t1_cap_below_the_first_probe():

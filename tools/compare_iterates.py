@@ -11,9 +11,11 @@ apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
 batch size 100), ``reference_objective``,
 both continuation drivers with prox-gd and acc-prox-svrg (with a given t1, with
 the automatic t1 search, and with fixed smoothing), and every method of
-``run_experiment``. For each it keeps the final iterate, every callback
-iterate, the trace columns except wall time, and each stage report's fields
-except wall time. Dump under the
+``run_experiment`` on a synthetic spec and on LIBSVM files without a test set
+(hinge and absolute rows that the problem densifies, absolute rows it keeps as
+CSR). For each it keeps the final iterate, every callback iterate, the trace
+columns except wall time (a LIBSVM run's ``test_metric`` column as an array
+of its own), and each stage report's fields except wall time. Dump under the
 reference checkout, then check under the changed one; the check exits 1 if any
 array differs in any bit, and each DIFF line gives that array's largest
 distance in ulps (units in the last place) and largest relative difference,
@@ -25,6 +27,7 @@ usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump
 import io
 import math
 import sys
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -34,7 +37,8 @@ import cnsopt
 from cnsopt import (BaselineSpec, CompositeProblem, ContinuationConfig, Regularizer, RunConfig,
                     SmoothedProblem, SparseDataset, SyntheticSpec, cns_general_convex,
                     cns_strongly_convex, libsvm_dumps, make_synthetic, parse_libsvm,
-                    reference_objective, run_baseline, run_experiment, run_solver)
+                    reference_objective, run_baseline, run_experiment, run_solver,
+                    serialize_libsvm)
 from cnsopt.solvers import SolverSpec
 
 
@@ -177,6 +181,33 @@ def cases():
             rows = run_experiment(cfg)
             table = [[v for k, v in asdict(r).items() if k != "wall_time_s"] for r in rows]
             out[f"exp/{loss}/{method}"] = np.array(table, dtype=float)
+    # run_experiment on a LIBSVM file without a test set, whose metric is on the
+    # training rows: hinge and absolute rows that the problem densifies, and
+    # absolute rows at 10% density that it keeps as CSR; the test_metric
+    # column is an array of its own
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, loss, density in (("hinge", "hinge", 1.0), ("absolute", "absolute", 1.0),
+                                    ("absolute-csr", "absolute", 0.1)):
+            task = "classification" if loss == "hinge" else "regression"
+            data, _ = make_synthetic(SyntheticSpec(n=200, d=15, task=task, seed=4))
+            if density < 1.0:
+                keep = np.random.default_rng(5).random(data.features.shape) < density
+                data = SparseDataset(sps.csr_matrix(data.features * keep), data.labels, task)
+            path = f"{tmp}/{case}.libsvm"
+            serialize_libsvm(data, path)
+            nu2 = 0.05 if loss == "hinge" else 0.0
+            prob = CompositeProblem(parse_libsvm(path, task=task), loss, Regularizer())
+            assert sps.issparse(prob.features) == (density < 1.0)
+            for method in cnsopt.bench.METHODS:
+                cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, dataset=path,
+                                t1=30, stages=4, lam1=0.0 if nu2 > 0 else 1e-4, batch_size=20,
+                                cadence=15, iterations=200, eta0=0.3, seed=2)
+                rows = run_experiment(cfg)
+                table = [[v for k, v in asdict(r).items()
+                          if k not in ("wall_time_s", "test_metric")] for r in rows]
+                out[f"exp-libsvm/{case}/{method}/trace"] = np.array(table, dtype=float)
+                out[f"exp-libsvm/{case}/{method}/test_metric"] = np.array(
+                    [r.test_metric for r in rows])
     return out
 
 
