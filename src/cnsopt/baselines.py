@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import epoch_batches, minibatches
-from .prox import _soft_threshold, prox_regularizer
-from .smoothing import dual_spec
-from .solvers import drive, precast, start_point
+from .errors import check_finite
+from .prox import _soft_threshold, prox_regularizer, prox_scalars
+from .smoothing import dual_spec, precast
+from .solvers import drive, start_point
 
 FOBOS = "fobos"
 RDA = "rda"
@@ -44,6 +45,8 @@ class BaselineSpec:
     def __post_init__(self):
         if self.method not in (FOBOS, RDA, POLY_SGD):
             raise ValueError(f"unknown baseline {self.method!r}")
+        check_finite(eta0=self.eta0, rda_scale=self.rda_scale,
+                     averaging_exponent=self.averaging_exponent)
         if self.eta0 <= 0 or self.rda_scale <= 0:
             raise ValueError("step scales must be positive")
         if self.averaging_exponent < 1:
@@ -53,16 +56,16 @@ class BaselineSpec:
 
 
 def subgradient_scalars(loss, count):
-    """The scalar operands of ``loss_subgradient`` over ``count`` rows, as
+    """The operands of ``loss_subgradient`` over ``count`` rows, cast once
+    (``smoothing.precast``) for every call that shares them:
     ``(-u_hi, -u_lo, count)``, a bound None where it never binds on a sign
-    (magnitude 1): Python numbers, which ``run_baseline`` casts once per run
-    (``solvers.precast``)."""
+    (magnitude 1)."""
     spec = dual_spec(loss)
-    return (-spec.u_hi if spec.u_hi < 1.0 else None,
-            -spec.u_lo if spec.u_lo > -1.0 else None, count)
+    return precast(-spec.u_hi if spec.u_hi < 1.0 else None,
+                   -spec.u_lo if spec.u_lo > -1.0 else None, count)
 
 
-def loss_subgradient(rows, offsets, loss, x, scalars=None):
+def loss_subgradient(rows, offsets, scalars, x):
     """Mean minimal-norm subgradient of the nonsmooth loss over pre-sliced
     rows and offsets.
 
@@ -70,11 +73,8 @@ def loss_subgradient(rows, offsets, loss, x, scalars=None):
     minimal-norm dual point (both dual intervals lie in [-1, 1]); it is
     negated here, like the smoothed kernels' weights, since the slack
     a = c - s falls one for one with the score s on the problem's rows.
-    ``scalars`` are ``subgradient_scalars(loss, len(offsets))``, built here
-    when None.
+    ``scalars`` are ``subgradient_scalars(loss, len(offsets))``.
     """
-    if scalars is None:
-        scalars = subgradient_scalars(loss, len(offsets))
     neg_u_hi, neg_u_lo, count = scalars
     # .dot, not @: the same BLAS call without the matmul gufunc's dispatch
     weights = rows.dot(x)
@@ -103,9 +103,9 @@ def _fobos_step(problem, spec, x0, batches, scalars):
 
     def step(t, x):
         eta = _step_size(spec, problem, t)
-        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
+        g = loss_subgradient(*next(batches), scalars, x)
         g *= eta
-        return prox_regularizer(np.subtract(x, g, out=g), eta, problem.reg)
+        return prox_regularizer(np.subtract(x, g, out=g), prox_scalars(eta, problem.reg))
 
     return step
 
@@ -124,7 +124,7 @@ def _rda_step(problem, spec, x0, batches, scalars):
     threshold = precast(-nu1, nu1) if nu1 else None
 
     def step(t, x):
-        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
+        g = loss_subgradient(*next(batches), scalars, x)
         # gbar = ((t - 1) gbar + g) / t, in place
         np.multiply(gbar, t - 1, out=gbar)
         np.add(gbar, g, out=gbar)
@@ -152,7 +152,7 @@ def _poly_sgd_step(problem, spec, x0, batches, scalars):
     k = spec.averaging_exponent
 
     def step(t, avg):
-        g = loss_subgradient(*next(batches), problem.loss, x, scalars)
+        g = loss_subgradient(*next(batches), scalars, x)
         if nu1 is not None:
             g += np.multiply(np.sign(x, out=buf), nu1, out=buf)
         if nu2 is not None:
@@ -185,6 +185,6 @@ def run_baseline(problem, spec, budget, x0=None, **kwargs):
     blocks = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
     batches = itertools.chain.from_iterable(
         epoch_batches(block, problem.features, problem.offsets) for block in blocks)
-    scalars = precast(*subgradient_scalars(problem.loss, b))
+    scalars = subgradient_scalars(problem.loss, b)
     step = _STEPS[spec.method](problem, spec, x0, batches, scalars)
     return drive(step, x0, budget, context=f"{spec.method}: ", **kwargs)

@@ -33,7 +33,7 @@ from .datasets import (
     make_synthetic,
     parse_libsvm,
 )
-from .errors import CnsError, TuningError
+from .errors import CnsError, TuningError, check_finite
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, dual_spec
 from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
@@ -104,9 +104,12 @@ class RunConfig:
             raise ValueError("exactly one of dataset / synthetic must be set")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
+        if self.time_budget is not None:
+            check_finite(time_budget=self.time_budget)
+            if self.time_budget < 0:
+                raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
+        Regularizer(nu1=self.nu1, nu2=self.nu2)
         if self.method in CONTINUATION_METHODS:
             continuation_config(self)
         else:
@@ -117,40 +120,28 @@ class _TimeBudgetExceeded(Exception):
     pass
 
 
-class _RecentInputs:
-    """The datasets of the last ``size`` inputs built, by key, least recently
-    used first out. Each dataset is frozen when built (every array
-    read-only), so all callers can share it; a build that raises stores
-    nothing."""
-
-    def __init__(self, size):
-        self.size = size
-        self._datasets = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._datasets)
-
-    def get(self, key, build):
-        """The dataset stored under ``key``, else ``build()``'s, stored."""
-        with self._lock:
-            if key in self._datasets:
-                self._datasets.move_to_end(key)
-                return self._datasets[key]
-        dataset = build()
-        feats = dataset.features
-        arrays = (feats.data, feats.indices, feats.indptr) if sparse.issparse(feats) else (feats,)
-        for a in (*arrays, dataset.labels):
-            a.flags.writeable = False
-        with self._lock:
-            self._datasets[key] = dataset
-            if len(self._datasets) > self.size:
-                self._datasets.popitem(last=False)
-        return dataset
+# the datasets of the last two inputs built (a training set and its test
+# set), by key, least recently used first out
+_RECENT_INPUTS, _RECENT_INPUTS_LOCK = OrderedDict(), threading.Lock()
 
 
-# a training set and its test set
-_RECENT_INPUTS = _RecentInputs(2)
+def _remembered(key, build):
+    """The dataset stored under ``key``, else ``build()``'s, frozen (every
+    array read-only, so all callers share it) and stored; a failed build stores nothing."""
+    with _RECENT_INPUTS_LOCK:
+        if key in _RECENT_INPUTS:
+            _RECENT_INPUTS.move_to_end(key)
+            return _RECENT_INPUTS[key]
+    dataset = build()
+    feats = dataset.features
+    arrays = (feats.data, feats.indices, feats.indptr) if sparse.issparse(feats) else (feats,)
+    for a in (*arrays, dataset.labels):
+        a.flags.writeable = False
+    with _RECENT_INPUTS_LOCK:
+        _RECENT_INPUTS[key] = dataset
+        if len(_RECENT_INPUTS) > 2:
+            _RECENT_INPUTS.popitem(last=False)
+    return dataset
 
 
 def _libsvm_dataset(path, task, n_features=None):
@@ -160,13 +151,13 @@ def _libsvm_dataset(path, task, n_features=None):
     with the same bytes is not."""
     with open(path, "rb") as fh:
         digest = hashlib.file_digest(fh, "sha256").digest()
-    return _RECENT_INPUTS.get(
+    return _remembered(
         (digest, task, n_features),
         lambda: parse_libsvm(path, task=task, n_features=n_features))
 
 
 def _synthetic_dataset(spec):
-    return _RECENT_INPUTS.get(spec, lambda: make_synthetic(spec)[0])
+    return _remembered(spec, lambda: make_synthetic(spec)[0])
 
 
 def load_problem(cfg):

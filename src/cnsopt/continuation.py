@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError
+from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError, check_finite
 from .problem import SmoothedProblem, objective_original, objective_smoothed
 from .solvers import APG, SolverSpec, run_solver, start_point
 
@@ -45,6 +45,7 @@ class ContinuationConfig:
     auto_t1_max: int = 1 << 20
 
     def __post_init__(self):
+        check_finite(gamma1=self.gamma1, tau=self.tau, lam1=self.lam1)
         if self.gamma1 <= 0:
             raise ValueError("gamma1 must be positive")
         if self.tau <= 1:

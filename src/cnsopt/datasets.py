@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import LibsvmFormatError
+from .errors import LibsvmFormatError, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -304,13 +304,15 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
+        lo, hi = self.feature_norm_range
+        check_finite(sparsity=self.sparsity, noise=self.noise, separation=self.separation,
+                     feature_norm_range=hi)  # and 0 < lo <= hi, below
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must be in (0, 1]")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.atoms is not None and self.atoms < 1:
             raise ValueError("atoms must be >= 1")
-        lo, hi = self.feature_norm_range
         if not 0 < lo <= hi:
             raise ValueError("feature_norm_range must satisfy 0 < lo <= hi")
 

@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 
 from . import smoothing
 from .datasets import CLASSIFICATION, SparseDataset
+from .errors import check_finite
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,7 @@ class Regularizer:
     nu2: float = 0.0
 
     def __post_init__(self):
+        check_finite(nu1=self.nu1, nu2=self.nu2)
         if self.nu1 < 0 or self.nu2 < 0:
             raise ValueError("regularization weights must be nonnegative")
 
@@ -114,10 +116,16 @@ class SmoothedProblem:
     lam: float = 0.0
 
     def __post_init__(self):
+        check_finite(gamma=self.gamma, lam=self.lam)
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
+
+    @cached_property
+    def kernel_scalars(self):
+        """The full pass's ``smoothing.kernel_scalars``, cast on first use."""
+        return smoothing.kernel_scalars(self.base.loss, self.gamma, self.base.n)
 
 
 def objective_original(problem, x, scores=None):

@@ -24,11 +24,10 @@ def prox_l1(v, threshold):
 
 
 def prox_scalars(eta, reg, lam_extra=0.0):
-    """The scalar operands of ``prox_regularizer(v, eta, reg, lam_extra)``, as
-    ``(-threshold, threshold, shrink)`` with threshold eta * nu1 and shrink
-    1 + eta * (nu2 + lam_extra), each None where it is a no-op (a zero
-    threshold, a zero quadratic weight): Python numbers, which a solver with a
-    constant step casts once per stage (``solvers.precast``)."""
+    """The operands of ``prox_regularizer`` as Python floats
+    ``(-threshold, threshold, shrink)``, threshold eta * nu1 and shrink
+    1 + eta * (nu2 + lam_extra), each None where it is a no-op; a solver with
+    a constant step casts them once per stage (``smoothing.precast``)."""
     if eta <= 0:
         raise ValueError(f"step size must be positive, got {eta}")
     if lam_extra < 0:
@@ -40,18 +39,15 @@ def prox_scalars(eta, reg, lam_extra=0.0):
             1.0 + eta * quad if quad else None)
 
 
-def prox_regularizer(v, eta, reg, lam_extra=0.0, scalars=None):
+def prox_regularizer(v, scalars):
     """Prox of eta * (nu1 ||x||_1 + ((nu2 + lam_extra)/2) ||x||_2^2) at a float
-    array v.
+    array v, whose operands are ``scalars = prox_scalars(eta, reg, lam_extra)``.
 
     Soft-threshold then shrink; exact because the quadratic weights add. The
     stage ridge term lands here (as lam_extra) rather than in the gradient so
     the update stays in closed form. Reduces to prox_l1 when both quadratic
-    weights vanish. ``scalars`` are ``prox_scalars(eta, reg, lam_extra)``,
-    built (and the arguments checked) here when None.
+    weights vanish.
     """
-    if scalars is None:
-        scalars = prox_scalars(eta, reg, lam_extra)
     neg_threshold, threshold, shrink = scalars
     out = (np.array(v, dtype=float) if threshold is None
            else _soft_threshold(v, neg_threshold, threshold))

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import smoothing
 from .datasets import epoch_batches, minibatches
-from .errors import DivergenceError, InfeasibleBudgetError
+from .errors import DivergenceError, InfeasibleBudgetError, check_finite
 from .prox import prox_regularizer, prox_scalars
-from .smoothing import lipschitz_constant
+from .smoothing import lipschitz_constant, precast
 
 PROX_GD = "prox-gd"
 APG = "apg"
@@ -62,6 +62,7 @@ class SolverSpec:
 
     def __post_init__(self):
         solver_family(self.solver)
+        check_finite(theta=self.theta, step_scale=self.step_scale)
         if not 0.0 < self.theta < 0.25:
             raise ValueError(f"theta must be in (0, 0.25), got {self.theta}")
         if self.batch_size < 1:
@@ -98,28 +99,6 @@ def start_point(x0, d):
     if x0.shape != (d,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({d},)")
     return x0
-
-
-def precast(*values):
-    """The tuple of ``values``, each number cast to a read-only 0-d float64
-    array (None stays None).
-
-    A solver casts its stage's step scalars here once and hands the arrays
-    to every step's ufuncs: do not fold them back into floats. With numpy 2.4
-    on 50 floats (x86-64, one BLAS thread), a ufunc costs about 0.75 us when
-    an operand is a Python float, which it converts on every call, and about
-    0.47 us with a 0-d float64 array. The cast costs about 0.23 us, so it
-    pays for a value used more than once, as every stage scalar is; a
-    per-step value (FOBOS's step size) stays a float. Both forms give the
-    same bits. Read-only, so no step can change a stage's constant.
-    """
-    out = []
-    for value in values:
-        if value is not None:
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-        out.append(value)
-    return tuple(out)
 
 
 def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
@@ -185,10 +164,7 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
         eta = spec.theta * spec.step_scale / L
     else:
         eta = spec.step_scale / L
-    reg, lam = sp.base.reg, sp.lam
-    loss, gamma, n = sp.base.loss, sp.gamma, sp.base.n
-    prox = precast(*prox_scalars(eta, reg, lam))
-    full_scalars = precast(*smoothing.kernel_scalars(loss, gamma, n))
+    prox = precast(*prox_scalars(eta, sp.base.reg, sp.lam))
     x0 = start_point(x0, sp.base.d)
     y, tk = x0, 1.0
     full = epoch = None
@@ -204,16 +180,17 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
 
     if variance_reduced:
         rng = rng if rng is not None else np.random.default_rng(spec.seed)
+        n = sp.base.n
         b = min(spec.batch_size, n)
         m = math.ceil(n / b)
         blocks = minibatches(n, b, rng, budget)
-        batch_scalars = precast(*smoothing.kernel_scalars(loss, gamma, b))
+        batch_scalars = smoothing.kernel_scalars(sp.base.loss, sp.gamma, b)
         feats, offsets = sp.base.features, sp.base.offsets
 
     def step(t, x):
         nonlocal y, tk, full, epoch
         if variance_reduced and (t - 1) % m == 0:
-            full, weights = smoothing.loss_gradient(sp, x, True, full_scalars)
+            full, weights = smoothing.loss_gradient(sp, x, True)
             epoch = epoch_batches(next(blocks), feats, offsets, weights)
             # momentum restarts at the snapshot
             y, tk = x, 1.0
@@ -221,12 +198,11 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
             y = x
         if variance_reduced:
             rows, c, snap_weights = next(epoch)
-            g = smoothing.vr_gradient_kernel(rows, c, loss, gamma, y, snap_weights, full,
-                                             batch_scalars)
+            g = smoothing.vr_gradient_kernel(rows, c, batch_scalars, y, snap_weights, full)
         else:
-            g = smoothing.loss_gradient(sp, y, False, full_scalars)
+            g = smoothing.loss_gradient(sp, y)
         g *= eta
-        x_new = prox_regularizer(np.subtract(y, g, out=g), eta, reg, lam, prox)
+        x_new = prox_regularizer(np.subtract(y, g, out=g), prox)
         if momentum:
             if beta_const is None:
                 tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))

@@ -53,6 +53,7 @@ from cnsopt import (
     tune_stepsize,
 )
 from cnsopt.bench import write_trace
+from cnsopt.prox import prox_scalars
 from cnsopt.smoothing import condition_number, exact_loss_values, smoothed_loss_values
 from cnsopt.solvers import SolverSpec
 
@@ -175,7 +176,7 @@ def test_criterion_04_prox_oracles():
         eta = float(rng.uniform(0.05, 2.0))
         reg = Regularizer(nu1=float(rng.uniform(0, 1.5)), nu2=float(rng.uniform(0, 1.5)))
         lam = float(rng.uniform(0, 0.5))
-        got = prox_regularizer(np.array([v]), eta, reg, lam)[0]
+        got = prox_regularizer(np.array([v]), prox_scalars(eta, reg, lam))[0]
         quad = reg.nu2 + lam
         oracle = golden_section(
             lambda x: 0.5 * (x - v) ** 2 + eta * (reg.nu1 * abs(x) + 0.5 * quad * x * x),

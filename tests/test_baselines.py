@@ -23,6 +23,13 @@ from tests.test_smoothing import (_read_only_scalars, _signed_zeros_and_nan, lay
                                   layout_problem)
 
 
+def _float_bounds(loss, count):
+    """``subgradient_scalars(loss, count)`` as Python floats, uncast."""
+    spec = dual_spec(loss)
+    return (-spec.u_hi if spec.u_hi < 1.0 else None,
+            -spec.u_lo if spec.u_lo > -1.0 else None, count)
+
+
 def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
     task = "classification" if loss == HINGE else "regression"
     data = SparseDataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=float), task)
@@ -39,17 +46,18 @@ def _suite(seed=0, nu1=0.01, nu2=0.05):
 def test_hinge_subgradient_zero_at_kink():
     # margin exactly 1 uses the flat side (minimal-norm element)
     prob = _problem([[1.0, 0.0]], [1.0], HINGE)
-    g = loss_subgradient(prob.features, prob.offsets, prob.loss, np.array([1.0, 0.0]))
+    scalars = subgradient_scalars(prob.loss, 1)
+    g = loss_subgradient(prob.features, prob.offsets, scalars, np.array([1.0, 0.0]))
     assert np.array_equal(g, np.zeros(2))
-    g_active = loss_subgradient(prob.features, prob.offsets, prob.loss, np.array([0.9, 0.0]))
+    g_active = loss_subgradient(prob.features, prob.offsets, scalars, np.array([0.9, 0.0]))
     assert np.array_equal(g_active, np.array([-1.0, 0.0]))
 
 
 def test_absolute_subgradient_zero_at_zero_residual():
     prob = _problem([[2.0]], [2.0], ABSOLUTE)
-    rows, c = prob.features, prob.offsets
-    assert loss_subgradient(rows, c, prob.loss, np.array([1.0]))[0] == 0.0
-    assert loss_subgradient(rows, c, prob.loss, np.array([0.5]))[0] == pytest.approx(-2.0)
+    rows, c, scalars = prob.features, prob.offsets, subgradient_scalars(prob.loss, 1)
+    assert loss_subgradient(rows, c, scalars, np.array([1.0]))[0] == 0.0
+    assert loss_subgradient(rows, c, scalars, np.array([0.5]))[0] == pytest.approx(-2.0)
 
 
 def test_fobos_produces_exact_zeros():
@@ -119,9 +127,10 @@ def test_poly_sgd_large_exponent_tracks_last_iterate():
     # replay the recursion without averaging, one batch drawn per step
     rng = np.random.default_rng(2)
     x = np.zeros(prob.d)
+    scalars = subgradient_scalars(prob.loss, 50)
     for t in range(1, 61):
         batch = rng.integers(0, prob.n, size=50)
-        g = loss_subgradient(prob.features[batch], prob.offsets[batch], prob.loss, x)
+        g = loss_subgradient(prob.features[batch], prob.offsets[batch], scalars, x)
         g = g + prob.reg.nu1 * np.sign(x) + prob.reg.nu2 * x
         x = x - 0.2 / np.sqrt(t) * g
     # the averaging weight is 1 - O(t / exponent), so the average tracks the
@@ -203,6 +212,13 @@ def test_baseline_spec_validation():
         BaselineSpec(averaging_exponent=0.5)
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("eta0", "rda_scale", "averaging_exponent"))
+def test_baseline_spec_rejects_a_non_finite_setting(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BaselineSpec(**{field: value})
+
+
 def test_baseline_objective_decreases_on_suite():
     prob = _suite()
     start = objective_original(prob, np.zeros(prob.d))
@@ -216,26 +232,29 @@ def test_baseline_objective_decreases_on_suite():
 
 
 def _matmul_subgradient(rows, offsets, loss, x):
-    """``loss_subgradient`` written with the @ operator."""
-    spec = dual_spec(loss)
+    """``loss_subgradient`` written with the @ operator, on float operands."""
+    neg_u_hi, neg_u_lo, count = _float_bounds(loss, len(offsets))
     weights = np.sign(rows @ x - offsets)
-    if spec.u_hi < 1.0:
-        np.maximum(weights, -spec.u_hi, out=weights)
-    if spec.u_lo > -1.0:
-        np.minimum(weights, -spec.u_lo, out=weights)
-    return (rows.T @ weights) / len(offsets)
+    if neg_u_hi is not None:
+        np.maximum(weights, neg_u_hi, out=weights)
+    if neg_u_lo is not None:
+        np.minimum(weights, neg_u_lo, out=weights)
+    return (rows.T @ weights) / count
 
 
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
+    # on the operands cast once per run; zero scores (x = 0) against
+    # signed-zero offsets hit sign(+-0), and NaN passes
     rng = np.random.default_rng(29 + b)
     prob = layout_problem(rng, loss, layout)
-    for _ in range(3):
-        x = rng.normal(size=prob.d)
+    scalars = subgradient_scalars(loss, b)
+    for x in (np.zeros(prob.d), *rng.normal(size=(3, prob.d))):
         for rows, c in layout_batches(rng, prob, b):
-            got = loss_subgradient(rows, c, loss, x)
+            c = _signed_zeros_and_nan(rng, c)
+            got = loss_subgradient(rows, c, scalars, x)
             assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
 
 
@@ -243,13 +262,15 @@ def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_loss_subgradient_keeps_its_bits_with_precast_scalars(loss, layout, b):
-    # run_baseline casts the bounds and the batch size once per run; zero
-    # scores (x = 0) against signed-zero offsets hit sign(+-0), and NaN passes
+    # run_baseline casts the bounds and the batch size once per run; a caller
+    # may pass them as Python floats instead, for the same bytes, at zero
+    # scores (x = 0) against signed-zero offsets, and NaN
     rng = np.random.default_rng(41 + b)
     prob = layout_problem(rng, loss, layout)
-    scalars = _read_only_scalars(*subgradient_scalars(loss, b))
+    floats = _float_bounds(loss, b)
+    scalars = _read_only_scalars(floats, subgradient_scalars(loss, b))
     for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
         for rows, c in layout_batches(rng, prob, b):
             c = _signed_zeros_and_nan(rng, c)
-            got = loss_subgradient(rows, c, loss, x, scalars)
-            assert got.tobytes() == loss_subgradient(rows, c, loss, x).tobytes()
+            got = loss_subgradient(rows, c, scalars, x)
+            assert got.tobytes() == loss_subgradient(rows, c, floats, x).tobytes()

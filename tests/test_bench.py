@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,25 @@ def test_run_config_checks_the_methods_own_settings(bad, message):
     # the method's ContinuationConfig or BaselineSpec is built with the RunConfig
     with pytest.raises(ValueError, match=message):
         _config(**bad)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("method, field", [
+    ("cns-a", "time_budget"), ("fobos", "time_budget"), ("cns-a", "nu1"), ("fobos", "nu2"),
+    ("cns-a", "gamma1"), ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
+    ("fobos", "eta0"), ("rda", "rda_scale"), ("poly-sgd", "averaging_exponent"),
+])
+def test_run_config_rejects_a_non_finite_setting(method, field, value):
+    # checked with the RunConfig, before any data is read; a NaN time budget
+    # once never stopped a run
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _config(method=method, **{field: value})
+
+
+def test_tune_stepsize_rejects_a_non_finite_candidate():
+    # once skipped without a word, as a divergence
+    with pytest.raises(ValueError, match="step_scale must be finite"):
+        tune_stepsize(_config(), [math.nan, 1.0])
 
 
 def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
@@ -630,6 +650,12 @@ def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
                             "--dataset", str(tmp_path / "absent.libsvm"))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["cnsopt: error: unknown solver 'saga'"]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # tau = inf once ended in an OverflowError traceback from stage_budget
+    proc = _python_m_cnsopt("run", "--method", "cns-a", "--nu2", "0.05", "--tau", "inf",
+                            "--synth-n", "40")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["cnsopt: error: tau must be finite, got inf"]
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

@@ -167,6 +167,14 @@ def test_config_validation():
         ContinuationConfig(budget_option="III")
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("gamma1", "tau", "lam1"))
+def test_config_rejects_a_non_finite_setting(field, value):
+    # tau = inf once overflowed in stage_budget, gamma1 = inf divided by zero
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ContinuationConfig(**{field: value})
+
+
 # the paper's budget options: I pairs with the non-accelerated solvers, II with
 # the accelerated ones; per-stage growth exponents (strongly convex, general)
 _OPTIONS = {"prox-gd": OPTION_I, "prox-svrg": OPTION_I, "apg": OPTION_II,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -143,6 +145,17 @@ def test_smoothed_problem_validation():
         SmoothedProblem(prob, 0.0)
     with pytest.raises(ValueError):
         SmoothedProblem(prob, 0.1, lam=-1.0)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_regularizer_and_smoothed_problem_reject_non_finite_settings(value):
+    prob = _problem([[1.0]], [1.0], HINGE)
+    for field, build in (("nu1", lambda: Regularizer(nu1=value)),
+                         ("nu2", lambda: Regularizer(nu2=value)),
+                         ("gamma", lambda: SmoothedProblem(prob, value)),
+                         ("lam", lambda: SmoothedProblem(prob, 0.1, lam=value))):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
 
 
 def test_features_densifies_csr_with_dense_values():

@@ -5,6 +5,7 @@ import pytest
 
 from cnsopt import Regularizer, prox_l1, prox_regularizer
 from cnsopt.prox import prox_scalars
+from cnsopt.smoothing import precast
 from tests.test_smoothing import _read_only_scalars
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,14 +78,14 @@ def test_prox_l1_matches_golden_section():
 
 def test_prox_regularizer_elastic_net_example():
     reg = Regularizer(nu1=1.0, nu2=1.0)
-    got = prox_regularizer(np.array([2.0]), 1.0, reg)
+    got = prox_regularizer(np.array([2.0]), prox_scalars(1.0, reg))
     assert got == pytest.approx(np.array([0.5]))
     oracle = golden_prox_reg(np.array([2.0]), 1.0, reg, 0.0)
     assert got == pytest.approx(oracle, abs=1e-6)
 
 
 def test_prox_regularizer_pure_ridge():
-    got = prox_regularizer(np.array([4.0]), 1.0, Regularizer(nu1=0.0, nu2=1.0))
+    got = prox_regularizer(np.array([4.0]), prox_scalars(1.0, Regularizer(nu1=0.0, nu2=1.0)))
     assert got == pytest.approx(np.array([2.0]))
 
 
@@ -92,7 +93,7 @@ def test_prox_regularizer_reduces_to_soft_threshold():
     rng = np.random.default_rng(1)
     v = rng.normal(size=10)
     assert np.array_equal(
-        prox_regularizer(v, 0.7, Regularizer(nu1=0.4)), prox_l1(v, 0.7 * 0.4)
+        prox_regularizer(v, prox_scalars(0.7, Regularizer(nu1=0.4))), prox_l1(v, 0.7 * 0.4)
     )
 
 
@@ -101,8 +102,8 @@ def test_lam_extra_folds_into_nu2():
     for _ in range(20):
         v = rng.normal(scale=2.0, size=8)
         eta = rng.uniform(0.1, 2.0)
-        a = prox_regularizer(v, eta, Regularizer(nu1=0.3, nu2=0.3), lam_extra=0.2)
-        b = prox_regularizer(v, eta, Regularizer(nu1=0.3, nu2=0.5), lam_extra=0.0)
+        a = prox_regularizer(v, prox_scalars(eta, Regularizer(nu1=0.3, nu2=0.3), lam_extra=0.2))
+        b = prox_regularizer(v, prox_scalars(eta, Regularizer(nu1=0.3, nu2=0.5), lam_extra=0.0))
         assert np.allclose(a, b, atol=1e-15)
 
 
@@ -113,7 +114,7 @@ def test_prox_regularizer_matches_golden_section():
         eta = rng.uniform(0.05, 2.0)
         reg = Regularizer(nu1=rng.uniform(0, 1.5), nu2=rng.uniform(0, 1.5))
         lam = rng.uniform(0, 0.5)
-        got = prox_regularizer(v, eta, reg, lam)
+        got = prox_regularizer(v, prox_scalars(eta, reg, lam))
         assert np.max(np.abs(got - golden_prox_reg(v, eta, reg, lam))) < 1e-6
 
 
@@ -124,8 +125,9 @@ def test_nonexpansiveness():
         v1 = rng.normal(scale=3.0, size=12)
         v2 = rng.normal(scale=3.0, size=12)
         eta = rng.uniform(0.1, 3.0)
+        scalars = prox_scalars(eta, reg, 0.1)
         d_out = np.linalg.norm(
-            prox_regularizer(v1, eta, reg, 0.1) - prox_regularizer(v2, eta, reg, 0.1)
+            prox_regularizer(v1, scalars) - prox_regularizer(v2, scalars)
         )
         assert d_out <= np.linalg.norm(v1 - v2) + 1e-12
 
@@ -137,7 +139,7 @@ def test_subdifferential_optimality():
         v = rng.normal(scale=2.0, size=15)
         eta = rng.uniform(0.1, 2.0)
         nu1, nu2, lam = rng.uniform(0, 1.0, size=3)
-        x = prox_regularizer(v, eta, Regularizer(nu1=nu1, nu2=nu2), lam)
+        x = prox_regularizer(v, prox_scalars(eta, Regularizer(nu1=nu1, nu2=nu2), lam))
         resid = x - v + eta * (nu2 + lam) * x
         for j in range(len(v)):
             if x[j] != 0.0:
@@ -185,7 +187,7 @@ def test_prox_regularizer_is_prox_l1_then_shrink(nu1, nu2, lam_extra):
     quad = nu2 + lam_extra
     if quad:
         ref /= 1.0 + eta * quad
-    got = prox_regularizer(v, eta, reg, lam_extra)
+    got = prox_regularizer(v, prox_scalars(eta, reg, lam_extra))
     assert got.tobytes() == ref.tobytes()
     assert got is not v and v.tobytes() == before.tobytes()
 
@@ -193,9 +195,9 @@ def test_prox_regularizer_is_prox_l1_then_shrink(nu1, nu2, lam_extra):
 @pytest.mark.parametrize("nu1", (0.0, 0.3))
 @pytest.mark.parametrize("nu2, lam_extra", ((0.0, 0.0), (0.2, 0.0), (0.0, 1e-3), (0.2, 1e-3)))
 def test_prox_regularizer_keeps_its_bits_with_precast_scalars(nu1, nu2, lam_extra):
-    # a solver with a constant step casts the prox's operands once per stage;
-    # nu1 = 0 is the zero-threshold branch and nu2 + lam_extra = 0 the
-    # zero-quad one, whose operands stay None
+    # a solver with a constant step casts the prox's operands once per stage,
+    # FOBOS passes them as floats at every step; nu1 = 0 is the zero-threshold
+    # branch and nu2 + lam_extra = 0 the zero-quad one, whose operands stay None
     rng = np.random.default_rng(9)
     reg = Regularizer(nu1=nu1, nu2=nu2)
     for eta in (0.7, 1e-3):
@@ -206,8 +208,8 @@ def test_prox_regularizer_keeps_its_bits_with_precast_scalars(nu1, nu2, lam_extr
         scalars = prox_scalars(eta, reg, lam_extra)
         assert (scalars[0] is None) == (scalars[1] is None) == (nu1 == 0.0)
         assert (scalars[2] is None) == (nu2 + lam_extra == 0.0)
-        got = prox_regularizer(v, eta, reg, lam_extra, _read_only_scalars(*scalars))
-        assert got.tobytes() == prox_regularizer(v, eta, reg, lam_extra).tobytes()
+        got = prox_regularizer(v, _read_only_scalars(scalars, precast(*scalars)))
+        assert got.tobytes() == prox_regularizer(v, scalars).tobytes()
         assert got is not v and v.tobytes() == before.tobytes()
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -20,8 +21,8 @@ from cnsopt import (
     smoothed_loss_gradient,
     smoothing_gap,
 )
+from cnsopt import smoothing
 from cnsopt.datasets import epoch_batches
-from cnsopt.solvers import precast
 from cnsopt.smoothing import (
     _score_weights,
     exact_loss_values,
@@ -46,7 +47,8 @@ def _scalar(loss, t, gamma):
     r, offset = _ONE_SAMPLE[loss]
     rows, c, x = np.array([[r]]), np.array([offset]), np.array([float(t)])
     a = c - rows @ x
-    return smoothed_loss_values(a, loss, gamma)[0], gradient_kernel(rows, c, loss, gamma, x)[0][0]
+    g = gradient_kernel(rows, c, kernel_scalars(loss, gamma, 1), x)[0]
+    return smoothed_loss_values(a, loss, gamma)[0], g[0]
 
 
 def test_smoothed_hinge_flat_branch():
@@ -84,6 +86,15 @@ def test_gamma_must_be_positive():
         smoothed_loss_values([0.0], HINGE, 0.0)
     with pytest.raises(ValueError):
         smoothed_loss_values([0.0], ABSOLUTE, -1.0)
+
+
+@pytest.mark.parametrize("gamma", (0.0, -1.0, math.nan, math.inf, -math.inf))
+def test_kernel_scalars_take_a_finite_positive_gamma(gamma):
+    # gamma = -1 once gave a zero gradient without a word
+    for check in (lambda: kernel_scalars(HINGE, gamma, 10),
+                  lambda: smoothed_loss_values([0.0], ABSOLUTE, gamma)):
+        with pytest.raises(ValueError, match="gamma|smoothness"):
+            check()
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -273,7 +284,8 @@ def test_per_sample_gradient_bounded_by_row_norm(loss):
         for _ in range(20):
             x = rng.normal(scale=2.0, size=prob.d)
             for i in range(prob.n):
-                g, _ = gradient_kernel(prob.features[[i]], prob.offsets[[i]], loss, gamma, x)
+                g, _ = gradient_kernel(prob.features[[i]], prob.offsets[[i]],
+                                       kernel_scalars(loss, gamma, 1), x)
                 assert np.linalg.norm(g) <= norms[i] + 1e-12
 
 
@@ -336,10 +348,9 @@ def test_score_weights_keep_the_bits_of_clip(loss):
     c[8:12] = [-0.0, 0.0, -0.0, 0.0]
     s[0, 12] = np.nan
     ref = ((c - s) / -gamma).clip(-spec.u_hi, -spec.u_lo)
-    scalars = kernel_scalars(loss, gamma, 40)
-    assert _score_weights(scalars, c, s.copy()).tobytes() == ref.tobytes()
-    # the same bytes from the stage's precast operands
-    assert _score_weights(precast(*scalars), c, s.copy()).tobytes() == ref.tobytes()
+    assert _score_weights(_float_scalars(loss, gamma, 40), c, s.copy()).tobytes() == ref.tobytes()
+    # the same bytes from the operands cast once
+    assert _score_weights(kernel_scalars(loss, gamma, 40), c, s.copy()).tobytes() == ref.tobytes()
 
 
 def _two_matvec_estimate(rows, offsets, loss, gamma, x, snapshot, full_gradient):
@@ -379,22 +390,28 @@ def test_snapshot_weight_reuse_matches_two_matvec_estimate(loss, csr, b):
             full, weights = loss_gradient(sp, snap, with_weights=True)
             idx = rng.integers(0, n, size=b)
             z, c = prob.features[idx], prob.offsets[idx]
-            got = vr_gradient_kernel(z, c, loss, gamma, x, weights[idx], full)
+            got = vr_gradient_kernel(z, c, kernel_scalars(loss, gamma, b), x, weights[idx], full)
             ref = _two_matvec_estimate(z, c, loss, gamma, x, snap, full)
             abs_z = abs(z)
             scale = abs_z.T @ ((np.abs(c) + abs_z @ np.abs(snap)) / gamma) / b + np.abs(full)
             assert np.all(np.abs(got - ref) <= 4 * eps * scale)
 
 
+def _float_scalars(loss, gamma, count):
+    """``kernel_scalars(loss, gamma, count)`` as Python floats, uncast."""
+    spec = dual_spec(loss)
+    return -gamma, -spec.u_hi, -spec.u_lo, count
+
+
 def _matmul_gradient(rows, offsets, loss, gamma, x):
-    """``gradient_kernel`` written with the @ operator."""
-    weights = _score_weights(kernel_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
+    """``gradient_kernel`` written with the @ operator, on float operands."""
+    weights = _score_weights(_float_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
     return (rows.T @ weights) / len(offsets), weights
 
 
 def _matmul_vr_estimate(rows, offsets, loss, gamma, x, snapshot_weights, full_gradient):
-    """``vr_gradient_kernel`` written with the @ operator."""
-    weights = _score_weights(kernel_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
+    """``vr_gradient_kernel`` written with the @ operator, on float operands."""
+    weights = _score_weights(_float_scalars(loss, gamma, len(offsets)), offsets, rows @ x)
     weights -= snapshot_weights
     return (rows.T @ weights) / len(offsets) + full_gradient
 
@@ -431,31 +448,38 @@ def layout_batches(rng, prob, b, *per_sample):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
-    # the kernels use ndarray.dot for its lower dispatch cost; it must give the
-    # bytes of the @ forms, on the full pass and on every gathered batch
+    # the kernels use ndarray.dot for its lower dispatch cost, on operands
+    # cast once; they must give the bytes of the @ forms on float operands, on
+    # the full pass and on every gathered batch, at zero scores (x = 0) and at
+    # signed-zero and NaN offsets
     rng = np.random.default_rng(23 + b)
     prob = layout_problem(rng, loss, layout)
     for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
+        sp = SmoothedProblem(prob, gamma)
+        batch_scalars = kernel_scalars(loss, gamma, b)
         snap = rng.normal(size=prob.d)
-        x = snap + rng.normal(scale=0.1, size=prob.d)
-        full, weights = gradient_kernel(prob.features, prob.offsets, loss, gamma, snap)
-        ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss, gamma, snap)
-        assert full.tobytes() == ref_full.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
-        for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
-            got = gradient_kernel(rows, c, loss, gamma, x)
-            ref = _matmul_gradient(rows, c, loss, gamma, x)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
-            got = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full)
-            ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
-            assert got.tobytes() == ref.tobytes()
+        for x in (np.zeros(prob.d), snap + rng.normal(scale=0.1, size=prob.d)):
+            # the full pass at x, then at the snapshot, whose pass the batches use
+            for point in (x, snap):
+                full, weights = loss_gradient(sp, point, with_weights=True)
+                ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss,
+                                                         gamma, point)
+                assert full.tobytes() == ref_full.tobytes()
+                assert weights.tobytes() == ref_weights.tobytes()
+            for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
+                c = _signed_zeros_and_nan(rng, c)
+                got = gradient_kernel(rows, c, batch_scalars, x)
+                ref = _matmul_gradient(rows, c, loss, gamma, x)
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
+                got = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
+                ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
+                assert got.tobytes() == ref.tobytes()
 
 
-def _read_only_scalars(*values):
-    """``precast(*values)``, after checking that each number became a
-    read-only 0-d float64 array holding its value, and each None stayed."""
-    cast = precast(*values)
+def _read_only_scalars(values, cast):
+    """``cast``, after checking that it holds each number of ``values`` as a
+    read-only 0-d float64 array of its value, and each None as None."""
     assert len(cast) == len(values)
     for value, arr in zip(values, cast):
         if value is None:
@@ -481,30 +505,51 @@ def _signed_zeros_and_nan(rng, c):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_kernels_keep_their_bits_with_precast_scalars(loss, layout, b):
-    # a solver passes each kernel its stage's scalars cast once to read-only
-    # 0-d arrays; the bytes must be those of the Python-float form, at zero
-    # scores (x = 0), signed-zero and NaN offsets, and on every batch layout
+    # a caller may hand a kernel its operands as Python floats; the bytes must
+    # be those of the operands cast once to read-only 0-d arrays
+    # (``kernel_scalars``, ``SmoothedProblem.kernel_scalars``), at zero scores
+    # (x = 0), signed-zero and NaN offsets, and on every batch layout
     rng = np.random.default_rng(37 + b)
     prob = layout_problem(rng, loss, layout)
     for gamma in (2.0, 0.05):
         sp = SmoothedProblem(prob, gamma)
-        full_scalars = _read_only_scalars(*kernel_scalars(loss, gamma, prob.n))
-        batch_scalars = _read_only_scalars(*kernel_scalars(loss, gamma, b))
+        full_floats = _float_scalars(loss, gamma, prob.n)
+        batch_floats = _float_scalars(loss, gamma, b)
+        _read_only_scalars(full_floats, sp.kernel_scalars)
+        batch_scalars = _read_only_scalars(batch_floats, kernel_scalars(loss, gamma, b))
         for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
-            ref = loss_gradient(sp, x, with_weights=True)
-            got = loss_gradient(sp, x, True, full_scalars)
+            ref = gradient_kernel(prob.features, prob.offsets, full_floats, x)
+            got = loss_gradient(sp, x, with_weights=True)
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
-            assert (loss_gradient(sp, x, False, full_scalars).tobytes()
-                    == loss_gradient(sp, x).tobytes())
+            assert loss_gradient(sp, x).tobytes() == ref[0].tobytes()
             full = ref[0]
             for rows, c, snap_weights in layout_batches(rng, prob, b, ref[1]):
                 c = _signed_zeros_and_nan(rng, c)
-                ref_b = gradient_kernel(rows, c, loss, gamma, x)
-                got_b = gradient_kernel(rows, c, loss, gamma, x, batch_scalars)
+                ref_b = gradient_kernel(rows, c, batch_floats, x)
+                got_b = gradient_kernel(rows, c, batch_scalars, x)
                 assert got_b[0].tobytes() == ref_b[0].tobytes()
                 assert got_b[1].tobytes() == ref_b[1].tobytes()
-                ref_vr = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full)
-                got_vr = vr_gradient_kernel(rows, c, loss, gamma, x, snap_weights, full,
-                                            batch_scalars)
+                ref_vr = vr_gradient_kernel(rows, c, batch_floats, x, snap_weights, full)
+                got_vr = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
                 assert got_vr.tobytes() == ref_vr.tobytes()
+
+
+def test_smoothed_problem_casts_its_kernel_scalars_once(monkeypatch):
+    # the full pass's operands are read-only 0-d arrays, built on first use
+    # and once per instance
+    builds = []
+    build = smoothing.kernel_scalars
+    monkeypatch.setattr(smoothing, "kernel_scalars",
+                        lambda *args: builds.append(args) or build(*args))
+    prob = layout_problem(np.random.default_rng(5), ABSOLUTE, "c")
+    sp = SmoothedProblem(prob, 0.25)
+    assert "kernel_scalars" not in vars(sp) and builds == []
+    scalars = _read_only_scalars(_float_scalars(ABSOLUTE, 0.25, prob.n), sp.kernel_scalars)
+    for _ in range(3):
+        loss_gradient(sp, np.ones(prob.d))
+        assert sp.kernel_scalars is scalars
+    assert builds == [(ABSOLUTE, 0.25, prob.n)]
+    other = SmoothedProblem(prob, 0.5)
+    loss_gradient(other, np.ones(prob.d))
+    assert other.kernel_scalars is not scalars and len(builds) == 2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cnsopt import (
     ABSOLUTE,
     HINGE,
+    BaselineSpec,
     CompositeProblem,
     DivergenceError,
     InfeasibleBudgetError,
@@ -15,9 +17,10 @@ from cnsopt import (
     loss_gradient,
     objective_smoothed,
     required_t1,
+    run_baseline,
     run_solver,
 )
-from cnsopt.prox import prox_regularizer
+from cnsopt.smoothing import kernel_scalars
 from cnsopt.solvers import SolverSpec
 
 GD = SolverSpec(solver="prox-gd")
@@ -164,7 +167,8 @@ def test_svrg_estimate_equals_full_gradient_at_snapshot():
     for i in range(5):
         batch = np.array([i, i + 1])
         rows, c = prob.features[batch], prob.offsets[batch]
-        est = vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, weights[batch], full)
+        scalars = kernel_scalars(prob.loss, sp.gamma, len(c))
+        est = vr_gradient_kernel(rows, c, scalars, x, weights[batch], full)
         assert np.allclose(est, full, atol=1e-15)
 
 
@@ -178,11 +182,11 @@ def test_svrg_estimator_is_unbiased_by_enumeration():
     from cnsopt.smoothing import vr_gradient_kernel
 
     acc = np.zeros(prob.d)
+    scalars = kernel_scalars(prob.loss, sp.gamma, 1)
     for i in range(prob.n):
         batch = np.array([i])
         rows, c = prob.features[batch], prob.offsets[batch]
-        acc += vr_gradient_kernel(rows, c, prob.loss, sp.gamma, x, snap_weights[batch],
-                                  full_at_snap)
+        acc += vr_gradient_kernel(rows, c, scalars, x, snap_weights[batch], full_at_snap)
     mean_est = acc / prob.n
     assert np.max(np.abs(mean_est - loss_gradient(sp, x))) < 1e-10
 
@@ -401,6 +405,14 @@ def test_solver_spec_validation():
     assert not SolverSpec(solver="prox-gd").accelerated
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", ("theta", "step_scale"))
+def test_solver_spec_rejects_a_non_finite_setting(field, value):
+    # a NaN step scale once ran, and was reported as a divergence
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolverSpec(**{field: value})
+
+
 def test_trace_recording():
     prob = _random_strongly_convex(2)
     sp = SmoothedProblem(prob, 0.1)
@@ -413,3 +425,60 @@ def test_trace_recording():
     assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))
     objectives = [o for _, _, o in trace]
     assert objectives[-1] <= objectives[0]
+
+
+# the step kernels the benchmark's span tracer wraps, by defining module
+_TRACED_KERNELS = (("cnsopt.smoothing", "loss_gradient"),
+                   ("cnsopt.smoothing", "vr_gradient_kernel"),
+                   ("cnsopt.prox", "prox_regularizer"),
+                   ("cnsopt.baselines", "loss_subgradient"),
+                   ("cnsopt.datasets", "sample_minibatch"))
+
+
+def _count_kernel_calls(monkeypatch):
+    """Wrap each traced kernel in every cnsopt namespace that holds it, the
+    defining module and any that imported it by name, as the span tracer
+    does; return the calls made through the wrappers, by function name."""
+    counts = dict.fromkeys((name for _, name in _TRACED_KERNELS), 0)
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "cnsopt" or key.startswith("cnsopt.")]
+    for module_name, name in _TRACED_KERNELS:
+        original = getattr(sys.modules[module_name], name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ("prox-gd", "apg", "prox-svrg", "acc-prox-svrg",
+                                    "fobos", "rda", "poly-sgd"))
+def test_step_kernels_are_called_through_their_module_globals(monkeypatch, method):
+    # the tracer counts a kernel only when a step calls it by its module
+    # global: once per step, the full pass once per snapshot (variance
+    # reduced) or per step (full gradient), one draw per epoch; n = 60 rows
+    # in batches of 8 make epochs of 8 steps, so 23 steps take 3 epochs
+    prob = _random_strongly_convex(2, n=60)
+    budget, epochs = 23, 3
+    counts = _count_kernel_calls(monkeypatch)
+    expected = dict.fromkeys(counts, 0)
+    if method in ("fobos", "rda", "poly-sgd"):
+        spec = BaselineSpec(method=method, eta0=0.1, batch_size=8, strongly_convex=True)
+        run_baseline(prob, spec, budget)
+        expected.update(loss_subgradient=budget, sample_minibatch=epochs,
+                        prox_regularizer=budget if method == "fobos" else 0)
+    else:
+        run_solver(SolverSpec(solver=method, batch_size=8), SmoothedProblem(prob, 0.1),
+                   None, budget)
+        expected["prox_regularizer"] = budget
+        if method in ("prox-svrg", "acc-prox-svrg"):
+            expected.update(vr_gradient_kernel=budget, loss_gradient=epochs,
+                            sample_minibatch=epochs)
+        else:
+            expected["loss_gradient"] = budget
+    assert counts == expected

@@ -19,13 +19,19 @@ of its own), and each stage report's fields except wall time. Dump under the
 reference checkout, then check under the changed one; the check exits 1 if any
 array differs in any bit, and each DIFF line gives that array's largest
 distance in ulps (units in the last place) and largest relative difference,
-so an array that moved only in its last bits shows as such.
+so an array that moved only in its last bits shows as such. The dump records
+the OpenBLAS kernel that numpy runs (``SkylakeX`` on an AVX-512 host), whose
+summation order fixes the last bits; the check prints both kernels' names,
+first of all when they differ.
 
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
 """
+import ctypes
+import glob
 import io
 import math
+import os
 import sys
 import tempfile
 from dataclasses import asdict
@@ -222,6 +228,25 @@ def stages(out, key, driver, prob, solver, batch_size=16, **settings):
         out[f"{key}/{name}"] = np.array([getattr(r, name) for r in reports])
 
 
+def blas_kernel():
+    """The name of the OpenBLAS kernel numpy runs, from
+    ``scipy_openblas_get_corename64_`` in the library under ``numpy.libs``;
+    ``unknown`` when no library there has that symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+# the key of the dump's BLAS kernel name, beside the arrays
+KERNEL_KEY = "meta/blas_kernel"
+
+
 def distance(ref, got):
     """(max ulp distance, max relative difference) between two arrays of
     doubles: the ulp distance counts the doubles from one value to the other.
@@ -248,17 +273,21 @@ def distance(ref, got):
 
 if __name__ == "__main__":
     mode, path = sys.argv[1], sys.argv[2]
-    got = cases()
+    got, kernel = cases(), blas_kernel()
     if mode == "dump":
-        np.savez(path, **got)
-        print(f"dumped {len(got)} arrays")
+        np.savez(path, **got, **{KERNEL_KEY: np.array(kernel)})
+        print(f"dumped {len(got)} arrays under the {kernel} BLAS kernel")
     else:
         ref = dict(np.load(path))
+        ref_kernel = str(ref.pop(KERNEL_KEY, "unknown"))
+        kernels = f"dumped under the {ref_kernel} BLAS kernel, checked under {kernel}"
+        if ref_kernel != kernel:
+            print(f"BLAS kernels differ ({kernels}): that alone can move the last bits")
         assert set(ref) == set(got), set(ref) ^ set(got)
         bad = [k for k in ref if not np.array_equal(ref[k], got[k])]
         cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
         print(f"{len(ref)} arrays compared ({cb} callback iterates), "
-              f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ")
+              f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ; {kernels}")
         for k in bad:
             ulps, rel = distance(ref[k], got[k])
             print(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}")
