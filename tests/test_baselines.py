@@ -210,13 +210,10 @@ def test_baseline_spec_validation():
         BaselineSpec(eta0=0.0)
     with pytest.raises(ValueError):
         BaselineSpec(averaging_exponent=0.5)
-
-
-@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
-@pytest.mark.parametrize("field", ("eta0", "rda_scale", "averaging_exponent"))
-def test_baseline_spec_rejects_a_non_finite_setting(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        BaselineSpec(**{field: value})
+    for field in ("eta0", "rda_scale", "averaging_exponent"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                BaselineSpec(**{field: value})
 
 
 def test_baseline_objective_decreases_on_suite():
@@ -246,14 +243,12 @@ def _matmul_subgradient(rows, offsets, loss, x):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
-    # on the operands cast once per run; zero scores (x = 0) against
-    # signed-zero offsets hit sign(+-0), and NaN passes
     rng = np.random.default_rng(29 + b)
     prob = layout_problem(rng, loss, layout)
     scalars = subgradient_scalars(loss, b)
-    for x in (np.zeros(prob.d), *rng.normal(size=(3, prob.d))):
+    for _ in range(3):
+        x = rng.normal(size=prob.d)
         for rows, c in layout_batches(rng, prob, b):
-            c = _signed_zeros_and_nan(rng, c)
             got = loss_subgradient(rows, c, scalars, x)
             assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
 
@@ -262,15 +257,15 @@ def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_loss_subgradient_keeps_its_bits_with_precast_scalars(loss, layout, b):
-    # run_baseline casts the bounds and the batch size once per run; a caller
-    # may pass them as Python floats instead, for the same bytes, at zero
-    # scores (x = 0) against signed-zero offsets, and NaN
+    # run_baseline casts the bounds and the batch size once per run to
+    # read-only 0-d arrays; zero scores (x = 0) against signed-zero offsets hit
+    # sign(+-0), and NaN passes, with the bytes of the @ form on float operands
     rng = np.random.default_rng(41 + b)
     prob = layout_problem(rng, loss, layout)
-    floats = _float_bounds(loss, b)
-    scalars = _read_only_scalars(floats, subgradient_scalars(loss, b))
+    scalars = _read_only_scalars(_float_bounds(loss, b), subgradient_scalars(loss, b))
     for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
-        for rows, c in layout_batches(rng, prob, b):
-            c = _signed_zeros_and_nan(rng, c)
-            got = loss_subgradient(rows, c, scalars, x)
-            assert got.tobytes() == loss_subgradient(rows, c, floats, x).tobytes()
+        for rows, offsets in layout_batches(rng, prob, b):
+            for nan in (0.0, 0.05):  # signed zeros alone, then with NaN
+                c = _signed_zeros_and_nan(rng, offsets, nan)
+                got = loss_subgradient(rows, c, scalars, x)
+                assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()

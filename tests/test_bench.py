@@ -55,6 +55,19 @@ def test_run_config_validation():
     for method in ("cns-a", "fobos"):  # a continuation method and a baseline
         with pytest.raises(ValueError, match="time_budget"):
             _config(method=method, time_budget=-1.0)
+    # checked with the RunConfig, before any data is read; a NaN time budget
+    # once never stopped a run
+    for method, field in (("cns-a", "time_budget"), ("fobos", "time_budget"),
+                          ("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
+                          ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
+                          ("fobos", "eta0"), ("rda", "rda_scale"),
+                          ("poly-sgd", "averaging_exponent")):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                _config(method=method, **{field: value})
+    # a NaN candidate was once skipped without a word, as a divergence
+    with pytest.raises(ValueError, match="step_scale must be finite"):
+        tune_stepsize(_config(), [math.nan, 1.0])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -67,25 +80,6 @@ def test_run_config_checks_the_methods_own_settings(bad, message):
     # the method's ContinuationConfig or BaselineSpec is built with the RunConfig
     with pytest.raises(ValueError, match=message):
         _config(**bad)
-
-
-@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
-@pytest.mark.parametrize("method, field", [
-    ("cns-a", "time_budget"), ("fobos", "time_budget"), ("cns-a", "nu1"), ("fobos", "nu2"),
-    ("cns-a", "gamma1"), ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
-    ("fobos", "eta0"), ("rda", "rda_scale"), ("poly-sgd", "averaging_exponent"),
-])
-def test_run_config_rejects_a_non_finite_setting(method, field, value):
-    # checked with the RunConfig, before any data is read; a NaN time budget
-    # once never stopped a run
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        _config(method=method, **{field: value})
-
-
-def test_tune_stepsize_rejects_a_non_finite_candidate():
-    # once skipped without a word, as a divergence
-    with pytest.raises(ValueError, match="step_scale must be finite"):
-        tune_stepsize(_config(), [math.nan, 1.0])
 
 
 def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):

@@ -448,33 +448,28 @@ def layout_batches(rng, prob, b, *per_sample):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
-    # the kernels use ndarray.dot for its lower dispatch cost, on operands
-    # cast once; they must give the bytes of the @ forms on float operands, on
-    # the full pass and on every gathered batch, at zero scores (x = 0) and at
-    # signed-zero and NaN offsets
+    # the kernels use ndarray.dot for its lower dispatch cost; on finite
+    # offsets it must give the bytes of the @ forms, on the full pass and on
+    # every gathered batch
     rng = np.random.default_rng(23 + b)
     prob = layout_problem(rng, loss, layout)
     for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
         sp = SmoothedProblem(prob, gamma)
         batch_scalars = kernel_scalars(loss, gamma, b)
         snap = rng.normal(size=prob.d)
-        for x in (np.zeros(prob.d), snap + rng.normal(scale=0.1, size=prob.d)):
-            # the full pass at x, then at the snapshot, whose pass the batches use
-            for point in (x, snap):
-                full, weights = loss_gradient(sp, point, with_weights=True)
-                ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss,
-                                                         gamma, point)
-                assert full.tobytes() == ref_full.tobytes()
-                assert weights.tobytes() == ref_weights.tobytes()
-            for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
-                c = _signed_zeros_and_nan(rng, c)
-                got = gradient_kernel(rows, c, batch_scalars, x)
-                ref = _matmul_gradient(rows, c, loss, gamma, x)
-                assert got[0].tobytes() == ref[0].tobytes()
-                assert got[1].tobytes() == ref[1].tobytes()
-                got = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
-                ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
-                assert got.tobytes() == ref.tobytes()
+        x = snap + rng.normal(scale=0.1, size=prob.d)
+        full, weights = loss_gradient(sp, snap, with_weights=True)
+        ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss, gamma, snap)
+        assert full.tobytes() == ref_full.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
+            got = gradient_kernel(rows, c, batch_scalars, x)
+            ref = _matmul_gradient(rows, c, loss, gamma, x)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            got = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
+            ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
+            assert got.tobytes() == ref.tobytes()
 
 
 def _read_only_scalars(values, cast):
@@ -492,12 +487,13 @@ def _read_only_scalars(values, cast):
     return cast
 
 
-def _signed_zeros_and_nan(rng, c):
-    """Offsets ``c`` with some entries replaced by +0.0, -0.0 and NaN."""
+def _signed_zeros_and_nan(rng, c, nan=0.05):
+    """Offsets ``c`` with some entries replaced by +0.0, -0.0 and, each with
+    probability ``nan``, NaN."""
     c = c.copy()
     c[rng.random(size=c.shape) < 0.3] = -0.0
     c[rng.random(size=c.shape) < 0.1] = 0.0
-    c[rng.random(size=c.shape) < 0.05] = np.nan
+    c[rng.random(size=c.shape) < nan] = np.nan
     return c
 
 
@@ -505,34 +501,34 @@ def _signed_zeros_and_nan(rng, c):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_kernels_keep_their_bits_with_precast_scalars(loss, layout, b):
-    # a caller may hand a kernel its operands as Python floats; the bytes must
-    # be those of the operands cast once to read-only 0-d arrays
-    # (``kernel_scalars``, ``SmoothedProblem.kernel_scalars``), at zero scores
-    # (x = 0), signed-zero and NaN offsets, and on every batch layout
+    # the kernels take their operands cast once to read-only 0-d arrays
+    # (``kernel_scalars``, ``SmoothedProblem.kernel_scalars``); where a cast
+    # operand could differ from a float one, at zero scores (x = 0) and at
+    # signed-zero and NaN offsets, they must still give the bytes of the @
+    # forms on float operands, on the full pass and on every batch layout
     rng = np.random.default_rng(37 + b)
     prob = layout_problem(rng, loss, layout)
     for gamma in (2.0, 0.05):
         sp = SmoothedProblem(prob, gamma)
-        full_floats = _float_scalars(loss, gamma, prob.n)
-        batch_floats = _float_scalars(loss, gamma, b)
-        _read_only_scalars(full_floats, sp.kernel_scalars)
-        batch_scalars = _read_only_scalars(batch_floats, kernel_scalars(loss, gamma, b))
+        batch_scalars = _read_only_scalars(_float_scalars(loss, gamma, b),
+                                           kernel_scalars(loss, gamma, b))
         for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
-            ref = gradient_kernel(prob.features, prob.offsets, full_floats, x)
-            got = loss_gradient(sp, x, with_weights=True)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
+            full, weights = loss_gradient(sp, x, with_weights=True)
+            ref = _matmul_gradient(prob.features, prob.offsets, loss, gamma, x)
+            assert full.tobytes() == ref[0].tobytes()
+            assert weights.tobytes() == ref[1].tobytes()
             assert loss_gradient(sp, x).tobytes() == ref[0].tobytes()
-            full = ref[0]
-            for rows, c, snap_weights in layout_batches(rng, prob, b, ref[1]):
-                c = _signed_zeros_and_nan(rng, c)
-                ref_b = gradient_kernel(rows, c, batch_floats, x)
-                got_b = gradient_kernel(rows, c, batch_scalars, x)
-                assert got_b[0].tobytes() == ref_b[0].tobytes()
-                assert got_b[1].tobytes() == ref_b[1].tobytes()
-                ref_vr = vr_gradient_kernel(rows, c, batch_floats, x, snap_weights, full)
-                got_vr = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
-                assert got_vr.tobytes() == ref_vr.tobytes()
+            for rows, offsets, snap_weights in layout_batches(rng, prob, b, weights):
+                # signed zeros alone, then with NaN, which can fill a whole product
+                for nan in (0.0, 0.05):
+                    c = _signed_zeros_and_nan(rng, offsets, nan)
+                    got = gradient_kernel(rows, c, batch_scalars, x)
+                    ref = _matmul_gradient(rows, c, loss, gamma, x)
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1].tobytes() == ref[1].tobytes()
+                    got = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
+                    ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
+                    assert got.tobytes() == ref.tobytes()
 
 
 def test_smoothed_problem_casts_its_kernel_scalars_once(monkeypatch):
