@@ -349,9 +349,9 @@ class MethodSummary:
     final_gap: float
 
 
-def gap_slope(rows, reference, trailing=0.5):
-    """Least-squares slope of log10(gap) vs log10(iterations) over the trailing
-    fraction of a trace. None when fewer than two usable points exist."""
+def gap_slope(rows, reference):
+    """Least-squares slope of log10(gap) vs log10(iterations) over the second
+    half of a trace. None when fewer than two usable points exist."""
     pts = [
         (math.log10(r.cumulative_iterations), math.log10(max(r.objective_original - reference, 1e-16)))
         for r in rows
@@ -359,7 +359,7 @@ def gap_slope(rows, reference, trailing=0.5):
     ]
     if len(pts) < 2:
         return None
-    start = int(len(pts) * (1.0 - trailing))
+    start = len(pts) // 2
     tail = pts[start:] if len(pts) - start >= 2 else pts[-2:]
     xs, ys = zip(*tail)
     slope = np.polyfit(xs, ys, 1)[0]
@@ -411,11 +411,11 @@ def render_report(summaries, target_gap):
     return "\n".join(lines)
 
 
-def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
+def tune_stepsize(cfg, grid):
     """Pick the step scale with the lowest final training objective on a seeded
     subset of the training data.
 
-    Runs each candidate for a few epochs on ``subset_fraction`` of the samples;
+    Runs each candidate for three epochs on a seeded 20% of the samples;
     candidates that raise a CnsError (divergence included) or a
     FloatingPointError are skipped, any other exception propagates; raises
     TuningError if every candidate is skipped. The tuned knob is ``eta0`` for
@@ -427,10 +427,10 @@ def tune_stepsize(cfg, grid, epochs=3, subset_fraction=0.2):
         raise ValueError("grid must be nonempty")
     problem, _ = load_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
-    n_sub = max(1, math.ceil(subset_fraction * problem.n))
+    n_sub = max(1, math.ceil(0.2 * problem.n))
     subset = problem.data.subset(rng.permutation(problem.n)[:n_sub])
     sub_problem = CompositeProblem(subset, problem.loss, problem.reg)
-    budget = max(1, epochs * math.ceil(n_sub / cfg.batch_size))
+    budget = max(1, 3 * math.ceil(n_sub / cfg.batch_size))
 
     best = None
     for candidate in grid:

@@ -21,6 +21,9 @@ from .solvers import APG, SolverSpec, run_solver, start_point
 OPTION_I = "I"
 OPTION_II = "II"
 
+# the automatic stage-1 budget search gives up past this many iterations
+AUTO_T1_MAX = 1 << 20
+
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -40,9 +43,7 @@ class ContinuationConfig:
     stages: int = 1
     solver: SolverSpec = field(default_factory=SolverSpec)
     budget_option: "str | None" = None
-    x0: "np.ndarray | None" = None
     fixed_smoothing: bool = False
-    auto_t1_max: int = 1 << 20
 
     def __post_init__(self):
         check_finite(gamma1=self.gamma1, tau=self.tau, lam1=self.lam1)
@@ -56,8 +57,6 @@ class ContinuationConfig:
             raise ValueError("lam1 must be nonnegative")
         if self.stages < 1:
             raise ValueError("stages must be >= 1")
-        if self.auto_t1_max < 1:
-            raise ValueError("auto_t1_max must be >= 1")
         option = OPTION_II if self.solver.accelerated else OPTION_I
         if self.budget_option not in (None, option):
             raise ValueError(f"budget option {self.budget_option!r} does not match "
@@ -90,34 +89,30 @@ def stage_budget(t1, tau, exponent, s):
     return math.ceil(raw * (1.0 - 1e-12))
 
 
-def _growth_exponent(accelerated, general_convex):
-    # option I grows budgets by tau^2 (general convex) or tau, option II by the root
-    return (2.0 if general_convex else 1.0) / (2.0 if accelerated else 1.0)
-
-
-def auto_t1(problem, cfg):
+def auto_t1(problem, cfg, x0=None):
     """Smallest power-of-two multiple of ceil(n / batch) whose stage-1 run cuts
-    the stage-1 objective by at least 1/tau^2 from the start point.
+    the stage-1 objective by at least 1/tau^2 from the start point ``x0``
+    (zeros when None).
 
     Doubles the probe budget until the objective test passes; raises
-    BudgetEstimationError at ``cfg.auto_t1_max``, and as soon as a doubled
+    BudgetEstimationError past ``AUTO_T1_MAX``, and as soon as a doubled
     probe ends no lower than the previous one: the target then lies below
     what the solver reaches on the stage, which no budget mends. Because the
     stage objective is nonnegative, passing the absolute test also certifies
     the suboptimality reduction the schedule analysis needs.
     """
     sp = SmoothedProblem(problem, cfg.gamma1, cfg.lam1)
-    x0 = start_point(cfg.x0, problem.d)
+    x0 = start_point(x0, problem.d)
     base = objective_smoothed(sp, x0)
     target = base / cfg.tau**2
     budget = math.ceil(problem.n / cfg.solver.batch_size)
-    if budget > cfg.auto_t1_max:
+    if budget > AUTO_T1_MAX:
         raise BudgetEstimationError(
-            f"auto t1 cap {cfg.auto_t1_max} is below the first probe budget "
+            f"auto t1 cap {AUTO_T1_MAX} is below the first probe budget "
             f"ceil(n / batch_size) = {budget}"
         )
     previous = None
-    while budget <= cfg.auto_t1_max:
+    while budget <= AUTO_T1_MAX:
         rng = np.random.default_rng(cfg.solver.seed)
         run = run_solver(cfg.solver, sp, x0, budget, rng=rng)
         achieved = objective_smoothed(sp, run.x)
@@ -132,7 +127,7 @@ def auto_t1(problem, cfg):
         previous = achieved
         budget *= 2
     raise BudgetEstimationError(
-        f"auto t1 exceeded cap {cfg.auto_t1_max}: stage-1 objective "
+        f"auto t1 exceeded cap {AUTO_T1_MAX}: stage-1 objective "
         f"{achieved:.6g} above target {target:.6g}"
     )
 
@@ -158,41 +153,43 @@ def measure_stage_reduction(sp, x_before, x_after, oracle_budget):
     return (after - star) / denom
 
 
-def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None):
-    exponent = _growth_exponent(cfg.solver.accelerated, general_convex)
-    # fixed smoothing is the zero-growth schedule: every stage at gamma1, lam1, t1
+def _run_stages(problem, cfg, x0, callback, callback_every):
+    # option I grows budgets by tau^2 (general convex: lam1 > 0) or tau, option
+    # II by the root; fixed smoothing is the zero-growth schedule: every stage
+    # at gamma1, lam1, t1
+    exponent = (2.0 if cfg.lam1 > 0 else 1.0) / (2.0 if cfg.solver.accelerated else 1.0)
     rate = 1.0 if cfg.fixed_smoothing else cfg.tau
-    t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg)
+    t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg, x0)
+    # every stage's budget and gamma are checked before stage 1 runs; past
+    # 2**53 the float ceiling is no longer an exact count
+    try:
+        budgets = [stage_budget(t1, rate, exponent, s) for s in range(1, cfg.stages + 1)]
+    except OverflowError:
+        budgets = [math.inf]
+    if max(budgets) > 2**53:
+        raise ValueError(f"tau = {cfg.tau:g} grows the stage budgets from t1 = {t1} past 2**53")
+    stage_problems = [SmoothedProblem(problem, cfg.gamma1 / rate**k, cfg.lam1 / rate**k)
+                      for k in range(cfg.stages)]
     rng = np.random.default_rng(cfg.solver.seed)
-    x = start_point(cfg.x0, problem.d)
-    reports = []
-    done = 0
-    total_elapsed = 0.0
-    for s in range(1, cfg.stages + 1):
-        shrink = rate ** (s - 1)
-        gamma_s, lam_s = cfg.gamma1 / shrink, cfg.lam1 / shrink
-        budget = stage_budget(t1, rate, exponent, s)
-        sp = SmoothedProblem(problem, gamma_s, lam_s)
+    x = start_point(x0, problem.d)
+    reports, done, total_elapsed = [], 0, 0.0
+
+    def stage_cb(t, xt, elapsed):
+        callback(done + t, xt, total_elapsed + elapsed, s)
+
+    for s, (sp, budget) in enumerate(zip(stage_problems, budgets), 1):
         before = objective_smoothed(sp, x)
-
-        stage_cb = None
-        if callback is not None:
-            offset, base_elapsed = done, total_elapsed
-
-            def stage_cb(t, xt, elapsed, _s=s, _offset=offset, _base=base_elapsed):
-                callback(_offset + t, xt, _base + elapsed, _s)
-
         run = run_solver(
             cfg.solver, sp, x, budget, rng=rng,
-            callback=stage_cb, callback_every=callback_every,
+            callback=None if callback is None else stage_cb, callback_every=callback_every,
             context=f"stage {s}: ",
         )
         x = run.x
         reports.append(
             StageReport(
                 s=s,
-                gamma=gamma_s,
-                lam=lam_s,
+                gamma=sp.gamma,
+                lam=sp.lam,
                 budget=budget,
                 smoothed_before=before,
                 smoothed_after=objective_smoothed(sp, x),
@@ -205,8 +202,9 @@ def _run_stages(problem, cfg, general_convex, callback=None, callback_every=None
     return x, reports
 
 
-def cns_strongly_convex(problem, cfg, callback=None, callback_every=None):
-    """Continuation for strongly convex problems (no stage ridge term).
+def cns_strongly_convex(problem, cfg, x0=None, callback=None, callback_every=None):
+    """Continuation for strongly convex problems (no stage ridge term), from
+    ``x0`` (zeros when None).
 
     Budgets grow by tau (option I) or sqrt(tau) (option II) per stage.
     """
@@ -214,12 +212,11 @@ def cns_strongly_convex(problem, cfg, callback=None, callback_every=None):
         raise WrongDriverError("problem is not strongly convex; use the general driver")
     if cfg.lam1 != 0:
         raise WrongDriverError("lam1 must be 0 for the strongly convex driver")
-    return _run_stages(problem, cfg, general_convex=False,
-                       callback=callback, callback_every=callback_every)
+    return _run_stages(problem, cfg, x0, callback, callback_every)
 
 
-def cns_general_convex(problem, cfg, callback=None, callback_every=None):
-    """Continuation for general convex problems.
+def cns_general_convex(problem, cfg, x0=None, callback=None, callback_every=None):
+    """Continuation for general convex problems, from ``x0`` (zeros when None).
 
     Each stage minimizes the smoothed objective plus (lam_s/2)||x||^2, with
     lam shrinking alongside gamma; the solver sees modulus lam_s (+ nu2 when
@@ -228,29 +225,26 @@ def cns_general_convex(problem, cfg, callback=None, callback_every=None):
     """
     if cfg.lam1 <= 0:
         raise WrongDriverError("the general convex driver needs lam1 > 0")
-    return _run_stages(problem, cfg, general_convex=True,
-                       callback=callback, callback_every=callback_every)
+    return _run_stages(problem, cfg, x0, callback, callback_every)
 
 
 def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,
-                        lam1=None, warm_iterations=2_000, x0=None, check_every=200):
+                        warm_iterations=2_000, check_every=200):
     """High-accuracy estimate of the optimal original objective.
 
     Walks the smoothing level down from ``gamma1`` to ``gamma`` with warm
     starts (a cold accelerated solve at tiny gamma would need prohibitively
     many iterations), then polishes at the final level for ``iterations``
     and returns the best original objective seen at periodic checkpoints.
-    For problems with no strong convexity a ridge weight starting at ``lam1``
+    For problems with no strong convexity a ridge weight starting at 1e-5
     is decayed alongside gamma and dropped for the polish. Used as the gap
     baseline in comparisons.
     """
-    x = start_point(x0, problem.d)
+    x = np.zeros(problem.d)
     best = objective_original(problem, x)
-    if lam1 is None:
-        lam1 = 0.0 if problem.mu > 0 else 1e-5
 
     apg = SolverSpec(solver=APG)
-    gamma_s, lam_s = gamma1, lam1
+    gamma_s, lam_s = gamma1, 0.0 if problem.mu > 0 else 1e-5
     while gamma_s > gamma:
         sp = SmoothedProblem(problem, gamma_s, lam_s)
         x = run_solver(apg, sp, x, warm_iterations).x

@@ -119,6 +119,9 @@ class SmoothedProblem:
         check_finite(gamma=self.gamma, lam=self.lam)
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not np.isfinite(self.base.max_row_sq_norm / self.gamma):
+            raise ValueError(f"gamma = {self.gamma:g} is too small: the Lipschitz bound "
+                             "max ||z_i||^2 / gamma overflows")
         if self.lam < 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
 

@@ -87,7 +87,6 @@ class SolverRun:
     """
 
     x: np.ndarray
-    iterations: int
     elapsed: float = 0.0
 
 
@@ -133,7 +132,7 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
                 callback(t, x, elapsed)
                 tick = time.perf_counter()
     elapsed += time.perf_counter() - tick
-    return SolverRun(x=x, iterations=budget, elapsed=elapsed)
+    return SolverRun(x=x, elapsed=elapsed)
 
 
 def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):

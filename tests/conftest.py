@@ -15,13 +15,23 @@ from cnsopt import (
     REGRESSION,
     CompositeProblem,
     Regularizer,
+    SparseDataset,
     SyntheticSpec,
+    dual_spec,
     make_synthetic,
     reference_objective,
 )
 
 SC_NU1, SC_NU2 = 0.002, 0.08
 REG_NU1 = 0.005
+
+
+def problem_from_rows(rows, labels, loss, nu1=0.0, nu2=0.0):
+    """A problem on dense ``rows`` and ``labels`` of the task the loss table
+    gives ``loss``."""
+    data = SparseDataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=float),
+                         dual_spec(loss).task)
+    return CompositeProblem(data, loss, Regularizer(nu1=nu1, nu2=nu2))
 
 
 def strongly_convex_spec(seed):

@@ -1,7 +1,6 @@
 import argparse
 import csv
 import hashlib
-import io
 import logging
 import math
 import os
@@ -624,12 +623,13 @@ def test_cli_sweep_names_the_malformed_dataset_of_a_failing_config(tmp_path, cap
 
 
 def _python_m_cnsopt(*args):
-    # the subprocess imports the same cnsopt as this test, wherever it lives
+    # the subprocess imports the same cnsopt as this test, wherever it lives;
+    # a command that hangs fails the test with TimeoutExpired
     package_root = os.path.dirname(os.path.dirname(cnsopt.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cnsopt", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
 
 
@@ -640,17 +640,31 @@ def test_cli_entry_point_runs():
 
 
 def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
-    proc = _python_m_cnsopt("run", "--method", "cns-na", "--solver", "saga",
-                            "--dataset", str(tmp_path / "absent.libsvm"))
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["cnsopt: error: unknown solver 'saga'"]
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
-    # tau = inf once ended in an OverflowError traceback from stage_budget
-    proc = _python_m_cnsopt("run", "--method", "cns-a", "--nu2", "0.05", "--tau", "inf",
-                            "--synth-n", "40")
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["cnsopt: error: tau must be finite, got inf"]
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    cases = [
+        (["--method", "cns-na", "--solver", "saga", "--dataset", str(tmp_path / "absent.libsvm")],
+         "unknown solver 'saga'"),
+        # tau = inf once ended in an OverflowError traceback from stage_budget
+        (["--method", "cns-a", "--nu2", "0.05", "--tau", "inf", "--synth-n", "40"],
+         "tau must be finite, got inf"),
+        # a finite tau once gave stage 2 about 5e100 iterations, and ran on
+        (["--method", "cns-a", "--nu2", "0.05", "--tau", "1e200", "--stages", "3",
+          "--synth-n", "40", "--t1", "5"],
+         "tau = 1e+200 grows the stage budgets from t1 = 5 past 2**53"),
+        # ... or an OverflowError traceback, after tau**2 overflowed
+        (["--method", "cns-na", "--loss", "absolute", "--nu1", "0.01", "--lam1", "1e-5",
+          "--tau", "1e200", "--stages", "2", "--synth-n", "40", "--t1", "5"],
+         "tau = 1e+200 grows the stage budgets from t1 = 5 past 2**53"),
+        # the Lipschitz bound overflowed to a zero step, after an overflow warning
+        (["--method", "cns-a", "--nu2", "0.05", "--gamma1", "1e-320", "--synth-n", "40",
+          "--t1", "5"],
+         "gamma = 9.99989e-321 is too small: the Lipschitz bound max ||z_i||^2 / gamma "
+         "overflows"),
+    ]
+    for args, message in cases:
+        proc = _python_m_cnsopt("run", *args)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"cnsopt: error: {message}"]
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 # --- golden: the written traces and the run flags ----------------------------

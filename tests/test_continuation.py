@@ -23,12 +23,12 @@ from cnsopt import (
     dual_spec,
     make_synthetic,
     measure_stage_reduction,
-    objective_original,
     objective_smoothed,
     run_solver,
     smoothing_gap,
     stage_budget,
 )
+from cnsopt import continuation
 from cnsopt.continuation import OPTION_I, OPTION_II
 from cnsopt.solvers import SolverSpec
 
@@ -157,8 +157,6 @@ def test_config_validation():
         ContinuationConfig(gamma1=0.0)
     with pytest.raises(ValueError):
         ContinuationConfig(stages=0)
-    with pytest.raises(ValueError, match="auto_t1_max"):
-        ContinuationConfig(auto_t1_max=0)
     with pytest.raises(ValueError):  # option/family mismatch
         ContinuationConfig(solver=SolverSpec(solver="apg"), budget_option=OPTION_I)
     with pytest.raises(ValueError):
@@ -170,6 +168,14 @@ def test_config_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 ContinuationConfig(**{field: value})
+
+
+def test_config_is_a_value():
+    # the schedule alone: equal settings compare equal and hash alike
+    a = ContinuationConfig(gamma1=0.05, t1=9, stages=3, solver=SolverSpec(solver="apg"))
+    b = ContinuationConfig(gamma1=0.05, t1=9, stages=3, solver=SolverSpec(solver="apg"))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ContinuationConfig(gamma1=0.05, t1=9, stages=4, solver=SolverSpec(solver="apg"))
 
 
 # the paper's budget options: I pairs with the non-accelerated solvers, II with
@@ -251,15 +257,16 @@ def test_auto_t1_trivial_when_start_is_optimal():
     prob = CompositeProblem(data, HINGE, Regularizer())
     margins = data.labels * (data.features @ ref.w_true)
     x0 = (1.01 / margins.min()) * ref.w_true
-    cfg = ContinuationConfig(gamma1=1e-4, tau=2.0, stages=1, x0=x0,
+    cfg = ContinuationConfig(gamma1=1e-4, tau=2.0, stages=1,
                              solver=SolverSpec(solver="prox-gd", batch_size=50))
-    assert auto_t1(prob, cfg) == math.ceil(prob.n / 50)
+    assert auto_t1(prob, cfg, x0=x0) == math.ceil(prob.n / 50)
 
 
-def test_auto_t1_cap_error():
+def test_auto_t1_cap_error(monkeypatch):
     # an optimum above the stage-1 target can never satisfy the test
     prob = _suite(nu1=0.5, nu2=0.5)  # heavy regularization keeps the objective high
-    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1, auto_t1_max=64,
+    monkeypatch.setattr(continuation, "AUTO_T1_MAX", 64)
+    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1,
                              solver=SolverSpec(solver="prox-gd"))
     with pytest.raises(BudgetEstimationError):
         auto_t1(prob, cfg)
@@ -283,13 +290,14 @@ def test_auto_t1_stops_when_a_doubled_probe_does_not_lower_the_objective():
     found = re.fullmatch(r"auto t1 stalled: stage-1 objective 0\.7107\d* after (\d+) iterations "
                          r"is not below 0\.7107\d* after \d+, above target 0\.2437\d*",
                          str(err.value))
-    assert found and int(found[1]) < cfg.auto_t1_max // 16
+    assert found and int(found[1]) < continuation.AUTO_T1_MAX // 16
 
 
-def test_auto_t1_cap_below_the_first_probe():
+def test_auto_t1_cap_below_the_first_probe(monkeypatch):
     # the first probe, ceil(200 / 10) = 20 steps, is already above the cap
     prob = _suite()
-    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1, auto_t1_max=5,
+    monkeypatch.setattr(continuation, "AUTO_T1_MAX", 5)
+    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, stages=1,
                              solver=SolverSpec(solver="prox-gd", batch_size=10))
     with pytest.raises(BudgetEstimationError, match=r"cap 5 .* = 20$"):
         auto_t1(prob, cfg)
@@ -339,11 +347,10 @@ def test_divergence_carries_stage_index():
 
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=5, stages=2,
-                             x0=np.full(prob.d, np.inf),
                              solver=SolverSpec(solver="prox-gd"))
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match="stage 1"):
-            cns_strongly_convex(prob, cfg)
+            cns_strongly_convex(prob, cfg, x0=np.full(prob.d, np.inf))
 
 
 def test_driver_callback_counts_cumulative_iterations():

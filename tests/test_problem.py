@@ -18,11 +18,7 @@ from cnsopt import (
 )
 from cnsopt.smoothing import lipschitz_constant
 
-
-def _problem(rows, labels, loss, nu1=0.0, nu2=0.0):
-    task = "classification" if loss == HINGE else "regression"
-    data = SparseDataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=float), task)
-    return CompositeProblem(data, loss, Regularizer(nu1=nu1, nu2=nu2))
+from tests.conftest import problem_from_rows
 
 
 def test_regularizer_value():
@@ -53,28 +49,28 @@ def test_loss_task_mismatch_rejected():
 
 
 def test_mu_comes_from_regularizer():
-    prob = _problem([[1.0]], [1.0], HINGE, nu2=0.25)
+    prob = problem_from_rows([[1.0]], [1.0], HINGE, nu2=0.25)
     assert prob.mu == 0.25
-    assert _problem([[1.0]], [1.0], HINGE).mu == 0.0
+    assert problem_from_rows([[1.0]], [1.0], HINGE).mu == 0.0
 
 
 def test_objective_original_hinge_satisfied_margin():
-    prob = _problem([[1.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0]], [1.0], HINGE)
     assert objective_original(prob, np.array([2.0])) == 0.0
 
 
 def test_objective_original_hinge_at_zero_with_l1():
-    prob = _problem([[1.0]], [1.0], HINGE, nu1=0.5)
+    prob = problem_from_rows([[1.0]], [1.0], HINGE, nu1=0.5)
     assert objective_original(prob, np.array([0.0])) == pytest.approx(1.0)
 
 
 def test_objective_original_absolute():
-    prob = _problem([[1.0]], [3.0], ABSOLUTE, nu1=1.0)
+    prob = problem_from_rows([[1.0]], [3.0], ABSOLUTE, nu1=1.0)
     assert objective_original(prob, np.array([1.0])) == pytest.approx(3.0)
 
 
 def test_objective_dimension_mismatch():
-    prob = _problem([[1.0, 2.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0, 2.0]], [1.0], HINGE)
     with pytest.raises(ValueError):
         objective_original(prob, np.zeros(3))
     with pytest.raises(ValueError):
@@ -82,20 +78,20 @@ def test_objective_dimension_mismatch():
 
 
 def test_objective_smoothed_equals_original_on_flat_branch():
-    prob = _problem([[1.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0]], [1.0], HINGE)
     sp = SmoothedProblem(prob, 0.1)
     x = np.array([2.0])
     assert objective_smoothed(sp, x) == objective_original(prob, x) == 0.0
 
 
 def test_objective_smoothed_quadratic_branch():
-    prob = _problem([[0.5]], [1.0], HINGE)  # margin 0.5 at x = 1
+    prob = problem_from_rows([[0.5]], [1.0], HINGE)  # margin 0.5 at x = 1
     sp = SmoothedProblem(prob, 0.5)
     assert objective_smoothed(sp, np.array([1.0])) == pytest.approx(0.25)
 
 
 def test_objective_smoothed_ridge_term():
-    prob = _problem([[0.5, 0.5]], [1.0], ABSOLUTE)  # residual 0 at (1, 1)
+    prob = problem_from_rows([[0.5, 0.5]], [1.0], ABSOLUTE)  # residual 0 at (1, 1)
     sp = SmoothedProblem(prob, 0.7, lam=0.2)
     assert objective_smoothed(sp, np.array([1.0, 1.0])) == pytest.approx(0.2)
 
@@ -103,7 +99,7 @@ def test_objective_smoothed_ridge_term():
 def _random_problem(rng, loss, nu1, nu2, n=30, d=6):
     rows = rng.normal(size=(n, d))
     labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
-    return _problem(rows, labels, loss, nu1, nu2)
+    return problem_from_rows(rows, labels, loss, nu1, nu2)
 
 
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
@@ -144,7 +140,7 @@ def test_ridge_term_is_exactly_additive():
 
 
 def test_smoothed_problem_validation():
-    prob = _problem([[1.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0]], [1.0], HINGE)
     with pytest.raises(ValueError):
         SmoothedProblem(prob, 0.0)
     with pytest.raises(ValueError):
@@ -154,6 +150,12 @@ def test_smoothed_problem_validation():
             SmoothedProblem(prob, value)
         with pytest.raises(ValueError, match="lam must be finite"):
             SmoothedProblem(prob, 0.1, lam=value)
+    # max ||z_i||^2 / gamma = 4 / 1e-308 overflows: the error names gamma, not
+    # the zero step size it would give
+    wide = problem_from_rows([[2.0]], [1.0], HINGE)
+    with pytest.raises(ValueError, match=r"gamma = 1e-308 is too small"):
+        SmoothedProblem(wide, 1e-308)
+    assert SmoothedProblem(prob, 1e-308).gamma == 1e-308  # 1 / 1e-308 is finite
 
 
 def test_features_densifies_csr_with_dense_values():
@@ -167,7 +169,7 @@ def test_features_densifies_csr_with_dense_values():
     assert np.array_equal(prob.features, rows)
     assert prob.data.features is mat
     # same Lipschitz constant, bit for bit, as the in-memory dense problem
-    dense = _problem(rows, data.labels, ABSOLUTE, nu1=0.1)
+    dense = problem_from_rows(rows, data.labels, ABSOLUTE, nu1=0.1)
     assert prob.max_row_sq_norm == dense.max_row_sq_norm
     sp, sp_dense = SmoothedProblem(prob, 0.01), SmoothedProblem(dense, 0.01)
     assert lipschitz_constant(sp) == lipschitz_constant(sp_dense)
@@ -177,7 +179,7 @@ def test_classification_rows_are_label_signed():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(30, 5))
     labels = rng.choice([-1.0, 1.0], size=30)
-    prob = _problem(rows, labels, HINGE)
+    prob = problem_from_rows(rows, labels, HINGE)
     assert np.array_equal(prob.features, labels[:, None] * rows)
     assert np.array_equal(prob.offsets, np.ones(30))
     assert prob.data.features is not prob.features  # the caller's rows stay unsigned
@@ -201,9 +203,9 @@ def test_classification_rows_are_label_signed():
 
 
 def test_offsets_are_read_only():
-    reg = _problem([[1.0], [2.0]], [0.5, -1.5], ABSOLUTE)
+    reg = problem_from_rows([[1.0], [2.0]], [0.5, -1.5], ABSOLUTE)
     assert np.array_equal(reg.offsets, [0.5, -1.5])
-    for prob in (reg, _problem([[1.0]], [-1.0], HINGE)):
+    for prob in (reg, problem_from_rows([[1.0]], [-1.0], HINGE)):
         with pytest.raises(ValueError):
             prob.offsets[0] = 3.0
     assert reg.data.labels.flags.writeable  # the dataset's labels are untouched

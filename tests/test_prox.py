@@ -29,16 +29,6 @@ def golden_section(f, lo, hi, tol=1e-9):
     return 0.5 * (a + b)
 
 
-def golden_prox_l1(v, t):
-    """Independent per-coordinate oracle: minimize 0.5 (x-v)^2 + t |x|."""
-    out = np.empty_like(v)
-    for j, vj in enumerate(v):
-        out[j] = golden_section(
-            lambda x: 0.5 * (x - vj) ** 2 + t * abs(x), vj - abs(vj) - 1, vj + abs(vj) + 1
-        )
-    return out
-
-
 def golden_prox_reg(v, eta, reg, lam_extra):
     quad = reg.nu2 + lam_extra
     out = np.empty_like(v)
@@ -66,14 +56,6 @@ def test_zero_threshold_is_identity():
 def test_negative_threshold_rejected():
     with pytest.raises(ValueError):
         prox_l1(np.zeros(2), -1e-9)
-
-
-def test_prox_l1_matches_golden_section():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        v = rng.normal(scale=3.0, size=20)
-        t = rng.uniform(0.0, 2.0)
-        assert np.max(np.abs(prox_l1(v, t) - golden_prox_l1(v, t))) < 1e-6
 
 
 def test_prox_regularizer_elastic_net_example():
@@ -105,17 +87,6 @@ def test_lam_extra_folds_into_nu2():
         a = prox_regularizer(v, prox_scalars(eta, Regularizer(nu1=0.3, nu2=0.3), lam_extra=0.2))
         b = prox_regularizer(v, prox_scalars(eta, Regularizer(nu1=0.3, nu2=0.5), lam_extra=0.0))
         assert np.allclose(a, b, atol=1e-15)
-
-
-def test_prox_regularizer_matches_golden_section():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        v = rng.normal(scale=3.0, size=20)
-        eta = rng.uniform(0.05, 2.0)
-        reg = Regularizer(nu1=rng.uniform(0, 1.5), nu2=rng.uniform(0, 1.5))
-        lam = rng.uniform(0, 0.5)
-        got = prox_regularizer(v, prox_scalars(eta, reg, lam))
-        assert np.max(np.abs(got - golden_prox_reg(v, eta, reg, lam))) < 1e-6
 
 
 def test_nonexpansiveness():

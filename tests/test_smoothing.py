@@ -16,8 +16,6 @@ from cnsopt import (
     condition_number,
     dual_spec,
     lipschitz_constant,
-    objective_smoothed,
-    slacks,
     smoothed_loss_gradient,
     smoothing_gap,
 )
@@ -32,6 +30,8 @@ from cnsopt.smoothing import (
     smoothed_loss_values,
     vr_gradient_kernel,
 )
+
+from tests.conftest import problem_from_rows
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
 
@@ -209,21 +209,15 @@ def test_smoothing_gap_values():
     assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
 
 
-def _tiny_problem(rows, labels, loss, nu1=0.0, nu2=0.0):
-    task = "classification" if loss == HINGE else "regression"
-    data = SparseDataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=float), task)
-    return CompositeProblem(data, loss, Regularizer(nu1=nu1, nu2=nu2))
-
-
 def test_gradient_flat_branch_is_zero():
-    prob = _tiny_problem([[1.0, 0.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0, 0.0]], [1.0], HINGE)
     sp = SmoothedProblem(prob, 0.1)
     g = smoothed_loss_gradient(sp, np.array([2.0, 0.0]))
     assert np.array_equal(g, np.zeros(2))
 
 
 def test_gradient_absolute_linear_branch():
-    prob = _tiny_problem([[1.0]], [0.0], ABSOLUTE)
+    prob = problem_from_rows([[1.0]], [0.0], ABSOLUTE)
     sp = SmoothedProblem(prob, 1.0)
     g = smoothed_loss_gradient(sp, np.array([2.0]))
     assert g == pytest.approx(np.array([1.0]))
@@ -235,43 +229,7 @@ def _random_problem(rng, loss, n=40, d=7, nu1=0.0, nu2=0.0):
         labels = rng.choice([-1.0, 1.0], size=n)
     else:
         labels = rng.normal(size=n)
-    return _tiny_problem(rows, labels, loss, nu1, nu2)
-
-
-def _smooth_part(sp, x):
-    prob = sp.base
-    return (
-        objective_smoothed(sp, x)
-        - prob.reg.value(x)
-    )
-
-
-@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
-def test_gradient_matches_finite_differences(loss):
-    # central differences of the smooth part, at points away from breakpoints
-    rng = np.random.default_rng(3)
-    gamma = 0.05
-    prob = _random_problem(rng, loss)
-    sp = SmoothedProblem(prob, gamma, lam=0.3)
-    h = 1e-6
-    checked = 0
-    while checked < 40:
-        x = rng.normal(size=prob.d)
-        a = slacks(prob, x)
-        if loss == HINGE:
-            dist = np.minimum(np.abs(a), np.abs(a - gamma))
-        else:
-            dist = np.abs(np.abs(a) - gamma)
-        if dist.min() < 1e-3:
-            continue
-        checked += 1
-        g = smoothed_loss_gradient(sp, x)
-        fd = np.empty(prob.d)
-        for j in range(prob.d):
-            e = np.zeros(prob.d)
-            e[j] = h
-            fd[j] = (_smooth_part(sp, x + e) - _smooth_part(sp, x - e)) / (2 * h)
-        assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+    return problem_from_rows(rows, labels, loss, nu1, nu2)
 
 
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
@@ -290,7 +248,7 @@ def test_per_sample_gradient_bounded_by_row_norm(loss):
 
 
 def test_lipschitz_constant_formula():
-    prob = _tiny_problem([[3.0, 4.0]], [1.0], HINGE)
+    prob = problem_from_rows([[3.0, 4.0]], [1.0], HINGE)
     assert lipschitz_constant(SmoothedProblem(prob, 1.0)) == pytest.approx(25.0)
     assert lipschitz_constant(SmoothedProblem(prob, 0.5)) == pytest.approx(50.0)
     assert lipschitz_constant(SmoothedProblem(prob, 0.5, lam=2.0)) == pytest.approx(52.0)
@@ -313,7 +271,7 @@ def test_lipschitz_bound_on_sampled_pairs(loss):
 
 
 def test_condition_number():
-    prob = _tiny_problem([[3.0, 4.0]], [1.0], HINGE)
+    prob = problem_from_rows([[3.0, 4.0]], [1.0], HINGE)
     sp = SmoothedProblem(prob, 0.5)
     assert condition_number(sp, 0.5) == pytest.approx(100.0)
     # halving gamma doubles the condition number when lam = 0
@@ -326,7 +284,7 @@ def test_condition_number():
 def test_condition_number_schedule_growth():
     # under the ridge-augmented schedule, L scales by tau and the modulus by
     # 1/tau, so the condition number grows by tau^2 per stage
-    prob = _tiny_problem([[1.0, 0.0]], [1.0], HINGE)
+    prob = problem_from_rows([[1.0, 0.0]], [1.0], HINGE)
     tau = 2.0
     gamma, lam = 0.01, 1e-3
     k1 = condition_number(SmoothedProblem(prob, gamma, 0.0), lam)
@@ -444,34 +402,6 @@ def layout_batches(rng, prob, b, *per_sample):
     return epoch_batches(block, prob.features, prob.offsets, *per_sample)
 
 
-@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
-@pytest.mark.parametrize("layout", ("c", "f", "csr"))
-@pytest.mark.parametrize("b", (1, 13, 50, 100))
-def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
-    # the kernels use ndarray.dot for its lower dispatch cost; on finite
-    # offsets it must give the bytes of the @ forms, on the full pass and on
-    # every gathered batch
-    rng = np.random.default_rng(23 + b)
-    prob = layout_problem(rng, loss, layout)
-    for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
-        sp = SmoothedProblem(prob, gamma)
-        batch_scalars = kernel_scalars(loss, gamma, b)
-        snap = rng.normal(size=prob.d)
-        x = snap + rng.normal(scale=0.1, size=prob.d)
-        full, weights = loss_gradient(sp, snap, with_weights=True)
-        ref_full, ref_weights = _matmul_gradient(prob.features, prob.offsets, loss, gamma, snap)
-        assert full.tobytes() == ref_full.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
-        for rows, c, snap_weights in layout_batches(rng, prob, b, weights):
-            got = gradient_kernel(rows, c, batch_scalars, x)
-            ref = _matmul_gradient(rows, c, loss, gamma, x)
-            assert got[0].tobytes() == ref[0].tobytes()
-            assert got[1].tobytes() == ref[1].tobytes()
-            got = vr_gradient_kernel(rows, c, batch_scalars, x, snap_weights, full)
-            ref = _matmul_vr_estimate(rows, c, loss, gamma, x, snap_weights, full)
-            assert got.tobytes() == ref.tobytes()
-
-
 def _read_only_scalars(values, cast):
     """``cast``, after checking that it holds each number of ``values`` as a
     read-only 0-d float64 array of its value, and each None as None."""
@@ -500,28 +430,33 @@ def _signed_zeros_and_nan(rng, c, nan=0.05):
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
-def test_kernels_keep_their_bits_with_precast_scalars(loss, layout, b):
-    # the kernels take their operands cast once to read-only 0-d arrays
-    # (``kernel_scalars``, ``SmoothedProblem.kernel_scalars``); where a cast
-    # operand could differ from a float one, at zero scores (x = 0) and at
-    # signed-zero and NaN offsets, they must still give the bytes of the @
-    # forms on float operands, on the full pass and on every batch layout
-    rng = np.random.default_rng(37 + b)
+def test_kernels_keep_the_bits_of_matmul(loss, layout, b):
+    # the kernels use ndarray.dot for its lower dispatch cost, on operands
+    # cast once to read-only 0-d arrays (``kernel_scalars``,
+    # ``SmoothedProblem.kernel_scalars``); they must give the bytes of the @
+    # forms on float operands, on the full pass and on every gathered batch.
+    # Beside the clean inputs, where a cast operand could differ from a float
+    # one: zero scores (x = 0), and signed-zero offsets alone and with NaN,
+    # which can fill a whole product
+    rng = np.random.default_rng(23 + b)
+    offsets_rng = np.random.default_rng(37 + b)
     prob = layout_problem(rng, loss, layout)
-    for gamma in (2.0, 0.05):
+    for gamma in (2.0, 0.05):  # interior weights, then mostly clipped ones
         sp = SmoothedProblem(prob, gamma)
         batch_scalars = _read_only_scalars(_float_scalars(loss, gamma, b),
                                            kernel_scalars(loss, gamma, b))
-        for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
+        snap = rng.normal(size=prob.d)
+        points = (snap + rng.normal(scale=0.1, size=prob.d), np.zeros(prob.d))
+        for x in (*points, snap):  # the snapshot's full pass, last, serves the batches
             full, weights = loss_gradient(sp, x, with_weights=True)
             ref = _matmul_gradient(prob.features, prob.offsets, loss, gamma, x)
             assert full.tobytes() == ref[0].tobytes()
             assert weights.tobytes() == ref[1].tobytes()
             assert loss_gradient(sp, x).tobytes() == ref[0].tobytes()
-            for rows, offsets, snap_weights in layout_batches(rng, prob, b, weights):
-                # signed zeros alone, then with NaN, which can fill a whole product
-                for nan in (0.0, 0.05):
-                    c = _signed_zeros_and_nan(rng, offsets, nan)
+        for rows, offsets, snap_weights in layout_batches(rng, prob, b, weights):
+            for c in (offsets, _signed_zeros_and_nan(offsets_rng, offsets, 0.0),
+                      _signed_zeros_and_nan(offsets_rng, offsets)):
+                for x in points:
                     got = gradient_kernel(rows, c, batch_scalars, x)
                     ref = _matmul_gradient(rows, c, loss, gamma, x)
                     assert got[0].tobytes() == ref[0].tobytes()

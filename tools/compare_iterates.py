@@ -85,7 +85,6 @@ def cases():
                         key = f"{solver}/{loss}/csr{int(csr)}/g{gamma}/mu{mu}"
                         out[key + "/x"] = run.x
                         out[key + "/cb"] = np.array(seen)
-                        out[key + "/it"] = np.array([run.iterations])
                 # a caller-supplied rng
                 spec = SolverSpec(solver="acc-prox-svrg", batch_size=16)
                 run = run_solver(spec, sp, np.zeros(prob.d), 40, rng=np.random.default_rng(9))
