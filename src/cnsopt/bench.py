@@ -28,7 +28,6 @@ from .continuation import (
 )
 from .datasets import (
     CLASSIFICATION,
-    SparseDataset,
     SyntheticSpec,
     make_synthetic,
     parse_libsvm,
@@ -198,20 +197,6 @@ def test_metric(dataset, x, scores=None):
     return float(np.mean(np.abs(dataset.labels - scores)))
 
 
-def solver_spec_for(cfg):
-    if cfg.method == CNS_NA:
-        default = PROX_SVRG
-    else:
-        default = ACC_PROX_SVRG
-    return SolverSpec(
-        solver=cfg.solver or default,
-        theta=cfg.theta,
-        batch_size=cfg.batch_size,
-        step_scale=cfg.step_scale,
-        seed=cfg.seed,
-    )
-
-
 def continuation_config(cfg):
     return ContinuationConfig(
         gamma1=cfg.gamma1,
@@ -219,7 +204,13 @@ def continuation_config(cfg):
         t1=cfg.t1,
         lam1=cfg.lam1,
         stages=cfg.stages,
-        solver=solver_spec_for(cfg),
+        solver=SolverSpec(
+            solver=cfg.solver or (PROX_SVRG if cfg.method == CNS_NA else ACC_PROX_SVRG),
+            theta=cfg.theta,
+            batch_size=cfg.batch_size,
+            step_scale=cfg.step_scale,
+            seed=cfg.seed,
+        ),
         fixed_smoothing=cfg.method == FIXED_GAMMA,
     )
 
@@ -238,32 +229,24 @@ def baseline_spec_for(cfg):
     )
 
 
-def pick_driver(problem, lam1):
-    """The strongly convex driver when the problem has its own modulus and no
-    stage ridge weight is asked for, else the general convex one.
-
-    The drivers are looked up when called, so a wrapped module global (as the
-    span tracer installs) is the one returned.
-    """
-    return cns_strongly_convex if problem.mu > 0 and lam1 == 0 else cns_general_convex
-
-
 def _run_method(cfg, problem, callback=None):
     """Run ``cfg.method`` on ``problem`` from x = 0; return (final x, inner
     iterations, optimization seconds, last stage).
 
     ``callback(iterations, x, elapsed, stage)`` is called every ``cfg.cadence``
-    inner iterations; baselines report stage -1.
+    inner iterations; baselines pass no stage, so it must default to -1.
     """
     if cfg.method in CONTINUATION_METHODS:
-        driver = pick_driver(problem, cfg.lam1)
+        # the strongly convex driver needs the problem's own modulus and no stage
+        # ridge; the drivers are looked up here, so a wrapped module global runs
+        driver = (cns_strongly_convex if problem.mu > 0 and cfg.lam1 == 0
+                  else cns_general_convex)
         x, reports = driver(problem, continuation_config(cfg), callback=callback,
                             callback_every=cfg.cadence)
         return (x, sum(r.budget for r in reports), sum(r.wall_time for r in reports),
                 reports[-1].s if reports else 0)
-    on_step = None if callback is None else (lambda t, x, e: callback(t, x, e, -1))
     run = bl.run_baseline(problem, baseline_spec_for(cfg), cfg.iterations,
-                          callback=on_step, callback_every=cfg.cadence)
+                          callback=callback, callback_every=cfg.cadence)
     return run.x, cfg.iterations, run.elapsed, -1
 
 
@@ -279,7 +262,7 @@ def run_experiment(cfg):
     eval_data = test if test is not None else problem.data
     rows = []
 
-    def snapshot(iterations, x, elapsed, stage):
+    def snapshot(iterations, x, elapsed, stage=-1):
         # without a test set, the objective and the metric share one product
         scores = problem.features.dot(x) if test is None else None
         rows.append(

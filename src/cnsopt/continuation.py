@@ -113,8 +113,7 @@ def auto_t1(problem, cfg, x0=None):
         )
     previous = None
     while budget <= AUTO_T1_MAX:
-        rng = np.random.default_rng(cfg.solver.seed)
-        run = run_solver(cfg.solver, sp, x0, budget, rng=rng)
+        run = run_solver(cfg.solver, sp, x0, budget)
         achieved = objective_smoothed(sp, run.x)
         if achieved <= target:
             return budget

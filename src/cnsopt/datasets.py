@@ -30,11 +30,12 @@ class SparseDataset:
     copy takes no more bytes than the CSR's data, indices and indptr together,
     so the copy costs at most the CSR's own size again; sparser CSR input is
     solved as is. A classification problem then signs each row by its label
-    (one more copy of dense rows, or of the CSR's data). The dataset itself
-    always keeps the caller's matrix.
+    (one more copy of dense rows, or of the CSR's data).
     Labels are exactly +/-1 for classification and arbitrary reals for
-    regression. Instances are immutable after construction and safe to share
-    between concurrent runs.
+    regression. The dataset itself keeps the caller's arrays, neither copied
+    (unless not float64, or a CSR with unsorted indices) nor frozen: nothing in
+    ``cnsopt`` writes to them, and ``bench.load_problem`` shares its datasets
+    with every array read-only.
     """
 
     features: "sparse.csr_matrix | np.ndarray"
@@ -108,15 +109,7 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     index beyond the int32 range of the CSR indices. When ``source`` is a
     path, the error names it.
     """
-    try:
-        return _parse_libsvm(source, task, n_features)
-    except LibsvmFormatError as err:
-        if not isinstance(source, (str, os.PathLike)):
-            raise
-        raise LibsvmFormatError(err.lineno, err.message, os.fspath(source)) from None
-
-
-def _parse_libsvm(source, task, n_features):
+    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
     stream, owned = _open_maybe_gzip(source, "r")
     labels = []
     linenos = []  # the line of each sample, for errors found after the loop
@@ -134,7 +127,7 @@ def _parse_libsvm(source, task, n_features):
             try:
                 label = float(tokens[0])
             except ValueError:
-                raise LibsvmFormatError(lineno, f"bad label {tokens[0]!r}") from None
+                raise LibsvmFormatError(lineno, f"bad label {tokens[0]!r}", path) from None
             if first_non_pm1 is None and abs(label) != 1.0:
                 first_non_pm1 = (lineno, tokens[0])
             labels.append(label)
@@ -146,22 +139,24 @@ def _parse_libsvm(source, task, n_features):
                     idx = int(idx_str)
                     val = float(val_str)
                 except ValueError:
-                    raise LibsvmFormatError(lineno, f"bad feature token {token!r}") from None
+                    raise LibsvmFormatError(lineno, f"bad feature token {token!r}", path) from None
                 if idx < 1:
-                    raise LibsvmFormatError(lineno, f"feature index {idx} is not 1-based")
+                    raise LibsvmFormatError(lineno, f"feature index {idx} is not 1-based", path)
                 if idx <= prev:
                     raise LibsvmFormatError(
-                        lineno, f"feature indices not strictly ascending at {idx}"
+                        lineno, f"feature indices not strictly ascending at {idx}", path
                     )
                 if n_features is not None and idx > n_features:
                     raise LibsvmFormatError(
-                        lineno, f"feature index {idx} exceeds n_features={n_features}"
+                        lineno, f"feature index {idx} exceeds n_features={n_features}", path
                     )
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)
             if prev > _MAX_INDEX:
-                raise LibsvmFormatError(lineno, f"feature index {prev} exceeds the int32 range")
+                raise LibsvmFormatError(
+                    lineno, f"feature index {prev} exceeds the int32 range", path
+                )
             max_index = max(max_index, prev)
             indptr.append(len(indices))
     finally:
@@ -169,21 +164,21 @@ def _parse_libsvm(source, task, n_features):
             stream.close()
 
     if not labels:
-        raise LibsvmFormatError(0, "no samples in input")
+        raise LibsvmFormatError(0, "no samples in input", path)
     d = n_features if n_features is not None else max_index
     y = np.asarray(labels, dtype=float)
     values = np.asarray(data, dtype=float)
     if not np.isfinite(y).all():
-        raise LibsvmFormatError(linenos[np.argmin(np.isfinite(y))], "non-finite label")
+        raise LibsvmFormatError(linenos[np.argmin(np.isfinite(y))], "non-finite label", path)
     if not np.isfinite(values).all():
         row = np.searchsorted(indptr, np.argmin(np.isfinite(values)), side="right") - 1
-        raise LibsvmFormatError(linenos[row], "non-finite feature value")
+        raise LibsvmFormatError(linenos[row], "non-finite feature value", path)
     if task == CLASSIFICATION and first_non_pm1 is not None:
         if not np.all((y == 0.0) | (y == 1.0)):
             lineno, token = first_non_pm1
             raise LibsvmFormatError(
                 lineno, f"classification label {token!r} is not +1/-1 in a file "
-                "that is not all 0/1"
+                "that is not all 0/1", path
             )
         log.info("mapping {0,1} labels to {-1,+1} (%d zeros)", int(np.sum(y == 0.0)))
         y = np.where(y == 0.0, -1.0, 1.0)
@@ -319,9 +314,8 @@ class SyntheticSpec:
 
 @dataclass
 class SyntheticReference:
-    """Ground truth for a synthetic instance: its seed and the planted model."""
+    """Ground truth for a synthetic instance: the planted model."""
 
-    seed: int
     w_true: np.ndarray
 
 
@@ -370,4 +364,4 @@ def make_synthetic(spec):
         w_true = w
 
     dataset = SparseDataset(features, y, spec.task)
-    return dataset, SyntheticReference(seed=spec.seed, w_true=w_true)
+    return dataset, SyntheticReference(w_true=w_true)

@@ -37,7 +37,6 @@ from cnsopt import (
     cns_strongly_convex,
     compare_report,
     dual_spec,
-    loss_gradient,
     measure_stage_reduction,
     objective_original,
     objective_smoothed,
@@ -49,10 +48,8 @@ from cnsopt import (
     run_solver,
     slacks,
     smoothed_loss_gradient,
-    smoothing_gap,
     tune_stepsize,
 )
-from cnsopt.bench import write_trace
 from cnsopt.prox import prox_scalars
 from cnsopt.smoothing import condition_number, exact_loss_values, smoothed_loss_values
 from cnsopt.solvers import SolverSpec

@@ -419,11 +419,13 @@ def _read_only_scalars(values, cast):
 
 def _signed_zeros_and_nan(rng, c, nan=0.05):
     """Offsets ``c`` with some entries replaced by +0.0, -0.0 and, each with
-    probability ``nan``, NaN."""
+    probability ``nan``, NaN; with ``nan`` > 0, at least one entry is NaN."""
     c = c.copy()
     c[rng.random(size=c.shape) < 0.3] = -0.0
     c[rng.random(size=c.shape) < 0.1] = 0.0
     c[rng.random(size=c.shape) < nan] = np.nan
+    if nan > 0:
+        c[rng.integers(len(c))] = np.nan
     return c
 
 

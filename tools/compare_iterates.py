@@ -24,17 +24,54 @@ the OpenBLAS kernel that numpy runs (``SkylakeX`` on an AVX-512 host), whose
 summation order fixes the last bits; the check prints both kernels' names,
 first of all when they differ.
 
+``against <rev>`` does both in one command: it dumps with this tool under the
+``src`` of a temporary detached git worktree at ``<rev>``, checks under this
+tree's ``src``, removes the worktree (also when a step fails) and exits with
+the check's status, or with the status of a step that failed before it.
+
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
+       python tools/compare_iterates.py against <rev>
 """
 import ctypes
 import glob
 import io
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def against(rev):
+    """Dump at ``rev``, check this tree; return the first failing step's
+    status, else 0. Each step runs in a subprocess with its checkout's ``src``
+    first on PYTHONPATH."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, ref = os.path.join(tmp, "tree"), os.path.join(tmp, "ref.npz")
+        git = ["git", "-C", ROOT, "worktree"]
+        status = subprocess.run(git + ["add", "--detach", "--quiet", tree, rev]).returncode
+        if status:
+            return status
+        try:
+            for checkout, mode in ((tree, "dump"), (ROOT, "check")):
+                path = [os.path.join(checkout, "src"), os.environ.get("PYTHONPATH")]
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+                status = subprocess.run([sys.executable, os.path.abspath(__file__), mode, ref],
+                                        env=env).returncode
+                if status:
+                    break
+        finally:
+            subprocess.run(git + ["remove", "--force", tree])
+    return status
+
+
+# ``against`` imports no cnsopt itself: each of its steps picks its own
+if __name__ == "__main__" and sys.argv[1] == "against":
+    sys.exit(against(sys.argv[2]))
 
 import numpy as np
 import scipy.sparse as sps
