@@ -236,19 +236,29 @@ def _matmul_subgradient(rows, offsets, loss, x):
 @pytest.mark.parametrize("layout", ("c", "f", "csr"))
 @pytest.mark.parametrize("b", (1, 13, 50, 100))
 def test_loss_subgradient_keeps_the_bits_of_matmul(loss, layout, b):
-    # run_baseline casts the bounds and the batch size once per run to
-    # read-only 0-d arrays; the kernel must give the bytes of the @ form on
-    # float operands. Beside the clean inputs: zero scores (x = 0) against
-    # signed-zero offsets hit sign(+-0), and NaN passes
     rng = np.random.default_rng(29 + b)
-    offsets_rng = np.random.default_rng(41 + b)
+    prob = layout_problem(rng, loss, layout)
+    scalars = subgradient_scalars(loss, b)
+    for _ in range(3):
+        x = rng.normal(size=prob.d)
+        for rows, c in layout_batches(rng, prob, b):
+            got = loss_subgradient(rows, c, scalars, x)
+            assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
+
+
+@pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
+@pytest.mark.parametrize("layout", ("c", "f", "csr"))
+@pytest.mark.parametrize("b", (1, 13, 50, 100))
+def test_loss_subgradient_keeps_its_bits_with_precast_scalars(loss, layout, b):
+    # run_baseline casts the bounds and the batch size once per run to
+    # read-only 0-d arrays; zero scores (x = 0) against signed-zero offsets hit
+    # sign(+-0), and NaN passes, with the bytes of the @ form on float operands
+    rng = np.random.default_rng(41 + b)
     prob = layout_problem(rng, loss, layout)
     scalars = _read_only_scalars(_float_bounds(loss, b), subgradient_scalars(loss, b))
-    for _ in range(3):
-        point = rng.normal(size=prob.d)
+    for x in (np.zeros(prob.d), rng.normal(size=prob.d)):
         for rows, offsets in layout_batches(rng, prob, b):
-            for c in (offsets, _signed_zeros_and_nan(offsets_rng, offsets, 0.0),
-                      _signed_zeros_and_nan(offsets_rng, offsets)):
-                for x in (point, np.zeros(prob.d)):
-                    got = loss_subgradient(rows, c, scalars, x)
-                    assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
+            for nan in (0.0, 0.05):  # signed zeros alone, then with NaN
+                c = _signed_zeros_and_nan(rng, offsets, nan)
+                got = loss_subgradient(rows, c, scalars, x)
+                assert got.tobytes() == _matmul_subgradient(rows, c, loss, x).tobytes()
