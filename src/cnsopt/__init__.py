@@ -23,7 +23,6 @@ from .datasets import (
     CLASSIFICATION,
     REGRESSION,
     SparseDataset,
-    SyntheticReference,
     SyntheticSpec,
     libsvm_dumps,
     make_synthetic,

@@ -244,7 +244,7 @@ def _run_method(cfg, problem, callback=None):
         x, reports = driver(problem, continuation_config(cfg), callback=callback,
                             callback_every=cfg.cadence)
         return (x, sum(r.budget for r in reports), sum(r.wall_time for r in reports),
-                reports[-1].s if reports else 0)
+                len(reports))
     run = bl.run_baseline(problem, baseline_spec_for(cfg), cfg.iterations,
                           callback=callback, callback_every=cfg.cadence)
     return run.x, cfg.iterations, run.elapsed, -1

@@ -25,7 +25,6 @@ from .bench import (
     render_report,
     run_experiment,
     tune_stepsize,
-    write_trace,
 )
 from .datasets import CLASSIFICATION, REGRESSION, SyntheticSpec, make_synthetic, serialize_libsvm
 from .errors import CnsError
@@ -201,12 +200,11 @@ def _cmd_compare(args):
 
 
 def _cmd_synth(args):
-    task = CLASSIFICATION if args.task == "classification" else REGRESSION
-    spec = _synthetic_spec(args.n, args.d, task, args.seed,
+    spec = _synthetic_spec(args.n, args.d, args.task, args.seed,
                            **{name: getattr(args, name) for name in _SYNTH_OPTIONS})
     dataset, _ = make_synthetic(spec)
     serialize_libsvm(dataset, args.output)
-    print(f"wrote {dataset.n} x {dataset.d} {task} dataset to {args.output}")
+    print(f"wrote {dataset.n} x {dataset.d} {args.task} dataset to {args.output}")
     return 0
 
 
@@ -236,8 +234,7 @@ def main(argv=None):
     p_synth = sub.add_parser("synth", help="generate a synthetic LIBSVM dataset")
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--d", type=int, required=True)
-    p_synth.add_argument("--task", choices=("classification", "regression"),
-                         default="classification")
+    p_synth.add_argument("--task", choices=(CLASSIFICATION, REGRESSION), default=CLASSIFICATION)
     for name in _SYNTH_OPTIONS:
         p_synth.add_argument(f"--{name.replace('_', '-')}", type=float)
     p_synth.add_argument("--seed", type=int, default=0)

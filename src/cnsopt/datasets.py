@@ -312,22 +312,16 @@ class SyntheticSpec:
             raise ValueError("feature_norm_range must satisfy 0 < lo <= hi")
 
 
-@dataclass
-class SyntheticReference:
-    """Ground truth for a synthetic instance: the planted model."""
-
-    w_true: np.ndarray
-
-
 def make_synthetic(spec):
     """Generate a seeded synthetic dataset with a sparse ground-truth model.
 
-    Returns ``(dataset, reference)``. Features are dense rows with norms drawn
-    from ``feature_norm_range``. For classification the rows of each class are
-    shifted by +/- separation along the (unit) ground-truth direction, labels
-    are sign(z'w + noise * e), and the returned w_true is rescaled so a
-    decently separating predictor has margins around 1.5. For regression the
-    scores z'w are standardized and targets get additive Laplace noise.
+    Returns ``(dataset, w_true)``, w_true being the planted model. Features
+    are dense rows with norms drawn from ``feature_norm_range``. For
+    classification the rows of each class are shifted by +/- separation along
+    the (unit) ground-truth direction, labels are sign(z'w + noise * e), and
+    w_true is rescaled so a decently separating predictor has margins around
+    1.5. For regression the scores z'w are standardized and targets get
+    additive Laplace noise.
     Bit-reproducible from the seed.
     """
     rng = np.random.default_rng(spec.seed)
@@ -364,4 +358,4 @@ def make_synthetic(spec):
         w_true = w
 
     dataset = SparseDataset(features, y, spec.task)
-    return dataset, SyntheticReference(w_true=w_true)
+    return dataset, w_true

@@ -135,7 +135,7 @@ def drive(step, x0, budget, *, callback=None, callback_every=None, context=""):
     return SolverRun(x=x, elapsed=elapsed)
 
 
-def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
+def run_solver(spec, sp, x0, budget, rng=None, **kwargs):
     """Run the inner solver named by ``spec.solver`` on one smoothed stage.
 
     All four are one proximal-gradient step with two switches:
@@ -144,9 +144,9 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
       variance-reduced estimate around a full-gradient snapshot refreshed
       every epoch (prox-svrg, acc-prox-svrg);
     - momentum (apg, acc-prox-svrg): the constant
-      (sqrt(kappa)-1)/(sqrt(kappa)+1) from ``mu_eff`` (default: the stage
-      modulus) when mu_eff > 0, else the t_k extrapolation sequence;
-      acc-prox-svrg restarts it at every snapshot.
+      (sqrt(kappa)-1)/(sqrt(kappa)+1) at the stage modulus mu + lam when it
+      is positive, else the t_k extrapolation sequence; acc-prox-svrg
+      restarts it at every snapshot.
 
     The step is step_scale/L, times theta for prox-svrg. Stochastic solvers
     step through one ``minibatches`` stream on ``rng`` (default: seeded from
@@ -169,12 +169,10 @@ def run_solver(spec, sp, x0, budget, mu_eff=None, rng=None, **kwargs):
     full = epoch = None
 
     beta_const = None
-    if momentum:
-        if mu_eff is None:
-            mu_eff = sp.base.mu + sp.lam
-        if mu_eff > 0:
-            q = min(1.0, mu_eff / L)
-            beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+    modulus = sp.base.mu + sp.lam
+    if momentum and modulus > 0:
+        q = min(1.0, modulus / L)
+        beta_const = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
     eta, beta_const = precast(eta, beta_const)
 
     if variance_reduced:

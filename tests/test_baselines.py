@@ -203,6 +203,8 @@ def test_baseline_spec_validation():
         BaselineSpec(eta0=0.0)
     with pytest.raises(ValueError):
         BaselineSpec(averaging_exponent=0.5)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        BaselineSpec(batch_size=0)
     for field in ("eta0", "rda_scale", "averaging_exponent"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -236,6 +236,8 @@ def test_tune_stepsize_all_divergent():
     cfg = _config(method="poly-sgd", iterations=40)
     with pytest.raises(TuningError):
         tune_stepsize(cfg, [1e300])
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        tune_stepsize(cfg, [])
 
 
 @pytest.mark.parametrize("method", ("cns-a", "fobos"))

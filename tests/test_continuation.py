@@ -23,6 +23,7 @@ from cnsopt import (
     dual_spec,
     make_synthetic,
     measure_stage_reduction,
+    objective_original,
     objective_smoothed,
     run_solver,
     smoothing_gap,
@@ -112,8 +113,7 @@ def test_single_stage_equals_direct_solver_call():
                              solver=spec)
     x, reports = cns_strongly_convex(prob, cfg)
     sp = SmoothedProblem(prob, 0.02)
-    direct = run_solver(spec, sp, np.zeros(prob.d), 40, mu_eff=prob.mu,
-                        rng=np.random.default_rng(5))
+    direct = run_solver(spec, sp, np.zeros(prob.d), 40, rng=np.random.default_rng(5))
     assert np.array_equal(x, direct.x)
     assert len(reports) == 1
 
@@ -131,7 +131,7 @@ def test_warm_start_chains_stages():
         sp = SmoothedProblem(prob, 0.02 / 2 ** (s - 1))
         before = objective_smoothed(sp, x_manual)
         assert before == pytest.approx(reports[s - 1].smoothed_before, abs=1e-14)
-        x_manual = run_solver(spec, sp, x_manual, budget, mu_eff=prob.mu).x
+        x_manual = run_solver(spec, sp, x_manual, budget).x
     assert np.array_equal(x, x_manual)
 
 
@@ -157,6 +157,10 @@ def test_config_validation():
         ContinuationConfig(gamma1=0.0)
     with pytest.raises(ValueError):
         ContinuationConfig(stages=0)
+    with pytest.raises(ValueError, match="t1 must be >= 1"):
+        ContinuationConfig(t1=0)
+    with pytest.raises(ValueError, match="lam1 must be nonnegative"):
+        ContinuationConfig(lam1=-1e-3)
     with pytest.raises(ValueError):  # option/family mismatch
         ContinuationConfig(solver=SolverSpec(solver="apg"), budget_option=OPTION_I)
     with pytest.raises(ValueError):
@@ -224,6 +228,25 @@ def test_stage_gap_bound_realized():
         assert -1e-12 <= gap <= smoothing_gap(dual_spec(prob.loss), r.gamma) + 1e-12
 
 
+@pytest.mark.parametrize("driver, problem, lam1", [(cns_strongly_convex, _suite, 0.0),
+                                                    (cns_general_convex, _reg_suite, 1e-3)])
+def test_stage_reports_evaluate_the_stage_end_iterate(driver, problem, lam1):
+    # each report's objectives are those of the iterate its stage ended on,
+    # the original one unsmoothed: a gap of 0 would pass the sandwich above
+    prob = problem()
+    cfg = ContinuationConfig(gamma1=0.05, tau=2.0, t1=20, lam1=lam1, stages=3,
+                             solver=SolverSpec(solver="acc-prox-svrg", batch_size=20))
+    ends = {}
+    _, reports = driver(prob, cfg, callback=lambda t, x, e, s: ends.update({s: x.copy()}),
+                        callback_every=1)
+    assert sorted(ends) == [r.s for r in reports] == [1, 2, 3]
+    for r in reports:
+        sp = SmoothedProblem(prob, r.gamma, r.lam)
+        assert r.original_after == objective_original(prob, ends[r.s])
+        assert r.smoothed_after == objective_smoothed(sp, ends[r.s])
+        assert r.original_after != r.smoothed_after
+
+
 def test_stage_objective_strong_convexity_secant():
     # the ridge-augmented stage objective satisfies the lam-strong secant bound
     prob = _reg_suite(nu1=0.0)
@@ -253,10 +276,10 @@ def test_auto_t1_probe_size():
 def test_auto_t1_trivial_when_start_is_optimal():
     # zero-loss start on a separable instance with no regularizer
     spec = SyntheticSpec(n=100, d=8, task="classification", noise=0.0, seed=4)
-    data, ref = make_synthetic(spec)
+    data, w_true = make_synthetic(spec)
     prob = CompositeProblem(data, HINGE, Regularizer())
-    margins = data.labels * (data.features @ ref.w_true)
-    x0 = (1.01 / margins.min()) * ref.w_true
+    margins = data.labels * (data.features @ w_true)
+    x0 = (1.01 / margins.min()) * w_true
     cfg = ContinuationConfig(gamma1=1e-4, tau=2.0, stages=1,
                              solver=SolverSpec(solver="prox-gd", batch_size=50))
     assert auto_t1(prob, cfg, x0=x0) == math.ceil(prob.n / 50)
@@ -310,7 +333,7 @@ def test_auto_t1_satisfies_reduction_against_oracle():
     t1 = auto_t1(prob, cfg)
     sp1 = SmoothedProblem(prob, 0.5)
     x0 = np.zeros(prob.d)
-    run = run_solver(cfg.solver, sp1, x0, t1, mu_eff=prob.mu)
+    run = run_solver(cfg.solver, sp1, x0, t1)
     rho1 = measure_stage_reduction(sp1, x0, run.x, oracle_budget=8000)
     assert rho1 <= 1.0 / cfg.tau**2 + 1e-6
 
@@ -321,10 +344,12 @@ def test_measure_stage_reduction_extremes():
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=prob.d)
     assert measure_stage_reduction(sp, x0, x0, 4000) == pytest.approx(1.0, abs=1e-9)
-    star = run_solver(SolverSpec(solver="apg"), sp, x0, 8000, mu_eff=prob.mu).x
+    star = run_solver(SolverSpec(solver="apg"), sp, x0, 8000).x
     assert measure_stage_reduction(sp, x0, star, 8000) == pytest.approx(0.0, abs=1e-6)
     with pytest.raises(StageConvergedError):
         measure_stage_reduction(sp, star, star, 4000)
+    with pytest.raises(ValueError, match="oracle_budget must be >= 1"):
+        measure_stage_reduction(sp, x0, star, 0)
 
 
 def test_measured_rho_with_table_budget():
@@ -337,7 +362,7 @@ def test_measured_rho_with_table_budget():
     kappa = condition_number(sp, prob.mu)
     budget = required_t1("prox-gd", kappa, 1.0 / tau**2)
     x0 = np.zeros(prob.d)
-    run = run_solver(SolverSpec(solver="prox-gd"), sp, x0, budget, mu_eff=prob.mu)
+    run = run_solver(SolverSpec(solver="prox-gd"), sp, x0, budget)
     rho = measure_stage_reduction(sp, x0, run.x, oracle_budget=10_000)
     assert rho <= 1.0 / tau**2 + 0.05
 

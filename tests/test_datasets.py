@@ -258,16 +258,16 @@ def test_minibatch_uniformity_chi_square():
 
 def test_synthetic_reproducible():
     spec = SyntheticSpec(n=50, d=10, seed=7)
-    a, ra = make_synthetic(spec)
-    b, rb = make_synthetic(spec)
+    a, wa = make_synthetic(spec)
+    b, wb = make_synthetic(spec)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(ra.w_true, rb.w_true)
+    assert np.array_equal(wa, wb)
 
 
 def test_synthetic_classification_shape():
     spec = SyntheticSpec(n=200, d=20, task=CLASSIFICATION, noise=0.2, seed=3)
-    ds, ref = make_synthetic(spec)
+    ds, _ = make_synthetic(spec)
     assert ds.task == CLASSIFICATION
     assert set(np.unique(ds.labels)) <= {-1.0, 1.0}
     assert ds.features.shape == (200, 20)
@@ -275,20 +275,20 @@ def test_synthetic_classification_shape():
 
 def test_noise_free_instance_is_separable():
     spec = SyntheticSpec(n=300, d=25, task=CLASSIFICATION, noise=0.0, seed=11)
-    ds, ref = make_synthetic(spec)
-    scores = ds.features @ ref.w_true
+    ds, w_true = make_synthetic(spec)
+    scores = ds.features @ w_true
     margins = ds.labels * scores
     assert np.all(margins > 0)
     # scaling the separator up drives the hinge loss to exactly zero
     scale = 1.0 / margins.min()
     prob = CompositeProblem(ds, HINGE, Regularizer())
-    assert objective_original(prob, 1.01 * scale * ref.w_true) == 0.0
+    assert objective_original(prob, 1.01 * scale * w_true) == 0.0
 
 
 def test_synthetic_regression_laplace_noise():
     spec = SyntheticSpec(n=400, d=10, task=REGRESSION, noise=0.1, seed=5)
-    ds, ref = make_synthetic(spec)
-    residuals = ds.labels - ds.features @ ref.w_true
+    ds, w_true = make_synthetic(spec)
+    residuals = ds.labels - ds.features @ w_true
     assert abs(np.mean(np.abs(residuals)) - 0.1) < 0.02
 
 
@@ -315,6 +315,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=5, d=5, feature_norm_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         SyntheticSpec(n=5, d=5, atoms=0)
+    with pytest.raises(ValueError, match="separation must be nonnegative"):
+        SyntheticSpec(n=5, d=5, separation=-0.5)
     # a NaN noise once made every absolute-loss run "diverge"
     for value in (math.nan, math.inf, -math.inf):
         for settings in (dict(sparsity=value), dict(noise=value), dict(separation=value),

@@ -193,6 +193,8 @@ def test_dual_specs():
     assert (a.u_lo, a.u_hi) == (-1.0, 1.0)
     assert h.d_u == a.d_u == 0.5
     assert [f.name for f in fields(LossDualSpec)] == ["task", "u_lo", "u_hi"]
+    with pytest.raises(ValueError, match="unknown loss 'squared'"):
+        dual_spec("squared")
 
 
 def test_du_matches_enumeration_oracle():

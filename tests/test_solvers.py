@@ -131,11 +131,10 @@ def test_apg_beats_prox_gd_on_quadratic():
 
 
 def test_apg_equals_prox_gd_when_kappa_one():
-    # mu_eff = L makes the momentum coefficient vanish
+    # the stage modulus nu2 = 0.5 equals L, so the momentum coefficient vanishes
     prob = quad_problem(nu2=0.5)
     sp = SmoothedProblem(prob, 2.0)
-    L = 0.5
-    a = run_solver(APG, sp, np.array([0.3]), 25, mu_eff=L)
+    a = run_solver(APG, sp, np.array([0.3]), 25)
     b = run_solver(GD, sp, np.array([0.3]), 25)
     assert np.array_equal(a.x, b.x)
 
@@ -243,7 +242,7 @@ def test_solver_outputs_finite_and_right_dimension():
         SolverSpec(solver="prox-svrg"),
         SolverSpec(solver="acc-prox-svrg"),
     ):
-        run = run_solver(spec, sp, np.zeros(prob.d), 50, mu_eff=prob.mu + sp.lam)
+        run = run_solver(spec, sp, np.zeros(prob.d), 50)
         assert run.x.shape == (prob.d,)
         assert np.isfinite(run.x).all()
 
@@ -338,6 +337,19 @@ def test_required_t1_constraint_violations():
         required_t1("prox-gd", 10, 1.5)
     with pytest.raises(ValueError):
         required_t1("saga", 10, 0.5)  # needs n
+    with pytest.raises(ValueError, match="miso budget needs the sample count n"):
+        required_t1("miso", 10, 0.5)
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            required_t1("prox-gd", kappa, 0.5)
+    for theta in (0.0, 0.25):
+        with pytest.raises(ValueError, match=r"theta must be in \(0, 0.25\)"):
+            required_t1("prox-svrg", 10, 0.5, theta=theta)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
+            required_t1("acc-prox-svrg", 10, 0.5, p=p)
+    with pytest.raises(ValueError, match="unknown solver 'nope'"):
+        required_t1("nope", 10, 0.5)
 
 
 def test_required_t1_monotonicity():
@@ -365,6 +377,9 @@ def test_solver_spec_validation():
         SolverSpec(theta=0.3)
     with pytest.raises(ValueError):
         SolverSpec(batch_size=0)
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match="step_scale must be positive"):
+            SolverSpec(step_scale=value)
     spec = SolverSpec(solver="acc-prox-svrg")
     assert spec.accelerated and spec.family == "accelerated"
     assert not SolverSpec(solver="prox-gd").accelerated

@@ -1,11 +1,12 @@
 """Bit-identity gate: dump, or compare, the iterates of a fixed set of seeded runs.
 
-The runs cover every inner solver (with and without a given modulus, and with
-a caller-supplied rng, once shared by two runs of an odd batch size and once
-with a batch size above n), every baseline (with and without a start point,
-with a batch size above n, and with a budget below one epoch), both losses on
-dense and CSR input, acc-prox-svrg and fobos at the ``sc-dense`` benchmark
-shape (n = 1000, d = 50 dense rows, batch size 50), acc-prox-svrg, prox-svrg,
+The runs cover every inner solver (also at a zero stage modulus, where apg and
+acc-prox-svrg run the t_k sequence, and with a caller-supplied rng, once
+shared by two runs of an odd batch size and once with a batch size above n),
+every baseline (with and without a start point, with a batch size above n,
+and with a budget below one epoch), both losses on dense and CSR input,
+acc-prox-svrg and fobos at the ``sc-dense`` benchmark shape (n = 1000,
+d = 50 dense rows, batch size 50), acc-prox-svrg, prox-svrg,
 apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
 (absolute loss + l1 on n = 600, d = 50 rows read back from LIBSVM text,
 batch size 100), ``reference_objective``,
@@ -17,12 +18,13 @@ CSR). For each it keeps the final iterate, every callback iterate, the trace
 columns except wall time (a LIBSVM run's ``test_metric`` column as an array
 of its own), and each stage report's fields except wall time. Dump under the
 reference checkout, then check under the changed one; the check exits 1 if any
-array differs in any bit, and each DIFF line gives that array's largest
-distance in ulps (units in the last place) and largest relative difference,
-so an array that moved only in its last bits shows as such. The dump records
-the OpenBLAS kernel that numpy runs (``SkylakeX`` on an AVX-512 host), whose
-summation order fixes the last bits; the check prints both kernels' names,
-first of all when they differ.
+array differs in its dtype, its shape or any bit of its bytes (so -0.0 and
++0.0 differ), and each DIFF line gives that array's largest distance in ulps
+(units in the last place) and largest relative difference, so an array that
+moved only in its last bits shows as such. The dump records the OpenBLAS
+kernel that numpy runs (``SkylakeX`` on an AVX-512 host), whose summation
+order fixes the last bits; the check prints both kernels' names, first of all
+when they differ.
 
 ``against <rev>`` does both in one command: it dumps with this tool under the
 ``src`` of a temporary detached git worktree at ``<rev>``, checks under this
@@ -109,17 +111,21 @@ def cases():
             lam = 0.0 if loss == "hinge" else 1e-4
             for gamma in (0.05, 1e-3):
                 sp = SmoothedProblem(prob, gamma, lam)
+                stages_by_suffix = {"": sp}
+                if loss == "absolute":
+                    # absolute loss + l1 at lam = 0 has a zero stage modulus
+                    stages_by_suffix["/lam0"] = SmoothedProblem(prob, gamma, 0.0)
                 for solver in ("prox-gd", "apg", "prox-svrg", "acc-prox-svrg"):
                     if csr and gamma == 1e-3:
                         continue
-                    for mu in (None, 0.0):
+                    for suffix, stage in stages_by_suffix.items():
                         spec = SolverSpec(solver=solver, batch_size=16, seed=5,
                                           step_scale=0.9)
                         seen = []
-                        run = run_solver(spec, sp, np.full(prob.d, 0.01), 130, mu_eff=mu,
+                        run = run_solver(spec, stage, np.full(prob.d, 0.01), 130,
                                          callback=lambda t, x, e: seen.append(x.copy()),
                                          callback_every=7)
-                        key = f"{solver}/{loss}/csr{int(csr)}/g{gamma}/mu{mu}"
+                        key = f"{solver}/{loss}/csr{int(csr)}/g{gamma}{suffix}"
                         out[key + "/x"] = run.x
                         out[key + "/cb"] = np.array(seen)
                 # a caller-supplied rng
@@ -283,14 +289,20 @@ def blas_kernel():
 KERNEL_KEY = "meta/blas_kernel"
 
 
+def same_bits(ref, got):
+    """Whether two arrays have one dtype, one shape and the same bytes."""
+    return ref.dtype == got.dtype and ref.shape == got.shape and ref.tobytes() == got.tobytes()
+
+
 def distance(ref, got):
     """(max ulp distance, max relative difference) between two arrays of
-    doubles: the ulp distance counts the doubles from one value to the other.
-    Both are inf when the shapes differ or a differing entry is not finite."""
+    doubles: the ulp distance counts the doubles from one value to the other,
+    -0.0 and +0.0 being one apart. Both are inf when the shapes differ or a
+    differing entry is not finite."""
     ref, got = np.asarray(ref, dtype=float), np.asarray(got, dtype=float)
     if ref.shape != got.shape:
         return math.inf, math.inf
-    differ = ~((ref == got) | (np.isnan(ref) & np.isnan(got)))
+    differ = ref.view(np.int64) != got.view(np.int64)
     a, b = ref[differ], got[differ]
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return math.inf, math.inf
@@ -300,10 +312,11 @@ def distance(ref, got):
     def ordinal(v):
         # the bits of |v| as an integer grow with |v|, by one per double
         bits = np.abs(v).view(np.int64)
-        return np.where(np.signbit(v), -bits, bits).tolist()
+        return np.where(np.signbit(v), -1 - bits, bits).tolist()
 
     ulps = max(abs(i - j) for i, j in zip(ordinal(a), ordinal(b)))
-    rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    diff, top = np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, top, out=np.zeros_like(diff), where=top > 0)
     return ulps, float(rel.max())
 
 
@@ -320,11 +333,12 @@ if __name__ == "__main__":
         if ref_kernel != kernel:
             print(f"BLAS kernels differ ({kernels}): that alone can move the last bits")
         assert set(ref) == set(got), set(ref) ^ set(got)
-        bad = [k for k in ref if not np.array_equal(ref[k], got[k])]
+        bad = [k for k in ref if not same_bits(ref[k], got[k])]
         cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
         print(f"{len(ref)} arrays compared ({cb} callback iterates), "
               f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ; {kernels}")
         for k in bad:
             ulps, rel = distance(ref[k], got[k])
-            print(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}")
+            dtypes = "" if ref[k].dtype == got[k].dtype else f", {ref[k].dtype} -> {got[k].dtype}"
+            print(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}{dtypes}")
         sys.exit(1 if bad else 0)
