@@ -28,10 +28,9 @@ POLY_SGD = "poly-sgd"
 class BaselineSpec:
     """Baseline identity and step/averaging parameters.
 
-    ``strongly_convex`` selects the 1/(mu t) style schedules; otherwise the
-    1/sqrt(t) ones are used. ``eta0`` is the FOBOS / Poly-SGD step scale,
-    ``rda_scale`` the RDA dual-averaging scale, ``averaging_exponent`` the
-    polynomial-decay weight.
+    ``eta0`` is the FOBOS / Poly-SGD step scale, ``rda_scale`` the RDA
+    dual-averaging scale, ``averaging_exponent`` the polynomial-decay weight.
+    The schedule comes from the problem (``run_baseline``).
     """
 
     method: str = FOBOS
@@ -40,7 +39,6 @@ class BaselineSpec:
     averaging_exponent: float = 3.0
     batch_size: int = 50
     seed: int = 0
-    strongly_convex: bool = False
 
     def __post_init__(self):
         if self.method not in (FOBOS, RDA, POLY_SGD):
@@ -91,18 +89,21 @@ def loss_subgradient(rows, offsets, scalars, x):
     return g
 
 
-def _step_size(spec, problem, t):
-    if spec.strongly_convex:
-        return spec.eta0 / (problem.mu * t)
-    return spec.eta0 / math.sqrt(t)
+def _step_sizes(eta0, mu, strongly_convex):
+    """The FOBOS / Poly-SGD step size at step t: eta0 / (mu t) under the
+    strongly convex schedule, else eta0 / sqrt(t)."""
+    if strongly_convex:
+        return lambda t: eta0 / (mu * t)
+    return lambda t: eta0 / math.sqrt(t)
 
 
-def _fobos_step(problem, spec, x0, batches, scalars):
+def _fobos_step(problem, spec, x0, batches, scalars, strongly_convex):
     """Forward-backward splitting: subgradient step on the loss, prox on r.
     The step size changes every step, so its prox operands stay floats."""
+    step_size = _step_sizes(spec.eta0, problem.mu, strongly_convex)
 
     def step(t, x):
-        eta = _step_size(spec, problem, t)
+        eta = step_size(t)
         g = loss_subgradient(*next(batches), scalars, x)
         g *= eta
         return prox_regularizer(np.subtract(x, g, out=g), prox_scalars(eta, problem.reg))
@@ -110,7 +111,7 @@ def _fobos_step(problem, spec, x0, batches, scalars):
     return step
 
 
-def _rda_step(problem, spec, x0, batches, scalars):
+def _rda_step(problem, spec, x0, batches, scalars, strongly_convex):
     """Regularized dual averaging with closed-form per-step minimization.
 
     x_{t+1} minimizes <gbar_t, x> + r(x) + (beta_t / 2t) ||x||^2, i.e.
@@ -129,8 +130,7 @@ def _rda_step(problem, spec, x0, batches, scalars):
         np.multiply(gbar, t - 1, out=gbar)
         np.add(gbar, g, out=gbar)
         np.divide(gbar, t, out=gbar)
-        beta_t = 0.0 if spec.strongly_convex else spec.rda_scale * math.sqrt(t)
-        quad = nu2 + beta_t / t
+        quad = nu2 if strongly_convex else nu2 + spec.rda_scale * math.sqrt(t) / t
         out = gbar.copy() if threshold is None else _soft_threshold(gbar, *threshold)
         # -p / quad as p / -quad: the same bits, in one ufunc
         out /= -quad
@@ -139,7 +139,7 @@ def _rda_step(problem, spec, x0, batches, scalars):
     return step
 
 
-def _poly_sgd_step(problem, spec, x0, batches, scalars):
+def _poly_sgd_step(problem, spec, x0, batches, scalars, strongly_convex):
     """Stochastic subgradient on the full objective with polynomial-decay averaging.
 
     No prox: the regularizer enters through its subgradient, so l1 weights do
@@ -150,6 +150,7 @@ def _poly_sgd_step(problem, spec, x0, batches, scalars):
     buf = np.empty_like(x)
     nu1, nu2 = precast(problem.reg.nu1 or None, problem.reg.nu2 or None)
     k = spec.averaging_exponent
+    step_size = _step_sizes(spec.eta0, problem.mu, strongly_convex)
 
     def step(t, avg):
         g = loss_subgradient(*next(batches), scalars, x)
@@ -157,7 +158,7 @@ def _poly_sgd_step(problem, spec, x0, batches, scalars):
             g += np.multiply(np.sign(x, out=buf), nu1, out=buf)
         if nu2 is not None:
             g += np.multiply(x, nu2, out=buf)
-        g *= _step_size(spec, problem, t)
+        g *= step_size(t)
         np.subtract(x, g, out=x)
         # the average (1 - w) avg + w x in one new array: drive and its
         # callback may hold the previous one
@@ -176,15 +177,14 @@ def run_baseline(problem, spec, budget, x0=None, **kwargs):
     """Run the baseline named by ``spec.method`` from ``x0`` (zeros when None),
     on one ``minibatches`` stream of min(batch_size, n) rows seeded from
     ``spec.seed``, each epoch's rows and offsets gathered once
-    (``epoch_batches``). A strongly convex schedule needs mu = nu2 > 0, which
-    is checked here, once per run."""
-    if spec.strongly_convex and problem.mu <= 0:
-        raise ValueError(f"{spec.method}: strongly convex schedule needs mu = nu2 > 0")
+    (``epoch_batches``). The schedule is picked here, once per run: the
+    strongly convex one (steps eta0 / (mu t), RDA's beta_t = 0) when
+    mu = nu2 > 0, else the 1/sqrt(t) one."""
     x0 = start_point(x0, problem.d)
     b = min(spec.batch_size, problem.n)
     blocks = minibatches(problem.n, b, np.random.default_rng(spec.seed), budget)
     batches = itertools.chain.from_iterable(
         epoch_batches(block, problem.features, problem.offsets) for block in blocks)
     scalars = subgradient_scalars(problem.loss, b)
-    step = _STEPS[spec.method](problem, spec, x0, batches, scalars)
+    step = _STEPS[spec.method](problem, spec, x0, batches, scalars, problem.mu > 0)
     return drive(step, x0, budget, context=f"{spec.method}: ", **kwargs)

@@ -107,12 +107,16 @@ class RunConfig:
             check_finite(time_budget=self.time_budget)
             if self.time_budget < 0:
                 raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
-        dual_spec(self.loss)  # raises ValueError for a loss not in the loss table
+        task = dual_spec(self.loss).task  # raises ValueError for a loss not in the table
+        if self.synthetic is not None and self.synthetic.task != task:
+            raise ValueError(f"{self.loss} loss requires a {task} dataset")
         Regularizer(nu1=self.nu1, nu2=self.nu2)
         if self.method in CONTINUATION_METHODS:
             continuation_config(self)
         else:
             baseline_spec_for(self)
+            if self.iterations < 1:
+                raise ValueError(f"iteration budget must be >= 1, got {self.iterations}")
 
 
 class _TimeBudgetExceeded(Exception):
@@ -216,8 +220,7 @@ def continuation_config(cfg):
 
 
 def baseline_spec_for(cfg):
-    """The baselines' step, averaging and sampling settings from a RunConfig;
-    the 1/(mu t) schedules are used when the regularizer has a ridge part."""
+    """The baselines' step, averaging and sampling settings from a RunConfig."""
     return bl.BaselineSpec(
         method=cfg.method,
         eta0=cfg.eta0,
@@ -225,7 +228,6 @@ def baseline_spec_for(cfg):
         averaging_exponent=cfg.averaging_exponent,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
-        strongly_convex=cfg.nu2 > 0,
     )
 
 
@@ -354,10 +356,14 @@ def compare_report(traces, target_gap, reference):
     trailing log-log slope of gap vs iterations.
 
     ``traces`` maps method names to TraceRow lists; ``reference`` is the
-    optimum the gaps are measured against.
+    optimum the gaps are measured against. Both numbers must be finite, and
+    the target gap positive.
     """
     if len(traces) < 2:
         raise ValueError("compare_report needs at least two traces")
+    check_finite(target_gap=target_gap, reference=reference)
+    if target_gap <= 0:
+        raise ValueError(f"target_gap must be > 0, got {target_gap}")
     summaries = []
     for name, rows in traces.items():
         reached = None

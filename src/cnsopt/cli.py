@@ -66,10 +66,10 @@ def read_config_file(path):
     """Parse ``key = value`` lines; '#' starts a comment; keys may use dashes.
 
     Each value is parsed by its flag's type, and ``none`` (or nothing) unsets
-    an optional key; a mistyped value or an unknown key raises ValueError
-    naming it.
+    an optional key; a mistyped value, an unknown key or a key given twice
+    raises ValueError naming it.
     """
-    values, unknown = {}, []
+    values, unknown, first_line = {}, [], {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -80,6 +80,10 @@ def read_config_file(path):
                                  f"got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip().replace("-", "_"), value.strip()
+            if key in first_line:
+                raise ValueError(f"{path}: line {lineno}: {key} given twice "
+                                 f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             if key not in _RUN_OPTIONS:
                 unknown.append(key)
                 continue
@@ -104,20 +108,6 @@ def _add_run_flags(parser):
                             choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
-def _synthetic_spec(n, d, task, seed, sparsity=None, noise=None, norm_lo=None, norm_hi=None):
-    """A SyntheticSpec; an option left None keeps SyntheticSpec's default."""
-    lo, hi = SyntheticSpec.feature_norm_range
-    return SyntheticSpec(
-        n=n,
-        d=d,
-        task=task,
-        sparsity=SyntheticSpec.sparsity if sparsity is None else sparsity,
-        noise=SyntheticSpec.noise if noise is None else noise,
-        seed=seed,
-        feature_norm_range=(lo if norm_lo is None else norm_lo, hi if norm_hi is None else norm_hi),
-    )
-
-
 def build_run_config(args):
     """Merge config file < flags into a RunConfig (flags win)."""
     merged = read_config_file(args.config) if args.config else {}
@@ -126,16 +116,15 @@ def build_run_config(args):
         if value is not None:
             merged[key] = value
 
-    synth_args = {key.removeprefix("synth_"): merged.pop(key, None) for key in _SYNTH_TYPES}
-    given = sorted(f"synth_{key}" for key, value in synth_args.items() if value is not None)
+    given = {key.removeprefix("synth_"): value for key in _SYNTH_TYPES
+             if (value := merged.pop(key, None)) is not None}
     synth = None
-    if synth_args["n"] is not None:
-        n, d = synth_args.pop("n"), synth_args.pop("d")
+    if "n" in given:
+        given.setdefault("d", 50)
         task = dual_spec(merged.get("loss", RunConfig.loss)).task
-        synth = _synthetic_spec(n, 50 if d is None else d, task,
-                                merged.get("seed", RunConfig.seed), **synth_args)
+        synth = SyntheticSpec(task=task, seed=merged.get("seed", RunConfig.seed), **given)
     elif given:
-        raise ValueError(f"synthetic keys without synth_n: {given}")
+        raise ValueError(f"synthetic keys without synth_n: {sorted('synth_' + k for k in given)}")
 
     if "method" not in merged:
         raise ValueError("--method is required (flag or config file)")
@@ -200,8 +189,8 @@ def _cmd_compare(args):
 
 
 def _cmd_synth(args):
-    spec = _synthetic_spec(args.n, args.d, args.task, args.seed,
-                           **{name: getattr(args, name) for name in _SYNTH_OPTIONS})
+    given = {name: value for name in _SYNTH_OPTIONS if (value := getattr(args, name)) is not None}
+    spec = SyntheticSpec(n=args.n, d=args.d, task=args.task, seed=args.seed, **given)
     dataset, _ = make_synthetic(spec)
     serialize_libsvm(dataset, args.output)
     print(f"wrote {dataset.n} x {dataset.d} {args.task} dataset to {args.output}")

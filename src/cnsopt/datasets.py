@@ -282,8 +282,9 @@ class SyntheticSpec:
     of fully general position; repeated patterns let a constant fraction of
     samples sit exactly at the loss kinks at the optimum, which is what makes
     the smoothing-bias floor visible at desk scale (with fully general rows
-    the kink mass is capped near d/n). ``feature_norm_range`` controls row
-    norms and through them the conditioning of the smoothed subproblems.
+    the kink mass is capped near d/n). Row norms are drawn uniformly from
+    [``norm_lo``, ``norm_hi``]; through them they set the conditioning of the
+    smoothed subproblems.
     """
 
     n: int
@@ -294,29 +295,29 @@ class SyntheticSpec:
     separation: float = 1.0
     atoms: "int | None" = None
     seed: int = 0
-    feature_norm_range: tuple = (1.0, 1.0)
+    norm_lo: float = 1.0
+    norm_hi: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
-        lo, hi = self.feature_norm_range
         check_finite(sparsity=self.sparsity, noise=self.noise, separation=self.separation,
-                     feature_norm_range=hi)  # and 0 < lo <= hi, below
+                     norm_lo=self.norm_lo, norm_hi=self.norm_hi)
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must be in (0, 1]")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.atoms is not None and self.atoms < 1:
             raise ValueError("atoms must be >= 1")
-        if not 0 < lo <= hi:
-            raise ValueError("feature_norm_range must satisfy 0 < lo <= hi")
+        if not 0 < self.norm_lo <= self.norm_hi:
+            raise ValueError("norm_lo and norm_hi must satisfy 0 < norm_lo <= norm_hi")
 
 
 def make_synthetic(spec):
     """Generate a seeded synthetic dataset with a sparse ground-truth model.
 
     Returns ``(dataset, w_true)``, w_true being the planted model. Features
-    are dense rows with norms drawn from ``feature_norm_range``. For
+    are dense rows with norms drawn from [norm_lo, norm_hi]. For
     classification the rows of each class are shifted by +/- separation along
     the (unit) ground-truth direction, labels are sign(z'w + noise * e), and
     w_true is rescaled so a decently separating predictor has margins around
@@ -339,7 +340,7 @@ def make_synthetic(spec):
         latent = rng.choice([-1.0, 1.0], size=m)
         features += (spec.separation * latent)[:, None] * w
     norms = np.linalg.norm(features, axis=1)
-    target_norms = rng.uniform(*spec.feature_norm_range, size=m)
+    target_norms = rng.uniform(spec.norm_lo, spec.norm_hi, size=m)
     features *= (target_norms / norms)[:, None]
     if spec.atoms is not None:
         features = features[rng.integers(0, spec.atoms, size=n)]

@@ -56,7 +56,7 @@ def test_absolute_subgradient_zero_at_zero_residual():
 
 def test_fobos_produces_exact_zeros():
     prob = _suite(nu1=0.05)
-    spec = BaselineSpec(method="fobos", eta0=0.5, seed=1, strongly_convex=True)
+    spec = BaselineSpec(method="fobos", eta0=0.5, seed=1)
     run = run_baseline(prob, spec, 300)
     assert np.any(run.x == 0.0)
     assert np.isfinite(run.x).all()
@@ -114,7 +114,7 @@ def test_poly_sgd_average_fixed_point():
 
 
 def test_poly_sgd_large_exponent_tracks_last_iterate():
-    prob = _suite()
+    prob = _suite(nu2=0.0)  # mu = 0: the 1/sqrt(t) steps replayed below
     fast = BaselineSpec(method="poly-sgd", eta0=0.2, averaging_exponent=1e6, seed=2)
     run_avg = run_baseline(prob, fast, 60)
 
@@ -134,7 +134,7 @@ def test_poly_sgd_large_exponent_tracks_last_iterate():
 
 def test_poly_sgd_output_is_dense():
     prob = _suite(nu1=0.05)
-    spec = BaselineSpec(method="poly-sgd", eta0=0.5, seed=5, strongly_convex=True)
+    spec = BaselineSpec(method="poly-sgd", eta0=0.5, seed=5)
     run = run_baseline(prob, spec, 400)
     assert np.all(run.x != 0.0)
 
@@ -187,15 +187,6 @@ def test_baseline_draws_one_epoch_per_call(monkeypatch, method, batch_size, budg
     assert np.array_equal(np.concatenate(drawn), singles)
 
 
-def test_strongly_convex_schedules_need_modulus():
-    prob = problem_from_rows([[1.0]], [1.0], HINGE)  # nu2 = 0
-    spec = BaselineSpec(method="fobos", strongly_convex=True)
-    with pytest.raises(ValueError):
-        run_baseline(prob, spec, 10)
-    with pytest.raises(ValueError):
-        run_baseline(prob, BaselineSpec(method="rda", strongly_convex=True), 10)
-
-
 def test_baseline_spec_validation():
     with pytest.raises(ValueError):
         BaselineSpec(method="sgd")
@@ -217,8 +208,7 @@ def test_baseline_objective_decreases_on_suite():
     for method in ("fobos", "rda", "poly-sgd"):
         finals = []
         for seed in range(5):
-            spec = BaselineSpec(method=method, eta0=0.5, rda_scale=0.5, seed=seed,
-                                strongly_convex=True)
+            spec = BaselineSpec(method=method, eta0=0.5, rda_scale=0.5, seed=seed)
             finals.append(objective_original(prob, run_baseline(prob, spec, 400).x))
         assert np.median(finals) < start
 

@@ -51,6 +51,11 @@ def test_run_config_validation():
         _config(dataset="x.libsvm")  # both sources
     with pytest.raises(ValueError):
         _config(cadence=0)
+    # both once failed only after the run had generated its datasets
+    with pytest.raises(ValueError, match="hinge loss requires a classification dataset"):
+        _config(synthetic=SyntheticSpec(n=20, d=3, task="regression"))
+    with pytest.raises(ValueError, match="iteration budget must be >= 1, got 0"):
+        _config(method="fobos", iterations=0)
     for method in ("cns-a", "fobos"):  # a continuation method and a baseline
         with pytest.raises(ValueError, match="time_budget"):
             _config(method=method, time_budget=-1.0)
@@ -190,6 +195,11 @@ def test_compare_report_unreached():
     assert "unreached" in render_report(summaries, 1e-6)
     with pytest.raises(ValueError):
         compare_report({"x": rows}, 1e-3, 0.0)
+    # these once printed "unreached (final gap nan)" and exited 0
+    with pytest.raises(ValueError, match="reference must be finite"):
+        compare_report({"x": rows, "y": rows}, 1e-3, math.nan)
+    with pytest.raises(ValueError, match="target_gap must be > 0, got -1"):
+        compare_report({"x": rows, "y": rows}, -1.0, 0.0)
 
 
 def test_gap_slope_recovers_power_law():
@@ -418,6 +428,11 @@ def test_config_file_line_without_equals_names_its_line(tmp_path):
     path.write_text("method = cns-a\n# comment\nseed 4\n")
     with pytest.raises(ValueError, match=r"bad.cfg: line 3: expected 'key = value', "
                                          r"got 'seed 4'"):
+        read_config_file(str(path))
+    # a key given twice once ran with its last value
+    path.write_text("method = cns-a\nseed = 1\nmethod = fobos\n")
+    with pytest.raises(ValueError, match=r"bad.cfg: line 3: method given twice "
+                                         r"\(first on line 1\)"):
         read_config_file(str(path))
 
 

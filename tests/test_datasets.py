@@ -293,7 +293,7 @@ def test_synthetic_regression_laplace_noise():
 
 
 def test_synthetic_norm_range():
-    spec = SyntheticSpec(n=100, d=15, feature_norm_range=(0.5, 2.0), seed=1)
+    spec = SyntheticSpec(n=100, d=15, norm_lo=0.5, norm_hi=2.0, seed=1)
     ds, _ = make_synthetic(spec)
     norms = np.linalg.norm(ds.features, axis=1)
     assert norms.min() >= 0.5 - 1e-12 and norms.max() <= 2.0 + 1e-12
@@ -311,8 +311,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(n=0, d=5)
     with pytest.raises(ValueError):
         SyntheticSpec(n=5, d=5, sparsity=0.0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(n=5, d=5, feature_norm_range=(2.0, 1.0))
+    with pytest.raises(ValueError, match="0 < norm_lo <= norm_hi"):
+        SyntheticSpec(n=5, d=5, norm_lo=2.0, norm_hi=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec(n=5, d=5, atoms=0)
     with pytest.raises(ValueError, match="separation must be nonnegative"):
@@ -320,7 +320,6 @@ def test_synthetic_spec_validation():
     # a NaN noise once made every absolute-loss run "diverge"
     for value in (math.nan, math.inf, -math.inf):
         for settings in (dict(sparsity=value), dict(noise=value), dict(separation=value),
-                         dict(feature_norm_range=(value, 1.0)),
-                         dict(feature_norm_range=(1.0, value))):
+                         dict(norm_lo=value), dict(norm_hi=value)):
             with pytest.raises(ValueError, match=next(iter(settings))):
                 SyntheticSpec(n=5, d=5, **settings)

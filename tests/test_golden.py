@@ -3,7 +3,11 @@
 The hinge literals were computed before the four solver runners and the
 baseline loop were folded into ``solvers.drive``, the absolute-loss ones
 before the per-loss branches were merged into the loss table (``apg-tk``
-before ``run_solver`` lost its caller-set momentum modulus); a change that
+before ``run_solver`` lost its caller-set momentum modulus). The baselines
+run the schedule their problem's modulus picks: 1/(mu t) on the hinge
+problem (mu = 0.05), 1/sqrt(t) on the absolute one (mu = 0); hinge ``rda``
+was pinned when the baselines took that schedule from the problem, until
+then it had run 1/sqrt(t) there. A change that
 alters any rounding in an inner solver, a baseline or a loss kernel
 (operation order, fused updates, batch draws) fails here. They hold for
 numpy 2.x with OpenBLAS; a BLAS that sums the 5-column products in another
@@ -37,8 +41,8 @@ GOLDEN = {
                       "0x1.8f7997d730d0fp-3", "0x1.d2a3853ad12b8p-2"],
     "fobos": ["0x1.6b1af11ba910cp-1", "-0x1.af614ee86a82fp+0", "0x1.f280818483597p-2",
               "0x1.0252f448f6058p-3", "0x1.05411dfd6e3cdp+0"],
-    "rda": ["0x1.317f975dd345ap-1", "-0x1.6a3c59281bc71p+0", "0x1.94fc9bd765d72p-2",
-            "0x1.1a4924855da64p-3", "0x1.7ebac5dd28d0ep-1"],
+    "rda": ["0x1.5e426c8f5936ap-1", "-0x1.add2f6fe6922dp+0", "0x1.011e1599fc08ep-1",
+            "0x1.a6e73da38920ep-5", "0x1.08f3c8fd3dd2fp+0"],
     "poly-sgd": ["0x1.87c3854ce8499p-1", "-0x1.b3ed990ed0b24p+0", "0x1.04db9cadc27dfp-1",
                  "0x1.9e9911b391bf4p-3", "0x1.0658e182d33d8p+0"],
 }
@@ -54,6 +58,8 @@ GOLDEN_ABSOLUTE = {
                "-0x1.03952c5999819p-4", "0x1.4da1ed4fe80c2p+0"],
     "fobos": ["0x1.c2d3588bf8333p-1", "-0x1.5b8ad714bd348p+0", "0x1.721b48d70abbcp-2",
               "-0x1.324e91bc446a9p-4", "0x1.4b2c52b6c7134p+0"],
+    "rda": ["0x1.ef10c033750f1p-1", "-0x1.e0c69c1b46564p+0", "0x1.03dce4b5dcee8p-1",
+            "-0x0.0p+0", "0x1.515fa9760a50ep+0"],
 }
 
 BUDGET = 60
@@ -82,8 +88,7 @@ def _absolute_problem():
 
 def _final_iterate(name, prob, lam=0.0):
     if name in ("fobos", "rda", "poly-sgd"):
-        spec = BaselineSpec(method=name, eta0=0.5, rda_scale=0.5, batch_size=16, seed=7,
-                            strongly_convex=prob.mu > 0 and name != "rda")
+        spec = BaselineSpec(method=name, eta0=0.5, rda_scale=0.5, batch_size=16, seed=7)
         return run_baseline(prob, spec, BUDGET).x
     sp = SmoothedProblem(prob, 0.05, lam)
     spec = SolverSpec(solver=name.removesuffix("-tk"), batch_size=16, seed=7)

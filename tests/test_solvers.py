@@ -445,7 +445,7 @@ def test_step_kernels_are_called_through_their_module_globals(monkeypatch, metho
     counts = _count_kernel_calls(monkeypatch)
     expected = dict.fromkeys(counts, 0)
     if method in ("fobos", "rda", "poly-sgd"):
-        spec = BaselineSpec(method=method, eta0=0.1, batch_size=8, strongly_convex=True)
+        spec = BaselineSpec(method=method, eta0=0.1, batch_size=8)
         run_baseline(prob, spec, budget)
         expected.update(loss_subgradient=budget, sample_minibatch=epochs,
                         prox_regularizer=budget if method == "fobos" else 0)

@@ -3,8 +3,10 @@
 The runs cover every inner solver (also at a zero stage modulus, where apg and
 acc-prox-svrg run the t_k sequence, and with a caller-supplied rng, once
 shared by two runs of an odd batch size and once with a batch size above n),
-every baseline (with and without a start point, with a batch size above n,
-and with a budget below one epoch), both losses on dense and CSR input,
+every baseline (on the 1/(mu t) schedule that the hinge problem's mu = 0.05
+picks and on the 1/sqrt(t) one of the absolute problem's mu = 0, with and
+without a start point, with a batch size above n, and with a budget below
+one epoch), both losses on dense and CSR input,
 acc-prox-svrg and fobos at the ``sc-dense`` benchmark shape (n = 1000,
 d = 50 dense rows, batch size 50), acc-prox-svrg, prox-svrg,
 apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
@@ -31,15 +33,26 @@ when they differ.
 tree's ``src``, removes the worktree (also when a step fails) and exits with
 the check's status, or with the status of a step that failed before it.
 
+``acceptance <rev>`` diffs the acceptance printout in the same worktree: it
+runs ``pytest tests/test_acceptance.py -s`` under ``<rev>`` and under this
+tree (each checkout's own tests on its own ``src``), masks every duration,
+prints the differing lines and exits 1 if there are any. Pass, fail and the
+known-red clauses' messages are part of the printout, so they are compared
+too.
+
 usage: PYTHONPATH=<reference checkout>/src python tools/compare_iterates.py dump ref.npz
        PYTHONPATH=<changed checkout>/src python tools/compare_iterates.py check ref.npz
        python tools/compare_iterates.py against <rev>
+       python tools/compare_iterates.py acceptance <rev>
 """
+import contextlib
 import ctypes
+import difflib
 import glob
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -48,32 +61,74 @@ from dataclasses import asdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def against(rev):
-    """Dump at ``rev``, check this tree; return the first failing step's
-    status, else 0. Each step runs in a subprocess with its checkout's ``src``
-    first on PYTHONPATH."""
+@contextlib.contextmanager
+def worktree(rev):
+    """Yield the path of a temporary detached git worktree at ``rev``, in a
+    temporary directory the caller may also write to; remove both on exit,
+    also when a step fails. A failed ``git worktree add`` exits with its status."""
     with tempfile.TemporaryDirectory() as tmp:
-        tree, ref = os.path.join(tmp, "tree"), os.path.join(tmp, "ref.npz")
+        tree = os.path.join(tmp, "tree")
         git = ["git", "-C", ROOT, "worktree"]
         status = subprocess.run(git + ["add", "--detach", "--quiet", tree, rev]).returncode
         if status:
-            return status
+            sys.exit(status)
         try:
-            for checkout, mode in ((tree, "dump"), (ROOT, "check")):
-                path = [os.path.join(checkout, "src"), os.environ.get("PYTHONPATH")]
-                env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-                status = subprocess.run([sys.executable, os.path.abspath(__file__), mode, ref],
-                                        env=env).returncode
-                if status:
-                    break
+            yield tree
         finally:
             subprocess.run(git + ["remove", "--force", tree])
-    return status
 
 
-# ``against`` imports no cnsopt itself: each of its steps picks its own
-if __name__ == "__main__" and sys.argv[1] == "against":
-    sys.exit(against(sys.argv[2]))
+def run_under(checkout, argv, **kwargs):
+    """``subprocess.run(argv)`` with ``checkout``'s ``src`` first on PYTHONPATH."""
+    path = [os.path.join(checkout, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(argv, env=env, **kwargs)
+
+
+def against(rev):
+    """Dump at ``rev``, check this tree; return the first failing step's
+    status, else 0."""
+    with worktree(rev) as tree:
+        ref = os.path.join(os.path.dirname(tree), "ref.npz")
+        for checkout, mode in ((tree, "dump"), (ROOT, "check")):
+            status = run_under(checkout, [sys.executable, os.path.abspath(__file__), mode,
+                                          ref]).returncode
+            if status:
+                return status
+    return 0
+
+
+# a duration: "in 0.86s" and "6s" in the printout, "in 156.20s (0:02:36)" in
+# pytest's summary line
+DURATION = re.compile(r"\b\d+(?:\.\d+)?s\b|\(\d+:\d\d:\d\d\)")
+
+
+def acceptance(rev):
+    """Print the differences between the acceptance printouts of ``rev`` and
+    of this tree, durations masked; return 1 if there are any, else 0. The
+    ini file's ``--durations`` table is turned off, since its order follows
+    the timings, and -vv keeps the failure messages whole."""
+    argv = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-s", "-vv",
+            "--tb=no", "--no-header", "-p", "no:cacheprovider", "-o", "addopts="]
+
+    def printout(checkout):
+        run = run_under(checkout, argv, cwd=checkout, capture_output=True, text=True)
+        return DURATION.sub("<time>", run.stdout).splitlines()
+
+    with worktree(rev) as tree:
+        ref = printout(tree)
+    got = printout(ROOT)
+    diff = list(difflib.unified_diff(ref, got, rev, "this tree", lineterm=""))
+    print("\n".join(diff or got))
+    print(f"acceptance printout {'differs from' if diff else 'matches'} {rev}'s, "
+          "durations masked")
+    return 1 if diff else 0
+
+
+# ``against`` and ``acceptance`` import no cnsopt themselves: each of their
+# steps picks its own
+if __name__ == "__main__" and sys.argv[1] in ("against", "acceptance"):
+    sys.exit({"against": against, "acceptance": acceptance}[sys.argv[1]](sys.argv[2]))
 
 import numpy as np
 import scipy.sparse as sps
@@ -147,18 +202,19 @@ def cases():
                 out[f"accbig/{loss}/csr{int(csr)}/g{gamma}/x"] = np.concatenate(
                     [run.x, rng.random(1)])
             for method in ("fobos", "rda", "poly-sgd"):
-                for sc in ((False, True) if loss == "hinge" else (False,)):
-                    spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
-                                        seed=3, strongly_convex=sc)
-                    seen = []
-                    run = run_baseline(prob, spec, 111,
-                                       callback=lambda t, x, e: seen.append(x.copy()),
-                                       callback_every=10)
-                    key = f"{method}/{loss}/csr{int(csr)}/sc{int(sc)}"
-                    out[key + "/x"] = run.x
-                    out[key + "/cb"] = np.array(seen)
-                    run = run_baseline(prob, spec, 37, x0=np.full(prob.d, 0.05))
-                    out[key + "/x0"] = run.x
+                # the hinge problem's mu = 0.05 runs the 1/(mu t) schedules,
+                # the absolute one's mu = 0 the 1/sqrt(t) ones
+                spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
+                                    seed=3)
+                seen = []
+                run = run_baseline(prob, spec, 111,
+                                   callback=lambda t, x, e: seen.append(x.copy()),
+                                   callback_every=10)
+                key = f"{method}/{loss}/csr{int(csr)}"
+                out[key + "/x"] = run.x
+                out[key + "/cb"] = np.array(seen)
+                run = run_baseline(prob, spec, 37, x0=np.full(prob.d, 0.05))
+                out[key + "/x0"] = run.x
                 # a batch size above n (clamped to n), and a budget of 7 steps,
                 # below the epoch of ceil(150 / 16) = 10
                 for b, budget in ((400, 23), (16, 7)):
