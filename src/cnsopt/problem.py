@@ -102,6 +102,14 @@ class CompositeProblem:
     def max_row_sq_norm(self):
         return smoothing.max_row_sq_norm(self.features)
 
+    @cached_property
+    def gram_norm(self):
+        """An upper bound on lambda_max(Z'Z / n), the smoothed loss's gradient
+        Lipschitz constant at gamma = 1 (``smoothing.gram_norm``), never above
+        ``max_row_sq_norm``. Computed on first use: only a full-gradient step
+        reads it."""
+        return min(smoothing.gram_norm(self.features), self.max_row_sq_norm)
+
 
 @dataclass(frozen=True)
 class SmoothedProblem:

@@ -148,7 +148,10 @@ def run_solver(spec, sp, x0, budget, rng=None, **kwargs):
       is positive, else the t_k extrapolation sequence; acc-prox-svrg
       restarts it at every snapshot.
 
-    The step is step_scale/L, times theta for prox-svrg. Stochastic solvers
+    The step is step_scale/L, times theta for prox-svrg, where L is the
+    spectral bound lambda_max(Z'Z / n) / gamma + lam (``gram_norm``) for a
+    full-gradient step and the per-sample bound max_i ||z_i||^2 / gamma + lam
+    (``lipschitz_constant``) for a variance-reduced one. Stochastic solvers
     step through one ``minibatches`` stream on ``rng`` (default: seeded from
     ``spec.seed``), whose epochs line up with the snapshot refreshes: each
     refresh keeps the full pass's per-sample weights and gathers the epoch's
@@ -158,7 +161,7 @@ def run_solver(spec, sp, x0, budget, rng=None, **kwargs):
     """
     variance_reduced = spec.solver in (PROX_SVRG, ACC_PROX_SVRG)
     momentum = spec.accelerated
-    L = lipschitz_constant(sp)
+    L = lipschitz_constant(sp) if variance_reduced else sp.base.gram_norm / sp.gamma + sp.lam
     if spec.solver == PROX_SVRG:
         eta = spec.theta * spec.step_scale / L
     else:

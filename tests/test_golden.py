@@ -7,7 +7,9 @@ before ``run_solver`` lost its caller-set momentum modulus). The baselines
 run the schedule their problem's modulus picks: 1/(mu t) on the hinge
 problem (mu = 0.05), 1/sqrt(t) on the absolute one (mu = 0); hinge ``rda``
 was pinned when the baselines took that schedule from the problem, until
-then it had run 1/sqrt(t) there. A change that
+then it had run 1/sqrt(t) there. The full-gradient literals (prox-gd and apg
+on both problems, and apg-tk) were pinned when those steps took the spectral
+Lipschitz bound lambda_max(Z'Z / n) / gamma + lam. A change that
 alters any rounding in an inner solver, a baseline or a loss kernel
 (operation order, fused updates, batch draws) fails here. They hold for
 numpy 2.x with OpenBLAS; a BLAS that sums the 5-column products in another
@@ -31,10 +33,10 @@ from cnsopt import (
 from cnsopt.solvers import SolverSpec
 
 GOLDEN = {
-    "prox-gd": ["0x1.73cea28b42a6cp-4", "-0x1.987c3647c9161p-3", "0x1.48e1387db9e9bp-5",
-                "0x1.b47f2eaea4008p-5", "0x1.fb410cb459118p-4"],
-    "apg": ["0x1.a501a7f61c48cp-1", "-0x1.d43bd4899de86p+0", "0x1.a2d46d10143eep-2",
-            "0x1.8ebca96af0336p-2", "0x1.1ce5417c54ad5p+0"],
+    "prox-gd": ["0x1.4e5a5fa31a1d3p-1", "-0x1.7d8fe815084c5p+0", "0x1.53a8b996cd9cap-2",
+                "0x1.146e113bb3d2ap-2", "0x1.c69e36f573e98p-1"],
+    "apg": ["0x1.70f01cca56130p-1", "-0x1.a316d62dee996p+0", "0x1.c599c0d76ba61p-2",
+            "0x1.0bdc1b4cb584bp-2", "0x1.0bc84ccee20dcp+0"],
     "prox-svrg": ["0x1.2edff53c1f71dp-7", "-0x1.4cc0b9bdfe1f8p-6", "0x1.0be7f5bbb81e8p-8",
                   "0x1.63923638d02f8p-8", "0x1.9d35cd9241c52p-7"],
     "acc-prox-svrg": ["0x1.55a031535e885p-2", "-0x1.79ba9573ae134p-1", "0x1.2fafc830c30fep-3",
@@ -48,14 +50,14 @@ GOLDEN = {
 }
 
 GOLDEN_ABSOLUTE = {
-    "prox-gd": ["0x1.21dca5dbf5355p-3", "-0x1.f43ac747ca5a2p-4", "0x1.c6b28c6481ea8p-5",
-                "-0x1.0afbf4da307e7p-6", "0x1.913d0bc083e8dp-3"],
-    "apg": ["0x1.531132f672231p+0", "-0x1.8ee3b2a446150p+1", "0x1.18c91a35f77f5p-1",
-            "0x1.ae6e3cb6c5699p-4", "0x1.0bc99f9bf99f2p+1"],
+    "prox-gd": ["0x1.f5c5e26e03396p-1", "-0x1.b00400fedf8a5p+0", "0x1.b6e4c3378bda5p-2",
+                "-0x1.4db8ff039b777p-9", "0x1.742545566491fp+0"],
+    "apg": ["0x1.12109ecb2d653p+0", "-0x1.f77e2a1dd6a0bp+0", "0x1.d8cd368f07712p-2",
+            "-0x1.126cde6f81e87p-12", "0x1.7aef2666515bep+0"],
     "acc-prox-svrg": ["0x1.17a9104ec48fcp-1", "-0x1.30414ab5e7a00p-1", "0x1.c843e24d0c3dep-3",
                       "-0x1.25d6de0f60654p-5", "0x1.7a0f470271747p-1"],
-    "apg-tk": ["0x1.e21471e9db9d6p-1", "-0x1.409e72bd27acfp+0", "0x1.91ef5528b747ap-2",
-               "-0x1.03952c5999819p-4", "0x1.4da1ed4fe80c2p+0"],
+    "apg-tk": ["0x1.0f2a02171443cp+0", "-0x1.f7e65eaca6073p+0", "0x1.e0e5ddbb33523p-2",
+               "-0x1.d4e34f312c49fp-10", "0x1.7d225ba761b5cp+0"],
     "fobos": ["0x1.c2d3588bf8333p-1", "-0x1.5b8ad714bd348p+0", "0x1.721b48d70abbcp-2",
               "-0x1.324e91bc446a9p-4", "0x1.4b2c52b6c7134p+0"],
     "rda": ["0x1.ef10c033750f1p-1", "-0x1.e0c69c1b46564p+0", "0x1.03dce4b5dcee8p-1",

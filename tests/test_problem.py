@@ -16,7 +16,7 @@ from cnsopt import (
     objective_smoothed,
     smoothing_gap,
 )
-from cnsopt.smoothing import lipschitz_constant
+from cnsopt.smoothing import GRAM_MARGIN, gram_norm, lipschitz_constant
 
 from tests.conftest import problem_from_rows
 
@@ -173,6 +173,29 @@ def test_features_densifies_csr_with_dense_values():
     assert prob.max_row_sq_norm == dense.max_row_sq_norm
     sp, sp_dense = SmoothedProblem(prob, 0.01), SmoothedProblem(dense, 0.01)
     assert lipschitz_constant(sp) == lipschitz_constant(sp_dense)
+    assert prob.gram_norm == dense.gram_norm
+
+
+def test_gram_norm_of_a_csr_that_stays_csr_is_within_the_margin_of_dense():
+    rng = np.random.default_rng(9)
+    for shape in ((300, 40), (40, 300)):
+        rows = rng.normal(size=shape) * (rng.random(shape) < 0.05)
+        data = SparseDataset(sparse.csr_matrix(rows), rng.normal(size=shape[0]), "regression")
+        csr = CompositeProblem(data, ABSOLUTE, Regularizer())
+        assert sparse.issparse(csr.features)
+        dense = problem_from_rows(rows, data.labels, ABSOLUTE)
+        assert "gram_norm" not in vars(csr)  # computed on first use
+        assert csr.gram_norm == pytest.approx(dense.gram_norm, rel=GRAM_MARGIN)
+        exact = np.linalg.norm(rows, 2) ** 2 / shape[0]
+        assert exact <= csr.gram_norm <= exact * (1.0 + 2.0 * GRAM_MARGIN)
+        # the Lanczos start vector is fixed: a new problem gives the same bits
+        again = CompositeProblem(data, ABSOLUTE, Regularizer())
+        assert again.gram_norm == csr.gram_norm
+    # rank at most 1: a single column, and no nonzero at all
+    column = sparse.csr_matrix(rng.normal(size=(50, 1)))
+    assert gram_norm(column) == pytest.approx(
+        np.sum(column.toarray() ** 2) / 50, rel=GRAM_MARGIN)
+    assert gram_norm(sparse.csr_matrix((50, 20))) == 0.0
 
 
 def test_classification_rows_are_label_signed():

@@ -256,20 +256,43 @@ def test_lipschitz_constant_formula():
     assert lipschitz_constant(SmoothedProblem(prob, 0.5, lam=2.0)) == pytest.approx(52.0)
 
 
+def _csr_problem(rng, loss, n=60, d=30):
+    """A problem on 10%-dense rows, which ``CompositeProblem.features`` keeps
+    as CSR."""
+    rows = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.1)
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
+    data = SparseDataset(sparse.csr_matrix(rows), labels, dual_spec(loss).task)
+    return CompositeProblem(data, loss, Regularizer())
+
+
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 def test_lipschitz_bound_on_sampled_pairs(loss):
+    # both bounds, the per-sample one and the spectral one of the full-gradient
+    # steps, on dense rows and on a CSR that stays CSR
     rng = np.random.default_rng(21)
-    prob = _random_problem(rng, loss)
-    for gamma in (0.5, 0.05):
-        sp = SmoothedProblem(prob, gamma, lam=0.1)
-        L = lipschitz_constant(sp)
-        for _ in range(50):
-            x = rng.normal(scale=2.0, size=prob.d)
-            y = rng.normal(scale=2.0, size=prob.d)
-            lhs = np.linalg.norm(
-                smoothed_loss_gradient(sp, x) - smoothed_loss_gradient(sp, y)
-            )
-            assert lhs <= L * np.linalg.norm(x - y) + 1e-10
+    for prob in (_random_problem(rng, loss), _csr_problem(rng, loss)):
+        assert prob.gram_norm <= prob.max_row_sq_norm
+        for gamma in (0.5, 0.05):
+            sp = SmoothedProblem(prob, gamma, lam=0.1)
+            for L in (lipschitz_constant(sp), prob.gram_norm / gamma + sp.lam):
+                for _ in range(50):
+                    x = rng.normal(scale=2.0, size=prob.d)
+                    y = rng.normal(scale=2.0, size=prob.d)
+                    lhs = np.linalg.norm(
+                        smoothed_loss_gradient(sp, x) - smoothed_loss_gradient(sp, y)
+                    )
+                    assert lhs <= L * np.linalg.norm(x - y) + 1e-10
+        # the spectral bound is attained: at gamma = 100 every slack near x = 0
+        # is inside the quadratic branch, where the gradient moves by
+        # Z'Z (x - y) / (n gamma), so along Z's top right singular vector
+        gamma = 100.0
+        sp = SmoothedProblem(prob, gamma)
+        top = np.linalg.svd(sparse.csr_matrix(prob.features).toarray())[2][0]
+        step = 1e-3 * top
+        lhs = np.linalg.norm(smoothed_loss_gradient(sp, step)
+                             - smoothed_loss_gradient(sp, np.zeros(prob.d)))
+        spectral = prob.gram_norm / gamma * 1e-3
+        assert spectral * (1.0 - 1e-5) <= lhs <= spectral
 
 
 def test_condition_number():

@@ -64,7 +64,7 @@ def test_prox_gd_matches_scalar_recursion_oracle():
     # independent oracle: simulate the scalar recursion directly
     z = np.array([1.0, 0.5])
     y = np.array([0.1, 0.05])
-    L = max(z**2) / gamma
+    L = np.mean(z**2) / gamma  # lambda_max(Z'Z / n) / gamma of one column
     eta = 1.0 / L
     x = 0.3
     for _ in range(budget):
@@ -76,7 +76,7 @@ def test_prox_gd_matches_scalar_recursion_oracle():
 def test_prox_gd_contraction_rate():
     prob = quad_problem()
     sp = SmoothedProblem(prob, 2.0)
-    L = 1.0 / 2.0
+    L = 0.625 / 2.0  # lambda_max(Z'Z / n) / gamma, Z'Z / n = (1 + 0.25) / 2
     mu = prob.mu
     # fixed point of the iteration
     x_star = run_solver(GD, sp, np.array([0.0]), 2000).x[0]
@@ -131,7 +131,8 @@ def test_apg_beats_prox_gd_on_quadratic():
 
 
 def test_apg_equals_prox_gd_when_kappa_one():
-    # the stage modulus nu2 = 0.5 equals L, so the momentum coefficient vanishes
+    # the stage modulus nu2 = 0.5 is above L = 0.3125, so the momentum
+    # coefficient vanishes
     prob = quad_problem(nu2=0.5)
     sp = SmoothedProblem(prob, 2.0)
     a = run_solver(APG, sp, np.array([0.3]), 25)
@@ -245,6 +246,17 @@ def test_solver_outputs_finite_and_right_dimension():
         run = run_solver(spec, sp, np.zeros(prob.d), 50)
         assert run.x.shape == (prob.d,)
         assert np.isfinite(run.x).all()
+
+
+def test_only_full_gradient_steps_compute_the_spectral_bound():
+    prob = _random_strongly_convex(10)
+    sp = SmoothedProblem(prob, 0.02)
+    for spec in (SolverSpec(solver="prox-svrg"), SolverSpec(solver="acc-prox-svrg")):
+        run_solver(spec, sp, np.zeros(prob.d), 20)
+    run_baseline(prob, BaselineSpec(method="fobos"), 20)
+    assert "gram_norm" not in vars(prob)
+    run_solver(APG, sp, np.zeros(prob.d), 1)
+    assert vars(prob)["gram_norm"] < prob.max_row_sq_norm
 
 
 def test_divergence_detection():
