@@ -176,9 +176,9 @@ _STEPS = {FOBOS: _fobos_step, RDA: _rda_step, POLY_SGD: _poly_sgd_step}
 def run_baseline(problem, spec, budget, x0=None, **kwargs):
     """Run the baseline named by ``spec.method`` from ``x0`` (zeros when None),
     on one ``minibatches`` stream of min(batch_size, n) rows seeded from
-    ``spec.seed``, each epoch's rows and offsets gathered once
-    (``epoch_batches``). The schedule is picked here, once per run: the
-    strongly convex one (steps eta0 / (mu t), RDA's beta_t = 0) when
+    ``spec.seed`` (many epochs per draw), each epoch's rows and offsets
+    gathered once (``epoch_batches``). The schedule is picked here, once per
+    run: the strongly convex one (steps eta0 / (mu t), RDA's beta_t = 0) when
     mu = nu2 > 0, else the 1/sqrt(t) one."""
     x0 = start_point(x0, problem.d)
     b = min(spec.batch_size, problem.n)

@@ -232,7 +232,8 @@ def sample_minibatch(n, batch_size, rng, steps):
     allowed) in one draw, shape (steps, batch_size): row k equals the (k+1)-th
     of ``steps`` successive ``rng.integers(0, n, size=batch_size)`` draws from
     the same rng, which ends in the same state. (The generator keeps any spare
-    half of a 64-bit output in its own state, not in the call.)
+    half of a 64-bit output in its own state, not in the call.) ``minibatches``
+    calls it once per block of whole epochs.
     """
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
@@ -241,13 +242,23 @@ def sample_minibatch(n, batch_size, rng, steps):
     return rng.integers(0, n, size=(steps, batch_size))
 
 
+# indices per ``sample_minibatch`` call in ``minibatches`` (64 KB of int64):
+# enough to spread the call's fixed cost, few enough to keep memory bounded
+DRAW_INDICES = 8192
+
+
 def minibatches(n, batch_size, rng, budget):
-    """Yield the index blocks of ``budget`` mini-batches, one epoch (ceil(n / batch_size)
-    steps) per ``sample_minibatch`` draw of shape (steps, batch_size), the last capped
-    at the steps left so a shared rng ends where per-step draws would leave it."""
+    """Yield the index blocks of ``budget`` mini-batches, one epoch
+    (ceil(n / batch_size) steps) per block of shape (steps, batch_size). The
+    blocks are views of ``sample_minibatch`` draws of as many whole epochs as
+    fit in ``DRAW_INDICES`` indices (at least one), the last draw capped at the
+    steps left, so a shared rng ends where per-step draws would leave it."""
     epoch = math.ceil(n / batch_size)
-    for done in range(0, budget, epoch):
-        yield sample_minibatch(n, batch_size, rng, min(epoch, budget - done))
+    block = epoch * max(1, DRAW_INDICES // (epoch * batch_size))
+    for done in range(0, budget, block):
+        draw = sample_minibatch(n, batch_size, rng, min(block, budget - done))
+        for lo in range(0, len(draw), epoch):
+            yield draw[lo:lo + epoch]
 
 
 def epoch_batches(block, *arrays):

@@ -153,9 +153,10 @@ def run_solver(spec, sp, x0, budget, rng=None, **kwargs):
     full-gradient step and the per-sample bound max_i ||z_i||^2 / gamma + lam
     (``lipschitz_constant``) for a variance-reduced one. Stochastic solvers
     step through one ``minibatches`` stream on ``rng`` (default: seeded from
-    ``spec.seed``), whose epochs line up with the snapshot refreshes: each
-    refresh keeps the full pass's per-sample weights and gathers the epoch's
-    rows, offsets and snapshot weights once (``epoch_batches``). The stage's
+    ``spec.seed``), which draws many epochs at a time and yields one per
+    block; its epochs line up with the snapshot refreshes: each refresh
+    keeps the full pass's per-sample weights and gathers the epoch's rows,
+    offsets and snapshot weights once (``epoch_batches``). The stage's
     scalars are cast once (``precast``), and each step updates the arrays it
     allocates in place, in the order of ufuncs that keeps the iterates' bits.
     """

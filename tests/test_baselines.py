@@ -14,7 +14,7 @@ from cnsopt import (
     objective_original,
     run_baseline,
 )
-from cnsopt import datasets
+from cnsopt import baselines, datasets
 from cnsopt.baselines import loss_subgradient, subgradient_scalars
 from cnsopt.smoothing import dual_spec
 from tests.conftest import problem_from_rows
@@ -158,32 +158,66 @@ def test_baselines_reject_a_wrong_shape_start_point(method):
         run_baseline(prob, spec, 10, x0=np.zeros(3))
 
 
-@pytest.mark.parametrize("method", ("fobos", "rda", "poly-sgd"))
-@pytest.mark.parametrize("batch_size, budget", (
-    (50, 23),  # n = 300, epochs of 6 steps: draws of 6, 6, 6 and 5
-    (50, 4),  # a budget below one epoch: one draw of 4
-    (400, 5),  # batch size clamped to n = 300: epochs of one step
-))
-def test_baseline_draws_one_epoch_per_call(monkeypatch, method, batch_size, budget):
+def _recorded_stream(monkeypatch, method, batch_size, budget):
+    """Run a baseline on ``_suite()``, recording each ``sample_minibatch`` draw
+    and each index block handed to ``epoch_batches``; return both lists, the
+    epoch length, the batch size and the per-step draws from the same seed."""
     prob = _suite()
     n = prob.n
-    real, drawn = datasets.sample_minibatch, []
+    real_draw, drawn = datasets.sample_minibatch, []
+    real_gather, gathered = baselines.epoch_batches, []
 
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
+    def drawing(*args, **kwargs):
+        out = real_draw(*args, **kwargs)
         drawn.append(out)
         return out
 
-    monkeypatch.setattr(datasets, "sample_minibatch", recording)
+    def gathering(block, *arrays):
+        gathered.append(block)
+        return real_gather(block, *arrays)
+
+    monkeypatch.setattr(datasets, "sample_minibatch", drawing)
+    monkeypatch.setattr(baselines, "epoch_batches", gathering)
     spec = BaselineSpec(method=method, eta0=0.3, batch_size=batch_size, seed=8)
     run_baseline(prob, spec, budget)
     b = min(batch_size, n)
-    epoch = math.ceil(n / b)
-    assert len(drawn) == math.ceil(budget / epoch)
-    assert [rows.shape for rows in drawn[:-1]] == [(epoch, b)] * (len(drawn) - 1)
-    assert drawn[-1].shape == (budget - epoch * (len(drawn) - 1), b)
     ref = np.random.default_rng(8)
     singles = [ref.integers(0, n, size=b) for _ in range(budget)]
+    return drawn, gathered, math.ceil(n / b), b, singles
+
+
+@pytest.mark.parametrize("method", ("fobos", "rda", "poly-sgd"))
+@pytest.mark.parametrize("batch_size, budget", (
+    (50, 23),  # n = 300, epochs of 6 steps: gathers of 6, 6, 6 and 5
+    (50, 4),  # a budget below one epoch: one gather of 4
+    (400, 5),  # batch size clamped to n = 300: epochs of one step
+))
+def test_baseline_draws_one_epoch_per_call(monkeypatch, method, batch_size, budget):
+    # each epoch's drawn rows reach one epoch_batches call
+    _, gathered, epoch, b, singles = _recorded_stream(monkeypatch, method, batch_size,
+                                                      budget)
+    assert len(gathered) == math.ceil(budget / epoch)
+    assert [rows.shape for rows in gathered[:-1]] == [(epoch, b)] * (len(gathered) - 1)
+    assert gathered[-1].shape == (budget - epoch * (len(gathered) - 1), b)
+    assert np.array_equal(np.concatenate(gathered), singles)
+
+
+@pytest.mark.parametrize("method", ("fobos", "rda", "poly-sgd"))
+@pytest.mark.parametrize("batch_size, budget, draws", (
+    # n = 300, epochs of 6 steps: blocks of 6 * (8192 // 300) = 162 steps
+    (50, 23, [23]),
+    (50, 4, [4]),  # a budget below one epoch
+    (400, 5, [5]),  # batch size clamped to n = 300: blocks of 27 one-step epochs
+    # 400 * 50 indices cross DRAW_INDICES: two whole blocks and 76 steps,
+    # 12 epochs and 4 steps into the third
+    (50, 400, [162, 162, 76]),
+))
+def test_baseline_draws_blocks_of_whole_epochs(monkeypatch, method, batch_size, budget,
+                                               draws):
+    drawn, _, epoch, b, singles = _recorded_stream(monkeypatch, method, batch_size, budget)
+    assert [len(rows) for rows in drawn] == draws
+    assert all(len(rows) % epoch == 0 and len(rows) * b <= datasets.DRAW_INDICES
+               for rows in drawn[:-1])
     assert np.array_equal(np.concatenate(drawn), singles)
 
 

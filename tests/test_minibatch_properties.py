@@ -1,8 +1,11 @@
 """Property tests for the mini-batch stream: one ``sample_minibatch(..., k)``
-call, the whole ``minibatches`` stream, and the rows ``epoch_batches`` gathers
-from it, give the same batches as one ``rng.integers(0, n, size=b)`` draw and
-one fancy index per step, and leave the rng in the same state, so a method may
-draw and gather a whole epoch at once without changing its run."""
+call, the whole ``minibatches`` stream (one-epoch views of draws of up to
+``DRAW_INDICES`` indices), and the rows ``epoch_batches`` gathers from it,
+give the same batches as one ``rng.integers(0, n, size=b)`` draw and one fancy
+index per step, and leave the rng in the same state, so a method may draw many
+epochs and gather a whole epoch at once without changing its run. The
+generated cases stay inside one draw; the examples whose budget times batch
+size exceeds ``DRAW_INDICES`` cross into a second one."""
 
 import math
 
@@ -14,7 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cnsopt.datasets import epoch_batches, minibatches, sample_minibatch  # noqa: E402
+from cnsopt.datasets import (DRAW_INDICES, epoch_batches, minibatches,  # noqa: E402
+                             sample_minibatch)
 
 # a range just above 2^31 makes Lemire's method reject almost half its 32-bit
 # draws, so the draws consumed per batch vary
@@ -50,6 +54,10 @@ def test_epoch_draw_equals_successive_draws(n, data, steps, seed):
 @example(n=150, data=None, budget=7, seed=2)  # a budget below one epoch
 @example(n=16, data=None, budget=5, seed=0)  # batch size n: epochs of one step
 @example(n=2**31 + 1, data=None, budget=9, seed=1)  # large rejection threshold
+# draws of 52 epochs (624 steps): ends 2 epochs and 5 steps into the second
+@example(n=150, data=None, budget=653, seed=5)
+# 8400 indices at the rejection threshold, all in the first (only) epoch
+@example(n=2**31 + 1, data=None, budget=1200, seed=1)
 def test_stream_equals_per_step_draws(n, data, budget, seed):
     if data is None:
         b = {150: 13, 16: 16}.get(n, 7)
@@ -60,6 +68,12 @@ def test_stream_equals_per_step_draws(n, data, budget, seed):
     singles, ref = _per_step(n, b, seed, budget)
     epoch = math.ceil(n / b)
     assert [len(block) for block in blocks[:-1]] == [epoch] * (len(blocks) - 1)
+    # the blocks are views of draws of whole epochs, as many as fit in
+    # DRAW_INDICES indices (at least one); only the last draw is capped
+    draws = list({id(block.base): block.base for block in blocks}.values())
+    for draw in draws[:-1]:
+        assert len(draw) % epoch == 0
+        assert len(draw) * b <= max(DRAW_INDICES, epoch * b) < (len(draw) + epoch) * b
     stream = np.concatenate(blocks)
     assert len(stream) == budget
     assert np.array_equal(stream, singles)
@@ -82,6 +96,11 @@ def _same_rows(got, want):
 @example(n=150, data=None, budgets=[7, 17], seed=2, csr=False)  # two runs share one rng
 @example(n=150, data=None, budgets=[7, 17], seed=2, csr=True)
 @example(n=16, data=None, budgets=[5], seed=0, csr=True)  # batch size n: epochs of one step
+# draws of 52 epochs (624 steps): ends 2 epochs and 5 steps into the second
+@example(n=150, data=None, budgets=[653], seed=5, csr=False)
+# two runs share one rng, the first ending 6 epochs and 4 steps into its second draw
+@example(n=150, data=None, budgets=[700, 41], seed=2, csr=False)
+@example(n=150, data=None, budgets=[700, 41], seed=2, csr=True)
 def test_epoch_gather_equals_per_step_indexing(n, data, budgets, seed, csr):
     if data is None:
         b = {150: 13, 16: 16}[n]

@@ -19,7 +19,7 @@ from cnsopt import (
     run_baseline,
     run_solver,
 )
-from cnsopt.smoothing import kernel_scalars
+from cnsopt.smoothing import GRAM_MARGIN, kernel_scalars
 from cnsopt.solvers import SolverSpec
 
 from tests.conftest import problem_from_rows
@@ -71,6 +71,34 @@ def test_prox_gd_matches_scalar_recursion_oracle():
         g = np.mean(-(y - z * x) / gamma * z)
         x = (x - eta * g) / (1.0 + eta * prob.reg.nu2)
     assert run.x[0] == pytest.approx(x, abs=1e-14)
+
+
+def test_prox_gd_steps_by_the_spectral_bound_on_two_columns():
+    # three steps on two columns, checked against the recursion unrolled by
+    # hand at step 1/L with the spectral L = lambda_max(Z'Z / n) / gamma;
+    # the columns' curvatures differ, so no step lands on the fixed point and
+    # the iterate after three steps moves with the step length
+    rows = np.array([[1.0, 0.2], [0.5, -1.0], [0.0, 0.4]])
+    y = np.array([0.3, -0.2, 0.1])
+    gamma, nu2, n = 2.0, 0.1, 3
+    prob = problem_from_rows(rows, y, ABSOLUTE, nu2=nu2)
+    x0 = np.array([0.4, 0.5])
+    run = run_solver(GD, SmoothedProblem(prob, gamma), x0, 3)
+
+    # Z'Z / n = [[a, b], [b, c]], whose top eigenvalue is closed form
+    a = (1.0 + 0.25 + 0.0) / n
+    b = (0.2 - 0.5 + 0.0) / n
+    c = (0.04 + 1.0 + 0.16) / n
+    top = (a + c) / 2.0 + math.sqrt(((a - c) / 2.0) ** 2 + b * b)
+    eta = gamma / (top * (1.0 + GRAM_MARGIN))
+    x = x0
+    for _ in range(3):
+        residual = y - rows @ x
+        assert np.all(np.abs(residual) < gamma)  # the quadratic branch
+        g = -(rows.T @ residual) / (n * gamma)
+        x = (x - eta * g) / (1.0 + eta * nu2)
+    assert run.x == pytest.approx(x, abs=1e-13)
+    assert np.abs(run.x - run_solver(GD, SmoothedProblem(prob, gamma), x0, 4).x).min() > 1e-3
 
 
 def test_prox_gd_contraction_rate():
@@ -285,8 +313,8 @@ def test_nan_gradient_raises_divergence_at_its_iteration(monkeypatch):
 
 
 def test_epoch_draws_keep_a_shared_rng_in_step(monkeypatch):
-    # m = ceil(60 / 8) = 8; budgets 7 then 13 end mid-epoch, so the draws are
-    # capped at the budget left: 7, then 8 and 5
+    # m = ceil(60 / 8) = 8; budgets 7 then 13 end mid-epoch, and a draw block
+    # holds 128 epochs, so each run draws once, capped at the budget left
     from cnsopt import datasets
     prob = _random_strongly_convex(1, n=60)
     sp = SmoothedProblem(prob, 0.1)
@@ -302,7 +330,7 @@ def test_epoch_draws_keep_a_shared_rng_in_step(monkeypatch):
     rng = np.random.default_rng(4)
     first = run_solver(spec, sp, np.zeros(prob.d), 7, rng=rng)
     run_solver(spec, sp, first.x, 13, rng=rng)
-    assert [len(batches) for batches in drawn] == [7, 8, 5]
+    assert [len(batches) for batches in drawn] == [7, 13]
     ref = np.random.default_rng(4)
     singles = [ref.integers(0, 60, size=8) for _ in range(20)]
     assert np.array_equal(np.concatenate(drawn), singles)
@@ -450,16 +478,17 @@ def _count_kernel_calls(monkeypatch):
 def test_step_kernels_are_called_through_their_module_globals(monkeypatch, method):
     # the tracer counts a kernel only when a step calls it by its module
     # global: once per step, the full pass once per snapshot (variance
-    # reduced) or per step (full gradient), one draw per epoch; n = 60 rows
-    # in batches of 8 make epochs of 8 steps, so 23 steps take 3 epochs
+    # reduced) or per step (full gradient), one draw per block of epochs;
+    # n = 60 rows in batches of 8 make epochs of 8 steps, so 23 steps take 3
+    # epochs and one draw (a block holds 128 epochs)
     prob = _random_strongly_convex(2, n=60)
-    budget, epochs = 23, 3
+    budget, epochs, draws = 23, 3, 1
     counts = _count_kernel_calls(monkeypatch)
     expected = dict.fromkeys(counts, 0)
     if method in ("fobos", "rda", "poly-sgd"):
         spec = BaselineSpec(method=method, eta0=0.1, batch_size=8)
         run_baseline(prob, spec, budget)
-        expected.update(loss_subgradient=budget, sample_minibatch=epochs,
+        expected.update(loss_subgradient=budget, sample_minibatch=draws,
                         prox_regularizer=budget if method == "fobos" else 0)
     else:
         run_solver(SolverSpec(solver=method, batch_size=8), SmoothedProblem(prob, 0.1),
@@ -467,7 +496,7 @@ def test_step_kernels_are_called_through_their_module_globals(monkeypatch, metho
         expected["prox_regularizer"] = budget
         if method in ("prox-svrg", "acc-prox-svrg"):
             expected.update(vr_gradient_kernel=budget, loss_gradient=epochs,
-                            sample_minibatch=epochs)
+                            sample_minibatch=draws)
         else:
             expected["loss_gradient"] = budget
     assert counts == expected

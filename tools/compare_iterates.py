@@ -8,7 +8,8 @@ picks and on the 1/sqrt(t) one of the absolute problem's mu = 0, with and
 without a start point, with a batch size above n, and with a budget below
 one epoch), both losses on dense and CSR input,
 acc-prox-svrg and fobos at the ``sc-dense`` benchmark shape (n = 1000,
-d = 50 dense rows, batch size 50), acc-prox-svrg, prox-svrg,
+d = 50 dense rows, batch size 50; also two acc-prox-svrg runs on one rng,
+each longer than one mini-batch draw), acc-prox-svrg, prox-svrg,
 apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
 (absolute loss + l1 on n = 600, d = 50 rows read back from LIBSVM text,
 batch size 100), ``reference_objective``,
@@ -235,6 +236,12 @@ def cases():
                      callback=lambda t, x, e: seen.append(x.copy()), callback_every=7)
     out["acc-prox-svrg/hinge/n1000/b50/x"] = run.x
     out["acc-prox-svrg/hinge/n1000/b50/cb"] = np.array(seen)
+    # two runs sharing one rng whose budgets each cross a mini-batch draw of
+    # 160 steps (8 epochs of 20) and end mid-epoch, and the rng's next draw
+    rng = np.random.default_rng(13)
+    first = run_solver(spec, sp, np.zeros(prob.d), 173, rng=rng)
+    run = run_solver(spec, sp, first.x, 229, rng=rng)
+    out["accblock/hinge/n1000/b50/x"] = np.concatenate([first.x, run.x, rng.random(1)])
     spec = BaselineSpec(method="fobos", eta0=0.3, batch_size=50, seed=3)
     seen = []
     run = run_baseline(prob, spec, 111, callback=lambda t, x, e: seen.append(x.copy()),
