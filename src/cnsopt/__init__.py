@@ -59,7 +59,6 @@ from .smoothing import (
     loss_gradient,
     slacks,
     smoothed_loss_gradient,
-    smoothing_gap,
 )
 from .solvers import (
     SolverRun,

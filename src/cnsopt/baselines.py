@@ -23,32 +23,31 @@ FOBOS = "fobos"
 RDA = "rda"
 POLY_SGD = "poly-sgd"
 
+# Poly-SGD's polynomial-decay averaging exponent k (Shamir & Zhang 2013)
+AVERAGING_EXPONENT = 3.0
+
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """Baseline identity and step/averaging parameters.
+    """Baseline identity, step and sampling parameters.
 
     ``eta0`` is the FOBOS / Poly-SGD step scale, ``rda_scale`` the RDA
-    dual-averaging scale, ``averaging_exponent`` the polynomial-decay weight.
-    The schedule comes from the problem (``run_baseline``).
+    dual-averaging scale. The schedule comes from the problem
+    (``run_baseline``).
     """
 
     method: str = FOBOS
     eta0: float = 1.0
     rda_scale: float = 1.0
-    averaging_exponent: float = 3.0
     batch_size: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in (FOBOS, RDA, POLY_SGD):
             raise ValueError(f"unknown baseline {self.method!r}")
-        check_finite(eta0=self.eta0, rda_scale=self.rda_scale,
-                     averaging_exponent=self.averaging_exponent)
+        check_finite(eta0=self.eta0, rda_scale=self.rda_scale)
         if self.eta0 <= 0 or self.rda_scale <= 0:
             raise ValueError("step scales must be positive")
-        if self.averaging_exponent < 1:
-            raise ValueError("averaging_exponent must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -144,12 +143,12 @@ def _poly_sgd_step(problem, spec, x0, batches, scalars, strongly_convex):
 
     No prox: the regularizer enters through its subgradient, so l1 weights do
     not sparsify the iterates. Reports the running average, which weights
-    iterate t by (exponent + 1)/(t + exponent).
+    iterate t by (k + 1)/(t + k) at k = ``AVERAGING_EXPONENT``.
     """
     x = x0.copy()
     buf = np.empty_like(x)
     nu1, nu2 = precast(problem.reg.nu1 or None, problem.reg.nu2 or None)
-    k = spec.averaging_exponent
+    k = AVERAGING_EXPONENT
     step_size = _step_sizes(spec.eta0, problem.mu, strongly_convex)
 
     def step(t, avg):

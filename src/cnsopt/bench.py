@@ -63,10 +63,11 @@ class TraceRow:
 class RunConfig:
     """Everything one experiment needs.
 
-    Exactly one of ``dataset`` (a path) or ``synthetic`` must be given. The
-    continuation-specific fields are ignored by the baselines and vice versa;
-    the method's own fields are checked here, by building its
-    ContinuationConfig or BaselineSpec, before any data is read.
+    Exactly one of ``dataset`` (a path) or ``synthetic`` must be given, and
+    ``test_dataset`` only with ``dataset``. The continuation-specific fields
+    are ignored by the baselines and vice versa; the method's own fields are
+    checked here, by building its ContinuationConfig (nu2 > 0 or lam1 > 0 to
+    fit a driver) or BaselineSpec, before any data is read.
     ``cadence`` is the number of inner iterations between metric snapshots;
     snapshot evaluation is excluded from the reported wall times.
     """
@@ -89,7 +90,6 @@ class RunConfig:
     step_scale: float = 1.0
     eta0: float = 1.0
     rda_scale: float = 1.0
-    averaging_exponent: float = 3.0
     iterations: int = 1000
     cadence: int = 100
     time_budget: "float | None" = None
@@ -101,6 +101,9 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if (self.dataset is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset / synthetic must be set")
+        if self.test_dataset is not None and self.dataset is None:
+            raise ValueError("test_dataset needs a dataset: a synthetic run tests on "
+                             "its spec at seed + 1")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
         if self.time_budget is not None:
@@ -113,6 +116,9 @@ class RunConfig:
         Regularizer(nu1=self.nu1, nu2=self.nu2)
         if self.method in CONTINUATION_METHODS:
             continuation_config(self)
+            if self.nu2 == 0 and self.lam1 == 0:
+                raise ValueError("a continuation run needs nu2 > 0 (the strongly convex "
+                                 "driver) or lam1 > 0 (the general convex one)")
         else:
             baseline_spec_for(self)
             if self.iterations < 1:
@@ -220,12 +226,11 @@ def continuation_config(cfg):
 
 
 def baseline_spec_for(cfg):
-    """The baselines' step, averaging and sampling settings from a RunConfig."""
+    """The baselines' step and sampling settings from a RunConfig."""
     return bl.BaselineSpec(
         method=cfg.method,
         eta0=cfg.eta0,
         rda_scale=cfg.rda_scale,
-        averaging_exponent=cfg.averaging_exponent,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )

@@ -120,7 +120,6 @@ def build_run_config(args):
              if (value := merged.pop(key, None)) is not None}
     synth = None
     if "n" in given:
-        given.setdefault("d", 50)
         task = dual_spec(merged.get("loss", RunConfig.loss)).task
         synth = SyntheticSpec(task=task, seed=merged.get("seed", RunConfig.seed), **given)
     elif given:
@@ -189,8 +188,9 @@ def _cmd_compare(args):
 
 
 def _cmd_synth(args):
-    given = {name: value for name in _SYNTH_OPTIONS if (value := getattr(args, name)) is not None}
-    spec = SyntheticSpec(n=args.n, d=args.d, task=args.task, seed=args.seed, **given)
+    given = {name: value for name in ("d",) + _SYNTH_OPTIONS
+             if (value := getattr(args, name)) is not None}
+    spec = SyntheticSpec(n=args.n, task=args.task, seed=args.seed, **given)
     dataset, _ = make_synthetic(spec)
     serialize_libsvm(dataset, args.output)
     print(f"wrote {dataset.n} x {dataset.d} {args.task} dataset to {args.output}")
@@ -222,7 +222,7 @@ def main(argv=None):
 
     p_synth = sub.add_parser("synth", help="generate a synthetic LIBSVM dataset")
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--d", type=int, required=True)
+    p_synth.add_argument("--d", type=int)
     p_synth.add_argument("--task", choices=(CLASSIFICATION, REGRESSION), default=CLASSIFICATION)
     for name in _SYNTH_OPTIONS:
         p_synth.add_argument(f"--{name.replace('_', '-')}", type=float)

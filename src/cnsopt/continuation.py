@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError, check_finite
 from .problem import SmoothedProblem, objective_original, objective_smoothed
-from .solvers import APG, SolverSpec, run_solver, start_point
+from .solvers import APG, SolverSpec, run_solver, solver_family
 
 OPTION_I = "I"
 OPTION_II = "II"
@@ -60,7 +60,7 @@ class ContinuationConfig:
         option = OPTION_II if self.solver.accelerated else OPTION_I
         if self.budget_option not in (None, option):
             raise ValueError(f"budget option {self.budget_option!r} does not match "
-                             f"{self.solver.family} solver {self.solver.solver!r}")
+                             f"{solver_family(self.solver.solver)} solver {self.solver.solver!r}")
         object.__setattr__(self, "budget_option", option)
 
 
@@ -89,10 +89,9 @@ def stage_budget(t1, tau, exponent, s):
     return math.ceil(raw * (1.0 - 1e-12))
 
 
-def auto_t1(problem, cfg, x0=None):
+def auto_t1(problem, cfg):
     """Smallest power-of-two multiple of ceil(n / batch) whose stage-1 run cuts
-    the stage-1 objective by at least 1/tau^2 from the start point ``x0``
-    (zeros when None).
+    the stage-1 objective by at least 1/tau^2 from x = 0.
 
     Doubles the probe budget until the objective test passes; raises
     BudgetEstimationError past ``AUTO_T1_MAX``, and as soon as a doubled
@@ -102,7 +101,7 @@ def auto_t1(problem, cfg, x0=None):
     the suboptimality reduction the schedule analysis needs.
     """
     sp = SmoothedProblem(problem, cfg.gamma1, cfg.lam1)
-    x0 = start_point(x0, problem.d)
+    x0 = np.zeros(problem.d)
     base = objective_smoothed(sp, x0)
     target = base / cfg.tau**2
     budget = math.ceil(problem.n / cfg.solver.batch_size)
@@ -152,13 +151,13 @@ def measure_stage_reduction(sp, x_before, x_after, oracle_budget):
     return (after - star) / denom
 
 
-def _run_stages(problem, cfg, x0, callback, callback_every):
+def _run_stages(problem, cfg, callback, callback_every):
     # option I grows budgets by tau^2 (general convex: lam1 > 0) or tau, option
     # II by the root; fixed smoothing is the zero-growth schedule: every stage
     # at gamma1, lam1, t1
     exponent = (2.0 if cfg.lam1 > 0 else 1.0) / (2.0 if cfg.solver.accelerated else 1.0)
     rate = 1.0 if cfg.fixed_smoothing else cfg.tau
-    t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg, x0)
+    t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg)
     # every stage's budget and gamma are checked before stage 1 runs; past
     # 2**53 the float ceiling is no longer an exact count
     try:
@@ -170,7 +169,7 @@ def _run_stages(problem, cfg, x0, callback, callback_every):
     stage_problems = [SmoothedProblem(problem, cfg.gamma1 / rate**k, cfg.lam1 / rate**k)
                       for k in range(cfg.stages)]
     rng = np.random.default_rng(cfg.solver.seed)
-    x = start_point(x0, problem.d)
+    x = np.zeros(problem.d)
     reports, done, total_elapsed = [], 0, 0.0
 
     def stage_cb(t, xt, elapsed):
@@ -201,9 +200,9 @@ def _run_stages(problem, cfg, x0, callback, callback_every):
     return x, reports
 
 
-def cns_strongly_convex(problem, cfg, x0=None, callback=None, callback_every=None):
+def cns_strongly_convex(problem, cfg, callback=None, callback_every=None):
     """Continuation for strongly convex problems (no stage ridge term), from
-    ``x0`` (zeros when None).
+    x = 0.
 
     Budgets grow by tau (option I) or sqrt(tau) (option II) per stage.
     """
@@ -211,11 +210,11 @@ def cns_strongly_convex(problem, cfg, x0=None, callback=None, callback_every=Non
         raise WrongDriverError("problem is not strongly convex; use the general driver")
     if cfg.lam1 != 0:
         raise WrongDriverError("lam1 must be 0 for the strongly convex driver")
-    return _run_stages(problem, cfg, x0, callback, callback_every)
+    return _run_stages(problem, cfg, callback, callback_every)
 
 
-def cns_general_convex(problem, cfg, x0=None, callback=None, callback_every=None):
-    """Continuation for general convex problems, from ``x0`` (zeros when None).
+def cns_general_convex(problem, cfg, callback=None, callback_every=None):
+    """Continuation for general convex problems, from x = 0.
 
     Each stage minimizes the smoothed objective plus (lam_s/2)||x||^2, with
     lam shrinking alongside gamma; the solver sees modulus lam_s (+ nu2 when
@@ -224,7 +223,7 @@ def cns_general_convex(problem, cfg, x0=None, callback=None, callback_every=None
     """
     if cfg.lam1 <= 0:
         raise WrongDriverError("the general convex driver needs lam1 > 0")
-    return _run_stages(problem, cfg, x0, callback, callback_every)
+    return _run_stages(problem, cfg, callback, callback_every)
 
 
 def reference_objective(problem, gamma=1e-7, iterations=100_000, gamma1=0.01,

@@ -299,7 +299,7 @@ class SyntheticSpec:
     """
 
     n: int
-    d: int
+    d: int = 50
     task: str = CLASSIFICATION
     sparsity: float = 0.2
     noise: float = 0.1

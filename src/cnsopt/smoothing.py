@@ -81,12 +81,6 @@ def smoothed_loss_values(a, loss, gamma):
     return u * a - gamma * u * u / 2.0
 
 
-def smoothing_gap(spec, gamma):
-    """Worst-case surrogate error gamma * D_u for the given dual spec."""
-    _check_gamma(gamma)
-    return gamma * spec.d_u
-
-
 def _check_x(problem, x):
     if x.shape != (problem.d,):
         raise ValueError(f"x has shape {x.shape}, expected ({problem.d},)")

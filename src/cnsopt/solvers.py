@@ -71,12 +71,8 @@ class SolverSpec:
             raise ValueError("step_scale must be positive")
 
     @property
-    def family(self):
-        return solver_family(self.solver)
-
-    @property
     def accelerated(self):
-        return self.family == ACCELERATED
+        return solver_family(self.solver) == ACCELERATED
 
 
 @dataclass

@@ -1,9 +1,12 @@
-"""Shared suite builders for the acceptance tests.
+"""Shared problem builders for the tests.
 
 Two seeded synthetic suites anchor the empirical criteria. Both are built
 fresh per call (cheap) while the expensive long-run reference optima are
-cached per seed for the whole session.
+cached per seed for the whole session. ``problem_from_rows`` and
+``random_problem`` build the small problems of the unit tests.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +35,19 @@ def problem_from_rows(rows, labels, loss, nu1=0.0, nu2=0.0):
     data = SparseDataset(np.asarray(rows, dtype=float), np.asarray(labels, dtype=float),
                          dual_spec(loss).task)
     return CompositeProblem(data, loss, Regularizer(nu1=nu1, nu2=nu2))
+
+
+def random_problem(rng, loss, n, d, nu1=0.0, nu2=0.0, unit_rows=False):
+    """A problem on ``n`` x ``d`` Gaussian rows, divided by sqrt(d) when
+    ``unit_rows`` (squared norms near 1), then labels of the loss's task:
+    +/-1 for the hinge, Gaussian for the absolute loss. ``rng`` is a
+    Generator, which the draws advance, or a seed."""
+    rng = np.random.default_rng(rng)
+    rows = rng.normal(size=(n, d))
+    if unit_rows:
+        rows /= math.sqrt(d)
+    labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
+    return problem_from_rows(rows, labels, loss, nu1, nu2)
 
 
 def strongly_convex_spec(seed):

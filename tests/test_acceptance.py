@@ -25,13 +25,11 @@ from cnsopt import (
     ABSOLUTE,
     HINGE,
     BaselineSpec,
-    CompositeProblem,
     ContinuationConfig,
     InfeasibleBudgetError,
     Regularizer,
     RunConfig,
     SmoothedProblem,
-    SparseDataset,
     StageConvergedError,
     cns_general_convex,
     cns_strongly_convex,
@@ -61,6 +59,8 @@ from tests.conftest import (
     general_convex_problem,
     general_convex_spec,
     loglog_stage_slope as slope_of,
+    problem_from_rows,
+    random_problem,
     strongly_convex_problem,
     strongly_convex_spec,
 )
@@ -73,24 +73,12 @@ def _report(criterion, detail):
     print(f"\nacceptance criterion {criterion}: {detail}")
 
 
-def _random_problem(rng, loss, n=200, d=20):
-    rows = rng.normal(size=(n, d)) / math.sqrt(d)
-    if loss == HINGE:
-        labels = rng.choice([-1.0, 1.0], size=n)
-        task = "classification"
-    else:
-        labels = rng.normal(size=n)
-        task = "regression"
-    data = SparseDataset(rows, labels, task)
-    return CompositeProblem(data, loss, Regularizer(nu1=0.05, nu2=0.02))
-
-
 def test_criterion_01_smoothing_sandwich():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = 0.0
     for loss in (HINGE, ABSOLUTE):
-        prob = _random_problem(rng, loss)
+        prob = random_problem(rng, loss, 200, 20, nu1=0.05, nu2=0.02, unit_rows=True)
         d_u = dual_spec(loss).d_u
         for _ in range(10_000):
             gamma = 10.0 ** rng.uniform(-3.0, 0.5)
@@ -107,18 +95,33 @@ def test_criterion_01_smoothing_sandwich():
 
 
 def test_criterion_02_branch_continuity():
+    # one sample whose margin (hinge: row 1, label 1) or residual (absolute:
+    # row -1, target 0) is its weight t, so the library's gradient in x is
+    # the smoothed loss's derivative in t
+    one_sample = {HINGE: problem_from_rows([[1.0]], [1.0], HINGE),
+                  ABSOLUTE: problem_from_rows([[-1.0]], [0.0], ABSOLUTE)}
+
+    def library(loss, t, gamma):
+        prob, x = one_sample[loss], np.array([t])
+        value = smoothed_loss_values(slacks(prob, x), loss, gamma)[0]
+        return value, smoothed_loss_gradient(SmoothedProblem(prob, gamma), x)[0]
+
     worst = 0.0
     for gamma in (1.0, 0.1, 0.01, 0.001):
         # hinge breakpoints: margins 1 and 1 - gamma
         for m, val, der in ((1.0, 0.0, 0.0), (1.0 - gamma, gamma / 2.0, -1.0)):
             quad_v = (1.0 - m) ** 2 / (2 * gamma)
             quad_d = -(1.0 - m) / gamma
-            worst = max(worst, abs(quad_v - val), abs(quad_d - der))
+            lib_v, lib_d = library(HINGE, m, gamma)
+            worst = max(worst, abs(quad_v - val), abs(quad_d - der),
+                        abs(lib_v - quad_v), abs(lib_d - quad_d))
         # absolute breakpoints: residuals +/- gamma
         for r, der in ((gamma, 1.0), (-gamma, -1.0)):
             quad_v = r * r / (2 * gamma)
             lin_v = abs(r) - gamma / 2.0
-            worst = max(worst, abs(quad_v - lin_v), abs(r / gamma - der))
+            lib_v, lib_d = library(ABSOLUTE, r, gamma)
+            worst = max(worst, abs(quad_v - lin_v), abs(r / gamma - der),
+                        abs(lib_v - quad_v), abs(lib_d - r / gamma))
     _report(2, f"worst breakpoint mismatch {worst:.3e}")
     assert worst <= 1e-12
 
@@ -129,7 +132,7 @@ def test_criterion_03_gradient_finite_differences():
     h = 1e-6
     worst = 0.0
     for loss in (HINGE, ABSOLUTE):
-        prob = _random_problem(rng, loss, n=60, d=8)
+        prob = random_problem(rng, loss, 60, 8, nu1=0.05, nu2=0.02, unit_rows=True)
         sp = SmoothedProblem(prob, gamma, lam=0.2)
 
         def smooth_part(x):

@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -56,6 +57,15 @@ def test_run_config_validation():
         _config(synthetic=SyntheticSpec(n=20, d=3, task="regression"))
     with pytest.raises(ValueError, match="iteration budget must be >= 1, got 0"):
         _config(method="fobos", iterations=0)
+    # a synthetic run's test set is its spec at seed + 1: a test file was
+    # once accepted and never opened
+    with pytest.raises(ValueError, match="test_dataset needs a dataset"):
+        _config(method="fobos", test_dataset="x.libsvm")
+    # no driver runs nu2 = lam1 = 0; it was once rejected only after the data
+    # was read, and tune_stepsize skipped every candidate as a divergence
+    for method in ("cns-a", "cns-na", "fixed-gamma"):
+        with pytest.raises(ValueError, match=r"needs nu2 > 0 .* or lam1 > 0"):
+            _config(method=method, nu2=0.0)
     for method in ("cns-a", "fobos"):  # a continuation method and a baseline
         with pytest.raises(ValueError, match="time_budget"):
             _config(method=method, time_budget=-1.0)
@@ -64,8 +74,7 @@ def test_run_config_validation():
     for method, field in (("cns-a", "time_budget"), ("fobos", "time_budget"),
                           ("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
                           ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
-                          ("fobos", "eta0"), ("rda", "rda_scale"),
-                          ("poly-sgd", "averaging_exponent")):
+                          ("fobos", "eta0"), ("rda", "rda_scale")):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 _config(method=method, **{field: value})
@@ -95,7 +104,7 @@ def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
 def test_cli_run_names_a_malformed_dataset(tmp_path, capsys):
     bad = tmp_path / "bad.libsvm"
     bad.write_text("1 1:0.5\n-1 x:2\n")
-    assert run_cli(["run", "--method", "cns-a", "--dataset", str(bad)]) == 1
+    assert run_cli(["run", "--method", "cns-a", "--nu2", "0.05", "--dataset", str(bad)]) == 1
     assert capsys.readouterr().err == (
         f"cnsopt: error: {bad}: line 2: bad feature token 'x:2'\n")
 
@@ -442,7 +451,7 @@ def test_flags_override_config_file(tmp_path):
     ns = argparse.Namespace(
         **{k: None for k in (
             "method loss dataset test_dataset nu1 nu2 gamma1 tau t1 lam1 stages "
-            "solver theta batch_size step_scale eta0 rda_scale averaging_exponent "
+            "solver theta batch_size step_scale eta0 rda_scale "
             "iterations cadence time_budget output seed synth_n synth_d "
             "synth_sparsity synth_noise synth_norm_lo synth_norm_hi"
         ).split()}
@@ -467,11 +476,15 @@ def test_synthetic_flags_without_synth_n_are_rejected(tmp_path, stray):
         assert flag[2:].replace("-", "_") in str(err.value)
 
 
-def test_synthetic_defaults_come_from_synthetic_spec(tmp_path):
+def test_synthetic_defaults_come_from_synthetic_spec(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text("method = cns-a\nsynth-n = 30\nloss = absolute\nseed = 5\n")
+    path.write_text("method = cns-a\nsynth-n = 30\nloss = absolute\nseed = 5\nlam1 = 1e-3\n")
     cfg = build_run_config(argparse.Namespace(config=str(path)))
     assert cfg.synthetic == SyntheticSpec(n=30, d=50, task="regression", seed=5)
+    # cnsopt synth without --d takes the same default
+    out = tmp_path / "synth.libsvm"
+    assert main(["synth", "--n", "30", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 30 x 50 classification dataset to {out}\n"
 
 
 def test_cli_synth_and_run(tmp_path):
@@ -639,14 +652,14 @@ def test_cli_sweep_names_the_malformed_dataset_of_a_failing_config(tmp_path, cap
     assert lines[1] == f"{failing}: failed: {bad}: line 2: bad feature token 'x:2'"
 
 
-def _python_m_cnsopt(*args):
+def _python_m_cnsopt(*args, cwd=None):
     # the subprocess imports the same cnsopt as this test, wherever it lives;
     # a command that hangs fails the test with TimeoutExpired
     package_root = os.path.dirname(os.path.dirname(cnsopt.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cnsopt", *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, cwd=cwd,
     )
 
 
@@ -656,29 +669,63 @@ def test_cli_entry_point_runs():
     assert "run" in proc.stdout and "sweep" in proc.stdout
 
 
+def test_readme_cli_walkthrough_runs(tmp_path):
+    # the README's "## CLI" sh block, one command per line once its
+    # continuations are joined, run in order in an empty directory
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert [argv[:2] for argv in commands] == [["cnsopt", "synth"], ["cnsopt", "run"],
+                                               ["cnsopt", "run"], ["cnsopt", "compare"]]
+    for argv in commands:
+        proc = _python_m_cnsopt(*argv[1:], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    # the reference is the dataset's P*, rounded down: both methods reach the
+    # target gap, cns-a in far fewer iterations
+    report = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in report[1:]] == ["cns-a", "fobos"]
+    assert all(": reached in " in line for line in report[1:])
+    cns_a, fobos = (int(line.split(" reached in ")[1].split()[0]) for line in report[1:])
+    assert cns_a < fobos
+
+
 def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
+    absent = str(tmp_path / "absent.libsvm")
+    no_driver = ("a continuation run needs nu2 > 0 (the strongly convex driver) "
+                 "or lam1 > 0 (the general convex one)")
     cases = [
-        (["--method", "cns-na", "--solver", "saga", "--dataset", str(tmp_path / "absent.libsvm")],
+        (["run", "--method", "cns-na", "--solver", "saga", "--dataset", absent],
          "unknown solver 'saga'"),
         # tau = inf once ended in an OverflowError traceback from stage_budget
-        (["--method", "cns-a", "--nu2", "0.05", "--tau", "inf", "--synth-n", "40"],
+        (["run", "--method", "cns-a", "--nu2", "0.05", "--tau", "inf", "--synth-n", "40"],
          "tau must be finite, got inf"),
         # a finite tau once gave stage 2 about 5e100 iterations, and ran on
-        (["--method", "cns-a", "--nu2", "0.05", "--tau", "1e200", "--stages", "3",
+        (["run", "--method", "cns-a", "--nu2", "0.05", "--tau", "1e200", "--stages", "3",
           "--synth-n", "40", "--t1", "5"],
          "tau = 1e+200 grows the stage budgets from t1 = 5 past 2**53"),
         # ... or an OverflowError traceback, after tau**2 overflowed
-        (["--method", "cns-na", "--loss", "absolute", "--nu1", "0.01", "--lam1", "1e-5",
+        (["run", "--method", "cns-na", "--loss", "absolute", "--nu1", "0.01", "--lam1", "1e-5",
           "--tau", "1e200", "--stages", "2", "--synth-n", "40", "--t1", "5"],
          "tau = 1e+200 grows the stage budgets from t1 = 5 past 2**53"),
         # the Lipschitz bound overflowed to a zero step, after an overflow warning
-        (["--method", "cns-a", "--nu2", "0.05", "--gamma1", "1e-320", "--synth-n", "40",
+        (["run", "--method", "cns-a", "--nu2", "0.05", "--gamma1", "1e-320", "--synth-n", "40",
           "--t1", "5"],
          "gamma = 9.99989e-321 is too small: the Lipschitz bound max ||z_i||^2 / gamma "
          "overflows"),
+        # a synthetic run once exited 0 without opening its test file
+        (["run", "--method", "fobos", "--synth-n", "40", "--test-dataset", absent,
+          "--iterations", "20", "--cadence", "10"],
+         "test_dataset needs a dataset: a synthetic run tests on its spec at seed + 1"),
+        # nu2 = lam1 = 0 fits no driver: once the missing file's error, and in
+        # tune "every step-size candidate diverged"
+        (["run", "--method", "cns-a", "--dataset", absent], no_driver),
+        (["tune", "--method", "cns-a", "--synth-n", "40", "--t1", "5", "--grid", "0.5,1"],
+         no_driver),
     ]
     for args, message in cases:
-        proc = _python_m_cnsopt("run", *args)
+        proc = _python_m_cnsopt(*args)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"cnsopt: error: {message}"]
         assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -721,7 +768,6 @@ _RUN_FLAGS = {
     "--step-scale": ("float", None),
     "--eta0": ("float", None),
     "--rda-scale": ("float", None),
-    "--averaging-exponent": ("float", None),
     "--time-budget": ("float", None),
     "--t1": ("int", None),
     "--stages": ("int", None),

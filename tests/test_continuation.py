@@ -26,7 +26,6 @@ from cnsopt import (
     objective_original,
     objective_smoothed,
     run_solver,
-    smoothing_gap,
     stage_budget,
 )
 from cnsopt import continuation
@@ -225,7 +224,7 @@ def test_stage_gap_bound_realized():
     _, reports = cns_strongly_convex(prob, cfg)
     for r in reports:
         gap = r.original_after - r.smoothed_after
-        assert -1e-12 <= gap <= smoothing_gap(dual_spec(prob.loss), r.gamma) + 1e-12
+        assert -1e-12 <= gap <= r.gamma * dual_spec(prob.loss).d_u + 1e-12
 
 
 @pytest.mark.parametrize("driver, problem, lam1", [(cns_strongly_convex, _suite, 0.0),
@@ -271,18 +270,6 @@ def test_auto_t1_probe_size():
     assert math.ceil(prob.n / cfg.solver.batch_size) == 20
     t1 = auto_t1(prob, cfg)
     assert t1 % 20 == 0 and t1 >= 20
-
-
-def test_auto_t1_trivial_when_start_is_optimal():
-    # zero-loss start on a separable instance with no regularizer
-    spec = SyntheticSpec(n=100, d=8, task="classification", noise=0.0, seed=4)
-    data, w_true = make_synthetic(spec)
-    prob = CompositeProblem(data, HINGE, Regularizer())
-    margins = data.labels * (data.features @ w_true)
-    x0 = (1.01 / margins.min()) * w_true
-    cfg = ContinuationConfig(gamma1=1e-4, tau=2.0, stages=1,
-                             solver=SolverSpec(solver="prox-gd", batch_size=50))
-    assert auto_t1(prob, cfg, x0=x0) == math.ceil(prob.n / 50)
 
 
 def test_auto_t1_cap_error(monkeypatch):
@@ -367,15 +354,17 @@ def test_measured_rho_with_table_budget():
     assert rho <= 1.0 / tau**2 + 0.05
 
 
-def test_divergence_carries_stage_index():
-    from cnsopt import DivergenceError
+def test_divergence_carries_stage_index(monkeypatch):
+    from cnsopt import DivergenceError, smoothing
 
     prob = _suite()
     cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=5, stages=2,
                              solver=SolverSpec(solver="prox-gd"))
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(DivergenceError, match="stage 1"):
-            cns_strongly_convex(prob, cfg, x0=np.full(prob.d, np.inf))
+    real = smoothing.loss_gradient
+    monkeypatch.setattr(smoothing, "loss_gradient",
+                        lambda sp, x, *args: np.full_like(real(sp, x, *args), np.nan))
+    with pytest.raises(DivergenceError, match="stage 1"):
+        cns_strongly_convex(prob, cfg)
 
 
 def test_driver_callback_counts_cumulative_iterations():

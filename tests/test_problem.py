@@ -14,11 +14,10 @@ from cnsopt import (
     dual_spec,
     objective_original,
     objective_smoothed,
-    smoothing_gap,
 )
 from cnsopt.smoothing import GRAM_MARGIN, gram_norm, lipschitz_constant
 
-from tests.conftest import problem_from_rows
+from tests.conftest import problem_from_rows, random_problem
 
 
 def test_regularizer_value():
@@ -96,22 +95,16 @@ def test_objective_smoothed_ridge_term():
     assert objective_smoothed(sp, np.array([1.0, 1.0])) == pytest.approx(0.2)
 
 
-def _random_problem(rng, loss, nu1, nu2, n=30, d=6):
-    rows = rng.normal(size=(n, d))
-    labels = rng.choice([-1.0, 1.0], size=n) if loss == HINGE else rng.normal(size=n)
-    return problem_from_rows(rows, labels, loss, nu1, nu2)
-
-
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 def test_sandwich_property(loss):
     rng = np.random.default_rng(5)
-    prob = _random_problem(rng, loss, nu1=0.1, nu2=0.05)
+    prob = random_problem(rng, loss, 30, 6, nu1=0.1, nu2=0.05)
     for _ in range(200):
         gamma = 10.0 ** rng.uniform(-3, 0)
         x = rng.normal(scale=2.0, size=prob.d)
         lo = objective_smoothed(SmoothedProblem(prob, gamma), x)
         hi = objective_original(prob, x)
-        gap = smoothing_gap(dual_spec(loss), gamma)
+        gap = gamma * dual_spec(loss).d_u
         assert lo <= hi + 1e-12
         assert hi <= lo + gap + 1e-12
 
@@ -119,7 +112,7 @@ def test_sandwich_property(loss):
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 def test_monotone_in_gamma(loss):
     rng = np.random.default_rng(6)
-    prob = _random_problem(rng, loss, nu1=0.0, nu2=0.0)
+    prob = random_problem(rng, loss, 30, 6)
     for _ in range(50):
         x = rng.normal(scale=2.0, size=prob.d)
         g = 10.0 ** rng.uniform(-3, 0)
@@ -130,7 +123,7 @@ def test_monotone_in_gamma(loss):
 
 def test_ridge_term_is_exactly_additive():
     rng = np.random.default_rng(7)
-    prob = _random_problem(rng, HINGE, nu1=0.2, nu2=0.1)
+    prob = random_problem(rng, HINGE, 30, 6, nu1=0.2, nu2=0.1)
     for _ in range(30):
         x = rng.normal(size=prob.d)
         lam = rng.uniform(0.01, 2.0)

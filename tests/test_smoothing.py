@@ -17,7 +17,6 @@ from cnsopt import (
     dual_spec,
     lipschitz_constant,
     smoothed_loss_gradient,
-    smoothing_gap,
 )
 from cnsopt import smoothing
 from cnsopt.datasets import epoch_batches
@@ -31,7 +30,7 @@ from cnsopt.smoothing import (
     vr_gradient_kernel,
 )
 
-from tests.conftest import problem_from_rows
+from tests.conftest import problem_from_rows, random_problem
 
 GAMMAS = (1.0, 0.1, 0.01, 0.001)
 
@@ -95,36 +94,6 @@ def test_kernel_scalars_take_a_finite_positive_gamma(gamma):
                   lambda: smoothed_loss_values([0.0], ABSOLUTE, gamma)):
         with pytest.raises(ValueError, match="gamma|smoothness"):
             check()
-
-
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_hinge_branch_continuity(gamma):
-    # adjacent branch formulas must agree at both breakpoints
-    for m in (1.0, 1.0 - gamma):
-        quad_val = (1.0 - m) ** 2 / (2.0 * gamma)
-        quad_der = -(1.0 - m) / gamma
-        if m == 1.0:
-            other_val, other_der = 0.0, 0.0
-        else:
-            other_val, other_der = 1.0 - m - gamma / 2.0, -1.0
-        assert abs(quad_val - other_val) < 1e-12
-        assert abs(quad_der - other_der) < 1e-12
-        value, derivative = _scalar(HINGE, m, gamma)
-        assert abs(value - quad_val) < 1e-12
-        assert abs(derivative - quad_der) < 1e-12
-
-
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_absolute_branch_continuity(gamma):
-    for rho, lin_der in ((gamma, 1.0), (-gamma, -1.0)):
-        quad_val = rho * rho / (2.0 * gamma)
-        quad_der = rho / gamma
-        lin_val = abs(rho) - gamma / 2.0
-        assert abs(quad_val - lin_val) < 1e-12
-        assert abs(quad_der - lin_der) < 1e-12
-        value, derivative = _scalar(ABSOLUTE, rho, gamma)
-        assert abs(value - quad_val) < 1e-12
-        assert abs(derivative - quad_der) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -204,13 +173,6 @@ def test_du_matches_enumeration_oracle():
         assert abs(spec.d_u - np.max(0.5 * grid**2)) < 1e-8
 
 
-def test_smoothing_gap_values():
-    assert smoothing_gap(dual_spec(HINGE), 0.01) == pytest.approx(0.005)
-    assert smoothing_gap(dual_spec(ABSOLUTE), 1.0) == pytest.approx(0.5)
-    gaps = [smoothing_gap(dual_spec(HINGE), g) for g in (1e-1, 1e-2, 1e-3, 1e-4)]
-    assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
-
-
 def test_gradient_flat_branch_is_zero():
     prob = problem_from_rows([[1.0, 0.0]], [1.0], HINGE)
     sp = SmoothedProblem(prob, 0.1)
@@ -225,19 +187,10 @@ def test_gradient_absolute_linear_branch():
     assert g == pytest.approx(np.array([1.0]))
 
 
-def _random_problem(rng, loss, n=40, d=7, nu1=0.0, nu2=0.0):
-    rows = rng.normal(size=(n, d))
-    if loss == HINGE:
-        labels = rng.choice([-1.0, 1.0], size=n)
-    else:
-        labels = rng.normal(size=n)
-    return problem_from_rows(rows, labels, loss, nu1, nu2)
-
-
 @pytest.mark.parametrize("loss", (HINGE, ABSOLUTE))
 def test_per_sample_gradient_bounded_by_row_norm(loss):
     rng = np.random.default_rng(11)
-    prob = _random_problem(rng, loss, n=20)
+    prob = random_problem(rng, loss, 20, 7)
     norms = np.linalg.norm(prob.data.features, axis=1)
     for gamma in (1.0, 0.01):
         sp = SmoothedProblem(prob, gamma)
@@ -270,7 +223,7 @@ def test_lipschitz_bound_on_sampled_pairs(loss):
     # both bounds, the per-sample one and the spectral one of the full-gradient
     # steps, on dense rows and on a CSR that stays CSR
     rng = np.random.default_rng(21)
-    for prob in (_random_problem(rng, loss), _csr_problem(rng, loss)):
+    for prob in (random_problem(rng, loss, 40, 7), _csr_problem(rng, loss)):
         assert prob.gram_norm <= prob.max_row_sq_norm
         for gamma in (0.5, 0.05):
             sp = SmoothedProblem(prob, gamma, lam=0.1)

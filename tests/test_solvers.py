@@ -22,17 +22,10 @@ from cnsopt import (
 from cnsopt.smoothing import GRAM_MARGIN, kernel_scalars
 from cnsopt.solvers import SolverSpec
 
-from tests.conftest import problem_from_rows
+from tests.conftest import problem_from_rows, random_problem
 
 GD = SolverSpec(solver="prox-gd")
 APG = SolverSpec(solver="apg")
-
-
-def _random_strongly_convex(seed, n=100, d=10, nu1=0.01, nu2=0.1):
-    rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(n, d)) / math.sqrt(d)
-    labels = rng.choice([-1.0, 1.0], size=n)
-    return problem_from_rows(rows, labels, HINGE, nu1=nu1, nu2=nu2)
 
 
 def _first_hit(spec, sp, x0, budget, every, reached, **kwargs):
@@ -128,7 +121,7 @@ def test_zero_budget_rejected():
 
 def test_prox_gd_reaches_exact_zero_under_strong_l1():
     rng = np.random.default_rng(8)
-    prob = _random_strongly_convex(8, nu1=0.0)
+    prob = random_problem(8, HINGE, 100, 10, nu1=0.0, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     # analytic threshold: 0 is optimal once nu1 dominates the gradient at 0
     g0 = loss_gradient(sp, np.zeros(prob.d))
@@ -170,7 +163,7 @@ def test_apg_equals_prox_gd_when_kappa_one():
 
 def test_apg_no_worse_than_prox_gd_on_random_instances():
     for seed in range(5):
-        prob = _random_strongly_convex(seed)
+        prob = random_problem(seed, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
         for budget in (20, 60):
@@ -180,7 +173,7 @@ def test_apg_no_worse_than_prox_gd_on_random_instances():
 
 
 def test_svrg_estimate_equals_full_gradient_at_snapshot():
-    prob = _random_strongly_convex(3)
+    prob = random_problem(3, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     rng = np.random.default_rng(0)
     x = rng.normal(size=prob.d)
@@ -196,7 +189,7 @@ def test_svrg_estimate_equals_full_gradient_at_snapshot():
 
 
 def test_svrg_estimator_is_unbiased_by_enumeration():
-    prob = _random_strongly_convex(4, n=30)
+    prob = random_problem(4, HINGE, 30, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     rng = np.random.default_rng(1)
     x = rng.normal(size=prob.d)
@@ -216,7 +209,7 @@ def test_svrg_estimator_is_unbiased_by_enumeration():
 
 @pytest.mark.parametrize("solver", ("prox-svrg", "acc-prox-svrg"))
 def test_stochastic_solvers_bit_deterministic(solver):
-    prob = _random_strongly_convex(5)
+    prob = random_problem(5, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.05)
     spec = SolverSpec(solver=solver, seed=123)
     a = run_solver(spec, sp, np.zeros(prob.d), 73)
@@ -228,7 +221,7 @@ def test_acc_svrg_reaches_tolerance_faster_than_svrg():
     # median-over-seeds comparison of inner iterations to 1e-6 relative error
     wins = []
     for seed in range(10):
-        prob = _random_strongly_convex(seed, n=200, d=10, nu2=0.1)
+        prob = random_problem(seed, HINGE, 200, 10, nu1=0.01, nu2=0.1, unit_rows=True)
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
         star = objective_smoothed(sp, run_solver(APG, sp, x0, 8000).x)
@@ -251,7 +244,7 @@ def test_acc_svrg_reaches_tolerance_faster_than_svrg():
 def test_solvers_monotone_in_expectation():
     # median final objective over 10 seeds no worse than the start
     for spec in (SolverSpec(solver="prox-svrg"), SolverSpec(solver="acc-prox-svrg")):
-        prob = _random_strongly_convex(0, n=120)
+        prob = random_problem(0, HINGE, 120, 10, nu1=0.01, nu2=0.1, unit_rows=True)
         sp = SmoothedProblem(prob, 0.05)
         x0 = np.zeros(prob.d)
         start = objective_smoothed(sp, x0)
@@ -263,7 +256,7 @@ def test_solvers_monotone_in_expectation():
 
 
 def test_solver_outputs_finite_and_right_dimension():
-    prob = _random_strongly_convex(9)
+    prob = random_problem(9, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.02, lam=1e-4)
     for spec in (
         SolverSpec(solver="prox-gd"),
@@ -277,7 +270,7 @@ def test_solver_outputs_finite_and_right_dimension():
 
 
 def test_only_full_gradient_steps_compute_the_spectral_bound():
-    prob = _random_strongly_convex(10)
+    prob = random_problem(10, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.02)
     for spec in (SolverSpec(solver="prox-svrg"), SolverSpec(solver="acc-prox-svrg")):
         run_solver(spec, sp, np.zeros(prob.d), 20)
@@ -298,7 +291,7 @@ def test_divergence_detection():
 def test_nan_gradient_raises_divergence_at_its_iteration(monkeypatch):
     # the l1 prox passes NaN on, so a NaN gradient cannot vanish into a zero
     from cnsopt import smoothing
-    prob = _random_strongly_convex(0)
+    prob = random_problem(0, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     real, calls = smoothing.loss_gradient, []
 
@@ -316,7 +309,7 @@ def test_epoch_draws_keep_a_shared_rng_in_step(monkeypatch):
     # m = ceil(60 / 8) = 8; budgets 7 then 13 end mid-epoch, and a draw block
     # holds 128 epochs, so each run draws once, capped at the budget left
     from cnsopt import datasets
-    prob = _random_strongly_convex(1, n=60)
+    prob = random_problem(1, HINGE, 60, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     spec = SolverSpec(solver="acc-prox-svrg", batch_size=8)
     real, drawn = datasets.sample_minibatch, []
@@ -421,7 +414,7 @@ def test_solver_spec_validation():
         with pytest.raises(ValueError, match="step_scale must be positive"):
             SolverSpec(step_scale=value)
     spec = SolverSpec(solver="acc-prox-svrg")
-    assert spec.accelerated and spec.family == "accelerated"
+    assert spec.accelerated
     assert not SolverSpec(solver="prox-gd").accelerated
     # a NaN step scale once ran, and was reported as a divergence
     for field in ("theta", "step_scale"):
@@ -431,7 +424,7 @@ def test_solver_spec_validation():
 
 
 def test_trace_recording():
-    prob = _random_strongly_convex(2)
+    prob = random_problem(2, HINGE, 100, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     sp = SmoothedProblem(prob, 0.1)
     trace = []
     run_solver(GD, sp, np.zeros(prob.d), 25,
@@ -481,7 +474,7 @@ def test_step_kernels_are_called_through_their_module_globals(monkeypatch, metho
     # reduced) or per step (full gradient), one draw per block of epochs;
     # n = 60 rows in batches of 8 make epochs of 8 steps, so 23 steps take 3
     # epochs and one draw (a block holds 128 epochs)
-    prob = _random_strongly_convex(2, n=60)
+    prob = random_problem(2, HINGE, 60, 10, nu1=0.01, nu2=0.1, unit_rows=True)
     budget, epochs, draws = 23, 3, 1
     counts = _count_kernel_calls(monkeypatch)
     expected = dict.fromkeys(counts, 0)

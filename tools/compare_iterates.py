@@ -276,7 +276,7 @@ def cases():
                        prob, solver, gamma1=0.05, t1=20, lam1=lam1, stages=4,
                        fixed_smoothing=fixed)
     # the automatic t1 search compares the smoothed objective against
-    # P_gamma1(x0) / tau^2; on this instance it picks t1 = 80 for prox-gd and
+    # P_gamma1(0) / tau^2; on this instance it picks t1 = 80 for prox-gd and
     # 20 for acc-prox-svrg (the hinge instance never reaches that target)
     for solver in ("prox-gd", "acc-prox-svrg"):
         stages(out, f"stages/auto_t1/{solver}", cns_general_convex, problem("absolute"),
