@@ -31,22 +31,21 @@ AVERAGING_EXPONENT = 3.0
 class BaselineSpec:
     """Baseline identity, step and sampling parameters.
 
-    ``eta0`` is the FOBOS / Poly-SGD step scale, ``rda_scale`` the RDA
-    dual-averaging scale. The schedule comes from the problem
+    ``eta0`` is the step scale: of the FOBOS / Poly-SGD steps, and RDA's
+    beta_t = eta0 * sqrt(t). The schedule comes from the problem
     (``run_baseline``).
     """
 
     method: str = FOBOS
     eta0: float = 1.0
-    rda_scale: float = 1.0
     batch_size: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in (FOBOS, RDA, POLY_SGD):
             raise ValueError(f"unknown baseline {self.method!r}")
-        check_finite(eta0=self.eta0, rda_scale=self.rda_scale)
-        if self.eta0 <= 0 or self.rda_scale <= 0:
+        check_finite(eta0=self.eta0)
+        if self.eta0 <= 0:
             raise ValueError("step scales must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -115,7 +114,7 @@ def _rda_step(problem, spec, x0, batches, scalars, strongly_convex):
 
     x_{t+1} minimizes <gbar_t, x> + r(x) + (beta_t / 2t) ||x||^2, i.e.
     soft-threshold the averaged subgradient at nu1 and shrink by the total
-    quadratic weight. beta_t = scale * sqrt(t) in the general case; under the
+    quadratic weight. beta_t = eta0 * sqrt(t) in the general case; under the
     strongly convex schedule the regularizer's own modulus does the damping
     and beta_t = 0.
     """
@@ -129,7 +128,7 @@ def _rda_step(problem, spec, x0, batches, scalars, strongly_convex):
         np.multiply(gbar, t - 1, out=gbar)
         np.add(gbar, g, out=gbar)
         np.divide(gbar, t, out=gbar)
-        quad = nu2 if strongly_convex else nu2 + spec.rda_scale * math.sqrt(t) / t
+        quad = nu2 if strongly_convex else nu2 + spec.eta0 * math.sqrt(t) / t
         out = gbar.copy() if threshold is None else _soft_threshold(gbar, *threshold)
         # -p / quad as p / -quad: the same bits, in one ufunc
         out /= -quad

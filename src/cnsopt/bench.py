@@ -65,9 +65,10 @@ class RunConfig:
 
     Exactly one of ``dataset`` (a path) or ``synthetic`` must be given, and
     ``test_dataset`` only with ``dataset``. The continuation-specific fields
-    are ignored by the baselines and vice versa; the method's own fields are
-    checked here, by building its ContinuationConfig (nu2 > 0 or lam1 > 0 to
-    fit a driver) or BaselineSpec, before any data is read.
+    are ignored by the baselines and vice versa; every float field must be
+    finite, and the method's own fields are checked here, by building its
+    ContinuationConfig (nu2 > 0 or lam1 > 0 to fit a driver) or BaselineSpec,
+    before any data is read.
     ``cadence`` is the number of inner iterations between metric snapshots;
     snapshot evaluation is excluded from the reported wall times.
     """
@@ -89,7 +90,6 @@ class RunConfig:
     batch_size: int = 50
     step_scale: float = 1.0
     eta0: float = 1.0
-    rda_scale: float = 1.0
     iterations: int = 1000
     cadence: int = 100
     time_budget: "float | None" = None
@@ -106,10 +106,9 @@ class RunConfig:
                              "its spec at seed + 1")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
-        if self.time_budget is not None:
-            check_finite(time_budget=self.time_budget)
-            if self.time_budget < 0:
-                raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
+        check_finite(**{name: v for name, v in vars(self).items() if isinstance(v, float)})
+        if self.time_budget is not None and self.time_budget < 0:
+            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         task = dual_spec(self.loss).task  # raises ValueError for a loss not in the table
         if self.synthetic is not None and self.synthetic.task != task:
             raise ValueError(f"{self.loss} loss requires a {task} dataset")
@@ -210,7 +209,8 @@ def test_metric(dataset, x, scores=None):
 def continuation_config(cfg):
     return ContinuationConfig(
         gamma1=cfg.gamma1,
-        tau=cfg.tau,
+        # fixed-gamma is continuation at tau = 1: no stage shrinks gamma
+        tau=1.0 if cfg.method == FIXED_GAMMA else cfg.tau,
         t1=cfg.t1,
         lam1=cfg.lam1,
         stages=cfg.stages,
@@ -221,7 +221,6 @@ def continuation_config(cfg):
             step_scale=cfg.step_scale,
             seed=cfg.seed,
         ),
-        fixed_smoothing=cfg.method == FIXED_GAMMA,
     )
 
 
@@ -230,7 +229,6 @@ def baseline_spec_for(cfg):
     return bl.BaselineSpec(
         method=cfg.method,
         eta0=cfg.eta0,
-        rda_scale=cfg.rda_scale,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
@@ -428,10 +426,10 @@ def tune_stepsize(cfg, grid):
 
     best = None
     for candidate in grid:
-        # each method reads only its own knobs: step_scale and t1, or eta0,
-        # rda_scale and iterations
+        # each method reads only its own knobs: step_scale and t1, or eta0 and
+        # iterations
         trial = replace(cfg, step_scale=candidate, t1=max(1, budget // max(cfg.stages, 1)),
-                        eta0=candidate, rda_scale=candidate, iterations=budget)
+                        eta0=candidate, iterations=budget)
         try:
             x = _run_method(trial, sub_problem)[0]
         except (CnsError, FloatingPointError):

@@ -29,11 +29,12 @@ AUTO_T1_MAX = 1 << 20
 class ContinuationConfig:
     """Driver schedule and inner-solver choice.
 
-    ``t1`` = None triggers the automatic stage-1 budget search. ``lam1`` must
-    be zero for the strongly convex driver and positive for the general convex
-    one. ``budget_option`` follows the solver, I for a non-accelerated one and
-    II for an accelerated one; None sets it. ``fixed_smoothing`` freezes gamma,
-    lam and the per-stage budget (the no-continuation comparison mode).
+    ``tau`` = 1 is fixed smoothing (the no-continuation comparison mode):
+    gamma, lam and the per-stage budget stay at gamma1, lam1 and t1. ``t1`` =
+    None triggers the automatic stage-1 budget search, which needs tau > 1.
+    ``lam1`` must be zero for the strongly convex driver and positive for the
+    general convex one. ``budget_option`` follows the solver, I for a
+    non-accelerated one and II for an accelerated one; None sets it.
     """
 
     gamma1: float = 0.01
@@ -43,14 +44,15 @@ class ContinuationConfig:
     stages: int = 1
     solver: SolverSpec = field(default_factory=SolverSpec)
     budget_option: "str | None" = None
-    fixed_smoothing: bool = False
 
     def __post_init__(self):
         check_finite(gamma1=self.gamma1, tau=self.tau, lam1=self.lam1)
         if self.gamma1 <= 0:
             raise ValueError("gamma1 must be positive")
-        if self.tau <= 1:
-            raise ValueError("tau must be > 1")
+        if self.tau < 1:
+            raise ValueError("tau must be >= 1")
+        if self.t1 is None and self.tau == 1:
+            raise ValueError("tau = 1 (fixed smoothing) needs a t1: auto t1 seeks a 1/tau^2 cut")
         if self.t1 is not None and self.t1 < 1:
             raise ValueError("t1 must be >= 1")
         if self.lam1 < 0:
@@ -153,20 +155,18 @@ def measure_stage_reduction(sp, x_before, x_after, oracle_budget):
 
 def _run_stages(problem, cfg, callback, callback_every):
     # option I grows budgets by tau^2 (general convex: lam1 > 0) or tau, option
-    # II by the root; fixed smoothing is the zero-growth schedule: every stage
-    # at gamma1, lam1, t1
+    # II by the root; at tau = 1 every stage runs at gamma1, lam1, t1
     exponent = (2.0 if cfg.lam1 > 0 else 1.0) / (2.0 if cfg.solver.accelerated else 1.0)
-    rate = 1.0 if cfg.fixed_smoothing else cfg.tau
     t1 = cfg.t1 if cfg.t1 is not None else auto_t1(problem, cfg)
     # every stage's budget and gamma are checked before stage 1 runs; past
     # 2**53 the float ceiling is no longer an exact count
     try:
-        budgets = [stage_budget(t1, rate, exponent, s) for s in range(1, cfg.stages + 1)]
+        budgets = [stage_budget(t1, cfg.tau, exponent, s) for s in range(1, cfg.stages + 1)]
     except OverflowError:
         budgets = [math.inf]
     if max(budgets) > 2**53:
         raise ValueError(f"tau = {cfg.tau:g} grows the stage budgets from t1 = {t1} past 2**53")
-    stage_problems = [SmoothedProblem(problem, cfg.gamma1 / rate**k, cfg.lam1 / rate**k)
+    stage_problems = [SmoothedProblem(problem, cfg.gamma1 / cfg.tau**k, cfg.lam1 / cfg.tau**k)
                       for k in range(cfg.stages)]
     rng = np.random.default_rng(cfg.solver.seed)
     x = np.zeros(problem.d)

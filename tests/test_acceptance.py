@@ -368,8 +368,7 @@ def test_criterion_10_method_ordering():
         finals["cns-na"].append(objective_original(prob, x_na))
         budget = max(sum(r.budget for r in rep_a), sum(r.budget for r in rep_na))
         for method in ("fobos", "rda", "poly-sgd"):
-            bspec = BaselineSpec(method=method, eta0=tuned[method], rda_scale=tuned[method],
-                                 batch_size=50, seed=seed)
+            bspec = BaselineSpec(method=method, eta0=tuned[method], batch_size=50, seed=seed)
             finals[method].append(objective_original(prob, run_baseline(prob, bspec, budget).x))
     med = {m: float(np.median(v)) for m, v in finals.items()}
     results["strongly-convex"] = med
@@ -394,8 +393,7 @@ def test_criterion_10_method_ordering():
         gfinals["cns-na"].append(objective_original(prob, x_na))
         budget = max(sum(r.budget for r in rep_a), sum(r.budget for r in rep_na))
         for method in ("fobos", "rda", "poly-sgd"):
-            bspec = BaselineSpec(method=method, eta0=gtuned[method], rda_scale=gtuned[method],
-                                 batch_size=100, seed=seed)
+            bspec = BaselineSpec(method=method, eta0=gtuned[method], batch_size=100, seed=seed)
             gfinals[method].append(objective_original(prob, run_baseline(prob, bspec, budget).x))
     results["general-convex"] = {m: float(np.median(v)) for m, v in gfinals.items()}
 
@@ -427,7 +425,7 @@ def test_criterion_11_sparsity(sc_reference):
     x_cns, _ = cns_strongly_convex(prob, cfg_a)
     zeros = {"cns-a": int(np.sum(x_cns == 0.0))}
     for method, eta in (("fobos", 0.5), ("rda", 0.5), ("poly-sgd", 0.5)):
-        bspec = BaselineSpec(method=method, eta0=eta, rda_scale=eta, batch_size=50, seed=0)
+        bspec = BaselineSpec(method=method, eta0=eta, batch_size=50, seed=0)
         x = run_baseline(prob, bspec, 5000).x
         zeros[method] = int(np.sum(x == 0.0))
     _report(11, f"exact zero counts (of d={prob.d}): {zeros}")
@@ -467,7 +465,7 @@ def test_criterion_12_determinism(tmp_path):
     csv_ok = tables[0] == tables[1] == tables[2]
 
     # seeded baselines too
-    bspec = BaselineSpec(method="rda", rda_scale=0.5, batch_size=50, seed=11)
+    bspec = BaselineSpec(method="rda", eta0=0.5, batch_size=50, seed=11)
     prob = strongly_convex_problem(0)
     ys = [run_baseline(prob, bspec, 200).x for _ in range(3)]
     baseline_ok = all(np.array_equal(ys[0], y) for y in ys[1:])

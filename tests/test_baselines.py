@@ -74,7 +74,7 @@ def test_rda_stays_at_zero_without_gradient_signal():
     # zero targets make the subgradient vanish at 0, so the averaged gradient
     # stays zero and every closed-form iterate is exactly 0
     prob = problem_from_rows([[1.0], [2.0]], [0.0, 0.0], ABSOLUTE, nu1=0.1)
-    spec = BaselineSpec(method="rda", rda_scale=1.0, seed=0)
+    spec = BaselineSpec(method="rda", eta0=1.0, seed=0)
     run = run_baseline(prob, spec, 50)
     assert np.array_equal(run.x, np.zeros(1))
 
@@ -82,7 +82,7 @@ def test_rda_stays_at_zero_without_gradient_signal():
 def test_rda_thresholding_rule():
     # coordinates with |averaged gradient| <= nu1 are exactly zero
     prob = _suite(nu1=0.04)
-    spec = BaselineSpec(method="rda", rda_scale=1.0, seed=3)
+    spec = BaselineSpec(method="rda", eta0=1.0, seed=3)
     traces = []
     run = run_baseline(prob, spec, 200, callback=lambda t, x, e: traces.append(x.copy()),
                        callback_every=50)
@@ -143,7 +143,7 @@ def test_poly_sgd_output_is_dense():
 def test_baselines_share_solver_run_contract():
     prob = _suite()
     for method in ("fobos", "rda", "poly-sgd"):
-        spec = BaselineSpec(method=method, eta0=0.3, rda_scale=1.0, seed=7)
+        spec = BaselineSpec(method=method, eta0=1.0 if method == "rda" else 0.3, seed=7)
         run = run_baseline(prob, spec, 90)
         assert run.x.shape == (prob.d,)
         assert np.isfinite(run.x).all()
@@ -229,10 +229,9 @@ def test_baseline_spec_validation():
         BaselineSpec(eta0=0.0)
     with pytest.raises(ValueError, match="batch_size must be >= 1"):
         BaselineSpec(batch_size=0)
-    for field in ("eta0", "rda_scale"):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                BaselineSpec(**{field: value})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eta0 must be finite"):
+            BaselineSpec(eta0=value)
 
 
 def test_baseline_objective_decreases_on_suite():
@@ -241,7 +240,7 @@ def test_baseline_objective_decreases_on_suite():
     for method in ("fobos", "rda", "poly-sgd"):
         finals = []
         for seed in range(5):
-            spec = BaselineSpec(method=method, eta0=0.5, rda_scale=0.5, seed=seed)
+            spec = BaselineSpec(method=method, eta0=0.5, seed=seed)
             finals.append(objective_original(prob, run_baseline(prob, spec, 400).x))
         assert np.median(finals) < start
 

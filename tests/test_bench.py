@@ -74,7 +74,8 @@ def test_run_config_validation():
     for method, field in (("cns-a", "time_budget"), ("fobos", "time_budget"),
                           ("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
                           ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
-                          ("fobos", "eta0"), ("rda", "rda_scale")):
+                          ("fobos", "eta0"), ("rda", "eta0"), ("fobos", "tau"),
+                          ("fixed-gamma", "tau"), ("cns-a", "eta0")):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 _config(method=method, **{field: value})
@@ -84,10 +85,11 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(tau=0.5), "tau must be > 1"),
+    (dict(tau=0.5), "tau must be >= 1"),
     (dict(stages=0), "stages must be >= 1"),
     (dict(batch_size=0), "batch_size must be >= 1"),
     (dict(method="fobos", eta0=0.0), "step scales must be positive"),
+    (dict(method="fixed-gamma", t1=None), "needs a t1"),
 ])
 def test_run_config_checks_the_methods_own_settings(bad, message):
     # the method's ContinuationConfig or BaselineSpec is built with the RunConfig
@@ -97,8 +99,11 @@ def test_run_config_checks_the_methods_own_settings(bad, message):
 
 def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
     missing = tmp_path / "absent.libsvm"
-    with pytest.raises(ValueError, match="tau must be > 1"):
+    with pytest.raises(ValueError, match="tau must be >= 1"):
         main(["run", "--method", "cns-a", "--dataset", str(missing), "--tau", "0.5"])
+    # fixed-gamma runs at tau = 1, where the automatic t1 has nothing to seek
+    with pytest.raises(ValueError, match="needs a t1"):
+        main(["run", "--method", "fixed-gamma", "--dataset", str(missing)])
 
 
 def test_cli_run_names_a_malformed_dataset(tmp_path, capsys):
@@ -451,7 +456,7 @@ def test_flags_override_config_file(tmp_path):
     ns = argparse.Namespace(
         **{k: None for k in (
             "method loss dataset test_dataset nu1 nu2 gamma1 tau t1 lam1 stages "
-            "solver theta batch_size step_scale eta0 rda_scale "
+            "solver theta batch_size step_scale eta0 "
             "iterations cadence time_budget output seed synth_n synth_d "
             "synth_sparsity synth_noise synth_norm_lo synth_norm_hi"
         ).split()}
@@ -767,7 +772,6 @@ _RUN_FLAGS = {
     "--theta": ("float", None),
     "--step-scale": ("float", None),
     "--eta0": ("float", None),
-    "--rda-scale": ("float", None),
     "--time-budget": ("float", None),
     "--t1": ("int", None),
     "--stages": ("int", None),
@@ -784,15 +788,30 @@ _RUN_FLAGS = {
 }
 
 
+def _without_wall_time(path):
+    """The bytes of a written trace CSV without its wall_time_s column."""
+    lines = [line.split(b",") for line in path.read_bytes().split(b"\r\n")]
+    drop = lines[0].index(b"wall_time_s")
+    return b"\r\n".join(b",".join(c for i, c in enumerate(cells) if i != drop)
+                        for cells in lines)
+
+
 @pytest.mark.parametrize("method", _METHODS)
 def test_run_writes_the_golden_trace(tmp_path, method):
     out = tmp_path / "trace.csv"
-    assert main(["run", "--method", method, *_GOLDEN_ARGS, "--output", str(out)]) == 0
-    lines = [line.split(b",") for line in out.read_bytes().split(b"\r\n")]
-    drop = lines[0].index(b"wall_time_s")
-    stripped = b"\r\n".join(b",".join(c for i, c in enumerate(cells) if i != drop)
-                             for cells in lines)
-    assert hashlib.sha256(stripped).hexdigest() == _GOLDEN_TRACES[method]
+    # the rda trace was pinned at a step scale of 1
+    step = ["--eta0", "1"] if method == "rda" else []
+    assert main(["run", "--method", method, *_GOLDEN_ARGS, *step, "--output", str(out)]) == 0
+    assert hashlib.sha256(_without_wall_time(out)).hexdigest() == _GOLDEN_TRACES[method]
+
+
+def test_fixed_gamma_is_continuation_at_tau_one(tmp_path):
+    # fixed smoothing is the schedule whose gamma never shrinks: cns-a at
+    # tau = 1 writes the fixed-gamma trace at the same t1
+    paths = {method: tmp_path / f"{method}.csv" for method in ("cns-a", "fixed-gamma")}
+    run_experiment(_config(method="cns-a", tau=1.0, output=str(paths["cns-a"])))
+    run_experiment(_config(method="fixed-gamma", output=str(paths["fixed-gamma"])))
+    assert _without_wall_time(paths["cns-a"]) == _without_wall_time(paths["fixed-gamma"])
 
 
 def test_run_flags_are_pinned():

@@ -150,7 +150,12 @@ def test_wrong_driver_errors():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    # tau = 1 is fixed smoothing, which needs a t1: the automatic search's
+    # 1/tau^2 cut is no cut there
+    assert ContinuationConfig(tau=1.0, t1=5).tau == 1.0
+    with pytest.raises(ValueError, match="tau must be >= 1"):
+        ContinuationConfig(tau=0.5, t1=5)
+    with pytest.raises(ValueError, match="needs a t1"):
         ContinuationConfig(tau=1.0)
     with pytest.raises(ValueError):
         ContinuationConfig(gamma1=0.0)
@@ -206,12 +211,12 @@ def test_budget_option_follows_solver(solver):
 
 def test_fixed_smoothing_holds_schedule_constant():
     prob = _suite()
-    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=25, stages=4, fixed_smoothing=True,
+    cfg = ContinuationConfig(gamma1=0.01, tau=1.0, t1=25, stages=4,
                              solver=SolverSpec(solver="prox-gd"))
     _, reports = cns_strongly_convex(prob, cfg)
     assert [(r.gamma, r.lam, r.budget) for r in reports] == [(0.01, 0.0, 25)] * 4
-    cfg = ContinuationConfig(gamma1=0.01, tau=2.0, t1=25, lam1=1e-4, stages=3,
-                             fixed_smoothing=True, solver=SolverSpec(solver="acc-prox-svrg"))
+    cfg = ContinuationConfig(gamma1=0.01, tau=1.0, t1=25, lam1=1e-4, stages=3,
+                             solver=SolverSpec(solver="acc-prox-svrg"))
     _, reports = cns_general_convex(_reg_suite(), cfg)
     assert [(r.gamma, r.lam, r.budget) for r in reports] == [(0.01, 1e-4, 25)] * 3
 

@@ -90,7 +90,7 @@ def _absolute_problem():
 
 def _final_iterate(name, prob, lam=0.0):
     if name in ("fobos", "rda", "poly-sgd"):
-        spec = BaselineSpec(method=name, eta0=0.5, rda_scale=0.5, batch_size=16, seed=7)
+        spec = BaselineSpec(method=name, eta0=0.5, batch_size=16, seed=7)
         return run_baseline(prob, spec, BUDGET).x
     sp = SmoothedProblem(prob, 0.05, lam)
     spec = SolverSpec(solver=name.removesuffix("-tk"), batch_size=16, seed=7)

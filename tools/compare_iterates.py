@@ -32,7 +32,10 @@ when they differ.
 ``against <rev>`` does both in one command: it dumps with this tool under the
 ``src`` of a temporary detached git worktree at ``<rev>``, checks under this
 tree's ``src``, removes the worktree (also when a step fails) and exits with
-the check's status, or with the status of a step that failed before it.
+the check's status, or with the status of a step that failed before it. When
+this tree's cases pass ``<rev>``'s ``src`` a setting it rejects (such as tau =
+1 at a revision where tau must exceed 1), run the dump and check steps of the
+usage lines instead, each checkout's own tool on its own ``src``.
 
 ``acceptance <rev>`` diffs the acceptance printout in the same worktree: it
 runs ``pytest tests/test_acceptance.py -s`` under ``<rev>`` and under this
@@ -205,8 +208,8 @@ def cases():
             for method in ("fobos", "rda", "poly-sgd"):
                 # the hinge problem's mu = 0.05 runs the 1/(mu t) schedules,
                 # the absolute one's mu = 0 the 1/sqrt(t) ones
-                spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=16,
-                                    seed=3)
+                eta0 = 0.7 if method == "rda" else 0.3
+                spec = BaselineSpec(method=method, eta0=eta0, batch_size=16, seed=3)
                 seen = []
                 run = run_baseline(prob, spec, 111,
                                    callback=lambda t, x, e: seen.append(x.copy()),
@@ -219,8 +222,7 @@ def cases():
                 # a batch size above n (clamped to n), and a budget of 7 steps,
                 # below the epoch of ceil(150 / 16) = 10
                 for b, budget in ((400, 23), (16, 7)):
-                    spec = BaselineSpec(method=method, eta0=0.3, rda_scale=0.7, batch_size=b,
-                                        seed=6)
+                    spec = BaselineSpec(method=method, eta0=eta0, batch_size=b, seed=6)
                     out[f"{method}/{loss}/csr{int(csr)}/b{b}/x"] = run_baseline(
                         prob, spec, budget).x
             out[f"refobj/{loss}/csr{int(csr)}"] = np.array([reference_objective(
@@ -266,15 +268,16 @@ def cases():
     out["fobos/absolute/gc-libsvm/cb"] = np.array(seen)
     # both drivers' stage reports, field by field: the strongly convex driver
     # on the hinge + elastic net problem, the general convex one on the
-    # absolute + l1 problem, each with a growing and with a fixed schedule
+    # absolute + l1 problem, each with a growing and with a fixed (tau = 1)
+    # schedule
     for loss, driver, lam1 in (("hinge", cns_strongly_convex, 0.0),
                                ("absolute", cns_general_convex, 1e-3)):
         prob = problem(loss)
         for solver in ("prox-gd", "acc-prox-svrg"):
             for fixed in (False, True):
                 stages(out, f"stages/{driver.__name__}/{solver}" + "/fixed" * fixed, driver,
-                       prob, solver, gamma1=0.05, t1=20, lam1=lam1, stages=4,
-                       fixed_smoothing=fixed)
+                       prob, solver, tau=1.0 if fixed else 2.0, gamma1=0.05, t1=20,
+                       lam1=lam1, stages=4)
     # the automatic t1 search compares the smoothed objective against
     # P_gamma1(0) / tau^2; on this instance it picks t1 = 80 for prox-gd and
     # 20 for acc-prox-svrg (the hinge instance never reaches that target)
@@ -288,7 +291,7 @@ def cases():
             lam1 = 0.0 if nu2 > 0 else 1e-4
             cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, synthetic=synth,
                             t1=30, stages=4, lam1=lam1, batch_size=20, cadence=15,
-                            iterations=200, eta0=0.3, seed=2)
+                            iterations=200, eta0=1.0 if method == "rda" else 0.3, seed=2)
             rows = run_experiment(cfg)
             table = [[v for k, v in asdict(r).items() if k != "wall_time_s"] for r in rows]
             out[f"exp/{loss}/{method}"] = np.array(table, dtype=float)
@@ -312,7 +315,8 @@ def cases():
             for method in cnsopt.bench.METHODS:
                 cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, dataset=path,
                                 t1=30, stages=4, lam1=0.0 if nu2 > 0 else 1e-4, batch_size=20,
-                                cadence=15, iterations=200, eta0=0.3, seed=2)
+                                cadence=15, iterations=200,
+                                eta0=1.0 if method == "rda" else 0.3, seed=2)
                 rows = run_experiment(cfg)
                 table = [[v for k, v in asdict(r).items()
                           if k not in ("wall_time_s", "test_metric")] for r in rows]
@@ -322,9 +326,9 @@ def cases():
     return out
 
 
-def stages(out, key, driver, prob, solver, batch_size=16, **settings):
+def stages(out, key, driver, prob, solver, batch_size=16, tau=2.0, **settings):
     """Record a driver's final iterate and its stage reports, field by field."""
-    cfg = ContinuationConfig(tau=2.0, solver=SolverSpec(solver=solver, batch_size=batch_size,
+    cfg = ContinuationConfig(tau=tau, solver=SolverSpec(solver=solver, batch_size=batch_size,
                                                         seed=7), **settings)
     x, reports = driver(prob, cfg)
     out[key + "/x"] = x
