@@ -46,7 +46,7 @@ class BaselineSpec:
             raise ValueError(f"unknown baseline {self.method!r}")
         check_finite(eta0=self.eta0)
         if self.eta0 <= 0:
-            raise ValueError("step scales must be positive")
+            raise ValueError("eta0 must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

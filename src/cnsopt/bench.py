@@ -12,7 +12,6 @@ import csv
 import hashlib
 import logging
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
@@ -92,7 +91,6 @@ class RunConfig:
     eta0: float = 1.0
     iterations: int = 1000
     cadence: int = 100
-    time_budget: "float | None" = None
     output: "str | None" = None
     seed: int = 0
 
@@ -107,8 +105,6 @@ class RunConfig:
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
         check_finite(**{name: v for name, v in vars(self).items() if isinstance(v, float)})
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ValueError(f"time_budget must be >= 0, got {self.time_budget}")
         task = dual_spec(self.loss).task  # raises ValueError for a loss not in the table
         if self.synthetic is not None and self.synthetic.task != task:
             raise ValueError(f"{self.loss} loss requires a {task} dataset")
@@ -122,10 +118,6 @@ class RunConfig:
             baseline_spec_for(self)
             if self.iterations < 1:
                 raise ValueError(f"iteration budget must be >= 1, got {self.iterations}")
-
-
-class _TimeBudgetExceeded(Exception):
-    pass
 
 
 # the datasets of the last two inputs built (a training set and its test
@@ -242,10 +234,10 @@ def _run_method(cfg, problem, callback=None):
     inner iterations; baselines pass no stage, so it must default to -1.
     """
     if cfg.method in CONTINUATION_METHODS:
-        # the strongly convex driver needs the problem's own modulus and no stage
-        # ridge; the drivers are looked up here, so a wrapped module global runs
-        driver = (cns_strongly_convex if problem.mu > 0 and cfg.lam1 == 0
-                  else cns_general_convex)
+        # no stage ridge picks the strongly convex driver: RunConfig has then
+        # checked nu2 > 0, so the problem has its own modulus; the drivers are
+        # looked up here, so a wrapped module global runs
+        driver = cns_strongly_convex if cfg.lam1 == 0 else cns_general_convex
         x, reports = driver(problem, continuation_config(cfg), callback=callback,
                             callback_every=cfg.cadence)
         return (x, sum(r.budget for r in reports), sum(r.wall_time for r in reports),
@@ -259,9 +251,8 @@ def run_experiment(cfg):
     """Execute the configured method, returning TraceRows (and writing CSV).
 
     Rows are emitted before the first iteration, every ``cadence`` inner
-    iterations, and at the end of the run. With a ``time_budget``, the run
-    stops at the first snapshot past the budget (wall time counts optimization
-    only, never metric evaluation).
+    iterations, and at the end of the run; wall time counts optimization only,
+    never metric evaluation.
     """
     problem, test = load_problem(cfg)
     eval_data = test if test is not None else problem.data
@@ -280,16 +271,11 @@ def run_experiment(cfg):
                 nnz=int(np.count_nonzero(x)),
             )
         )
-        if cfg.time_budget is not None and elapsed > cfg.time_budget:
-            raise _TimeBudgetExceeded
 
-    try:
-        snapshot(0, np.zeros(problem.d), 0.0, 0 if cfg.method in CONTINUATION_METHODS else -1)
-        x, total, elapsed, stage = _run_method(cfg, problem, snapshot)
-        if rows[-1].cumulative_iterations != total:
-            snapshot(total, x, elapsed, stage)
-    except _TimeBudgetExceeded:
-        pass
+    snapshot(0, np.zeros(problem.d), 0.0, 0 if cfg.method in CONTINUATION_METHODS else -1)
+    x, total, elapsed, stage = _run_method(cfg, problem, snapshot)
+    if rows[-1].cumulative_iterations != total:
+        snapshot(total, x, elapsed, stage)
 
     if cfg.output:
         write_trace(rows, cfg.output)
@@ -446,16 +432,3 @@ def tune_stepsize(cfg, grid):
         log.warning("%s: tuned step %g is the %s edge of the grid %s", cfg.method, best[0],
                     "lower" if best[0] == lo else "upper", list(grid))
     return best[0]
-
-
-def default_worker_count():
-    env = os.environ.get("CNSOPT_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0  # not an integer: the same error as a count below one
-        if workers < 1:
-            raise ValueError(f"CNSOPT_WORKERS must be a positive integer, got {env!r}")
-        return workers
-    return os.cpu_count() or 1

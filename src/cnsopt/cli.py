@@ -11,6 +11,7 @@ and explicit flags win over the file.
 """
 
 import argparse
+import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,6 @@ from .bench import (
     METHODS,
     RunConfig,
     compare_report,
-    default_worker_count,
     read_trace,
     render_report,
     run_experiment,
@@ -150,9 +150,10 @@ def _sweep_one(path):
 
 
 def _cmd_sweep(args):
-    """Run every config; a config that fails is reported and the rest still run."""
+    """Run every config, one worker per config and at most one per CPU; a
+    config that fails is reported and the rest still run."""
     failed = 0
-    with ProcessPoolExecutor(max_workers=default_worker_count()) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(args.configs), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_sweep_one, path) for path in args.configs]
         for path, future in zip(args.configs, futures):
             try:

@@ -7,10 +7,12 @@ cached per seed for the whole session. ``problem_from_rows`` and
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import cnsopt
 from cnsopt import (
     ABSOLUTE,
     CLASSIFICATION,
@@ -27,6 +29,11 @@ from cnsopt import (
 
 SC_NU1, SC_NU2 = 0.002, 0.08
 REG_NU1 = 0.005
+
+
+def pytest_report_header(config):
+    # pyproject.toml puts this checkout's src ahead of PYTHONPATH
+    return f"cnsopt: {os.path.dirname(cnsopt.__file__)}"
 
 
 def problem_from_rows(rows, labels, loss, nu1=0.0, nu2=0.0):

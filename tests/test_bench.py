@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cnsopt import (
     serialize_libsvm,
     tune_stepsize,
 )
-from cnsopt import bench
+from cnsopt import bench, cli
 from cnsopt.bench import TraceRow, gap_slope, read_trace, render_report, write_trace
 from cnsopt.bench import test_metric as eval_metric
 from cnsopt.cli import _add_run_flags, build_run_config, main, read_config_file, run_cli
@@ -66,13 +67,8 @@ def test_run_config_validation():
     for method in ("cns-a", "cns-na", "fixed-gamma"):
         with pytest.raises(ValueError, match=r"needs nu2 > 0 .* or lam1 > 0"):
             _config(method=method, nu2=0.0)
-    for method in ("cns-a", "fobos"):  # a continuation method and a baseline
-        with pytest.raises(ValueError, match="time_budget"):
-            _config(method=method, time_budget=-1.0)
-    # checked with the RunConfig, before any data is read; a NaN time budget
-    # once never stopped a run
-    for method, field in (("cns-a", "time_budget"), ("fobos", "time_budget"),
-                          ("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
+    # checked with the RunConfig, before any data is read
+    for method, field in (("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
                           ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
                           ("fobos", "eta0"), ("rda", "eta0"), ("fobos", "tau"),
                           ("fixed-gamma", "tau"), ("cns-a", "eta0")):
@@ -88,7 +84,7 @@ def test_run_config_validation():
     (dict(tau=0.5), "tau must be >= 1"),
     (dict(stages=0), "stages must be >= 1"),
     (dict(batch_size=0), "batch_size must be >= 1"),
-    (dict(method="fobos", eta0=0.0), "step scales must be positive"),
+    (dict(method="fobos", eta0=0.0), "eta0 must be positive"),
     (dict(method="fixed-gamma", t1=None), "needs a t1"),
 ])
 def test_run_config_checks_the_methods_own_settings(bad, message):
@@ -184,13 +180,6 @@ def test_eval_metric_classification_and_regression():
     assert eval_metric(ds, np.array([1.0])) == pytest.approx(1 / 3)
     dr = SparseDataset(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]), "regression")
     assert eval_metric(dr, np.array([1.0])) == pytest.approx(0.5)
-
-
-def test_time_budget_stops_early():
-    cfg = _config(method="poly-sgd", eta0=0.2, iterations=500_000, cadence=50,
-                  time_budget=0.05)
-    rows = run_experiment(cfg)
-    assert rows[-1].cumulative_iterations < 500_000
 
 
 def test_compare_report_identical_traces():
@@ -457,7 +446,7 @@ def test_flags_override_config_file(tmp_path):
         **{k: None for k in (
             "method loss dataset test_dataset nu1 nu2 gamma1 tau t1 lam1 stages "
             "solver theta batch_size step_scale eta0 "
-            "iterations cadence time_budget output seed synth_n synth_d "
+            "iterations cadence output seed synth_n synth_d "
             "synth_sparsity synth_noise synth_norm_lo synth_norm_hi"
         ).split()}
     )
@@ -576,17 +565,6 @@ def test_cli_tune(capsys):
     assert "best step scale" in capsys.readouterr().out
 
 
-def test_worker_count_names_a_bad_environment_value(monkeypatch):
-    # a count below one is rejected like a non-integer, not raised to one
-    for value in ("two", "0", "-3"):
-        monkeypatch.setenv("CNSOPT_WORKERS", value)
-        with pytest.raises(ValueError,
-                           match=f"^CNSOPT_WORKERS must be a positive integer, got '{value}'$"):
-            bench.default_worker_count()
-    monkeypatch.setenv("CNSOPT_WORKERS", "3")
-    assert bench.default_worker_count() == 3
-
-
 def test_cli_sweep(tmp_path, capsys):
     cfgs = []
     for i in range(2):
@@ -598,17 +576,29 @@ def test_cli_sweep(tmp_path, capsys):
             f"synth-n = 60\nsynth-d = 6\noutput = {trace}\n"
         )
         cfgs.append(str(cfg))
-    env_before = os.environ.get("CNSOPT_WORKERS")
-    os.environ["CNSOPT_WORKERS"] = "2"
-    try:
-        rc = main(["sweep", *cfgs])
-    finally:
-        if env_before is None:
-            os.environ.pop("CNSOPT_WORKERS", None)
-        else:
-            os.environ["CNSOPT_WORKERS"] = env_before
-    assert rc == 0
+    assert main(["sweep", *cfgs]) == 0
     assert (tmp_path / "trace0.csv").exists() and (tmp_path / "trace1.csv").exists()
+
+
+def test_cli_sweep_runs_one_worker_per_config_at_most_one_per_cpu(tmp_path, monkeypatch):
+    asked = []
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    cfgs = []
+    for i in range(2):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text("method = fobos\nnu1 = 0.01\nnu2 = 0.05\niterations = 20\n"
+                       f"cadence = 10\nbatch-size = 20\nseed = {i}\nsynth-n = 40\n")
+        cfgs.append(str(cfg))
+    # os.cpu_count() may be None
+    for cpus in (8, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["sweep", *cfgs]) == 0
+    assert asked == [2, 1, 1]
 
 
 @pytest.mark.parametrize("bad_source, reason", (
@@ -617,9 +607,8 @@ def test_cli_sweep(tmp_path, capsys):
     ("synth-n = 60\nstages = 2.5\n", "stages"),
     ("synth-n = 60\nstages = none\n", "stages"),
 ))
-def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monkeypatch,
-                                                         bad_source, reason):
-    monkeypatch.setenv("CNSOPT_WORKERS", "2")
+def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, bad_source,
+                                                         reason):
     bad_data = tmp_path / "bad.libsvm"
     bad_data.write_text("1 1:0.5\n-1 2:x\n")
     common = ("method = fobos\nloss = hinge\nnu1 = 0.01\nnu2 = 0.05\neta0 = 0.5\n"
@@ -640,10 +629,8 @@ def test_cli_sweep_reports_a_failing_config_and_finishes(tmp_path, capsys, monke
     assert lines[2].startswith(f"{paths[2]}: objective ")
 
 
-def test_cli_sweep_names_the_malformed_dataset_of_a_failing_config(tmp_path, capsys,
-                                                                   monkeypatch):
+def test_cli_sweep_names_the_malformed_dataset_of_a_failing_config(tmp_path, capsys):
     # the error crosses the process pool with its path, line and message
-    monkeypatch.setenv("CNSOPT_WORKERS", "2")
     bad = tmp_path / "bad.libsvm"
     bad.write_text("1 1:0.5\n-1 x:2\n")
     common = ("method = fobos\nloss = hinge\nnu1 = 0.01\nnu2 = 0.05\neta0 = 0.5\n"
@@ -698,6 +685,9 @@ def test_readme_cli_walkthrough_runs(tmp_path):
 
 def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
     absent = str(tmp_path / "absent.libsvm")
+    # time-budget was a RunConfig field once: a config file naming it now fails
+    stale = tmp_path / "stale.cfg"
+    stale.write_text("method = fobos\nsynth-n = 40\ntime-budget = 1\n")
     no_driver = ("a continuation run needs nu2 > 0 (the strongly convex driver) "
                  "or lam1 > 0 (the general convex one)")
     cases = [
@@ -728,6 +718,7 @@ def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
         (["run", "--method", "cns-a", "--dataset", absent], no_driver),
         (["tune", "--method", "cns-a", "--synth-n", "40", "--t1", "5", "--grid", "0.5,1"],
          no_driver),
+        (["run", "--config", str(stale)], f"{stale}: unknown config keys: ['time_budget']"),
     ]
     for args, message in cases:
         proc = _python_m_cnsopt(*args)
@@ -772,7 +763,6 @@ _RUN_FLAGS = {
     "--theta": ("float", None),
     "--step-scale": ("float", None),
     "--eta0": ("float", None),
-    "--time-budget": ("float", None),
     "--t1": ("int", None),
     "--stages": ("int", None),
     "--batch-size": ("int", None),
