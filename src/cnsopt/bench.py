@@ -40,8 +40,7 @@ log = logging.getLogger(__name__)
 
 CNS_A = "cns-a"
 CNS_NA = "cns-na"
-FIXED_GAMMA = "fixed-gamma"
-CONTINUATION_METHODS = (CNS_A, CNS_NA, FIXED_GAMMA)
+CONTINUATION_METHODS = (CNS_A, CNS_NA)
 METHODS = CONTINUATION_METHODS + (bl.FOBOS, bl.RDA, bl.POLY_SGD)
 
 
@@ -201,8 +200,7 @@ def test_metric(dataset, x, scores=None):
 def continuation_config(cfg):
     return ContinuationConfig(
         gamma1=cfg.gamma1,
-        # fixed-gamma is continuation at tau = 1: no stage shrinks gamma
-        tau=1.0 if cfg.method == FIXED_GAMMA else cfg.tau,
+        tau=cfg.tau,
         t1=cfg.t1,
         lam1=cfg.lam1,
         stages=cfg.stages,

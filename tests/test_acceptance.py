@@ -303,8 +303,8 @@ def test_criterion_09_continuation_vs_fixed(sc_reference):
         solver="apg", gamma1=0.01, tau=2.0, t1=t1, stages=6, cadence=25, seed=0))
     gamma_s = 0.01 / 2**5
     fixed_rows = run_experiment(RunConfig(
-        method="fixed-gamma", loss=HINGE, nu1=SC_NU1, nu2=SC_NU2, synthetic=spec,
-        solver="apg", gamma1=gamma_s, tau=2.0, t1=250, stages=40, cadence=25, seed=0))
+        method="cns-a", loss=HINGE, nu1=SC_NU1, nu2=SC_NU2, synthetic=spec,
+        solver="apg", gamma1=gamma_s, tau=1.0, t1=250, stages=40, cadence=25, seed=0))
     summary = {s.name: s for s in compare_report(
         {"cns": cns_rows, "fixed": fixed_rows}, target_gap, p_star)}
     cns_iters = summary["cns"].iterations_to_target

@@ -64,14 +64,14 @@ def test_run_config_validation():
         _config(method="fobos", test_dataset="x.libsvm")
     # no driver runs nu2 = lam1 = 0; it was once rejected only after the data
     # was read, and tune_stepsize skipped every candidate as a divergence
-    for method in ("cns-a", "cns-na", "fixed-gamma"):
+    for method in ("cns-a", "cns-na"):
         with pytest.raises(ValueError, match=r"needs nu2 > 0 .* or lam1 > 0"):
             _config(method=method, nu2=0.0)
     # checked with the RunConfig, before any data is read
     for method, field in (("cns-a", "nu1"), ("fobos", "nu2"), ("cns-a", "gamma1"),
                           ("cns-na", "tau"), ("cns-a", "lam1"), ("cns-a", "step_scale"),
                           ("fobos", "eta0"), ("rda", "eta0"), ("fobos", "tau"),
-                          ("fixed-gamma", "tau"), ("cns-a", "eta0")):
+                          ("cns-a", "eta0")):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 _config(method=method, **{field: value})
@@ -85,7 +85,7 @@ def test_run_config_validation():
     (dict(stages=0), "stages must be >= 1"),
     (dict(batch_size=0), "batch_size must be >= 1"),
     (dict(method="fobos", eta0=0.0), "eta0 must be positive"),
-    (dict(method="fixed-gamma", t1=None), "needs a t1"),
+    (dict(tau=1.0, t1=None), "needs a t1"),
 ])
 def test_run_config_checks_the_methods_own_settings(bad, message):
     # the method's ContinuationConfig or BaselineSpec is built with the RunConfig
@@ -97,9 +97,16 @@ def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
     missing = tmp_path / "absent.libsvm"
     with pytest.raises(ValueError, match="tau must be >= 1"):
         main(["run", "--method", "cns-a", "--dataset", str(missing), "--tau", "0.5"])
-    # fixed-gamma runs at tau = 1, where the automatic t1 has nothing to seek
+    # fixed smoothing is tau = 1, where the automatic t1 has nothing to seek
     with pytest.raises(ValueError, match="needs a t1"):
-        main(["run", "--method", "fixed-gamma", "--dataset", str(missing)])
+        main(["run", "--method", "cns-a", "--dataset", str(missing), "--tau", "1"])
+    # ... and has no method of its own: neither a flag nor a config file names one
+    with pytest.raises(SystemExit):
+        main(["run", "--method", "fixed-gamma", "--dataset", str(missing), "--t1", "20"])
+    config = tmp_path / "fixed.cfg"
+    config.write_text(f"method = fixed-gamma\ndataset = {missing}\nnu2 = 0.05\nt1 = 20\n")
+    with pytest.raises(ValueError, match="unknown method 'fixed-gamma'"):
+        main(["run", "--config", str(config)])
 
 
 def test_cli_run_names_a_malformed_dataset(tmp_path, capsys):
@@ -310,6 +317,35 @@ def test_libsvm_run_matches_in_memory_run(tmp_path, method, loss):
     assert len(iterates) == len(from_file)
     assert ([r.test_metric for r in from_file]
             == [eval_metric(dense, x) for x in iterates])
+
+
+@pytest.mark.parametrize("loss", ("hinge", "absolute"))
+def test_csr_kept_as_csr_matches_its_dense_copy(loss):
+    # 600 x 50 rows at 10% density: the problem solves on the CSR as is
+    task = "classification" if loss == "hinge" else "regression"
+    data, w = make_synthetic(SyntheticSpec(n=600, d=50, task=task, seed=4))
+    rows = data.features * (np.random.default_rng(5).random(data.features.shape) < 0.1)
+    labels = data.labels
+    if loss == "absolute":
+        # the planted model's standardized scores on the kept entries, with
+        # the same noise: labels that the full rows fit leave x = 0 optimal
+        scores = rows.dot(w)
+        labels = labels - data.features.dot(w) + scores / scores.std()
+    reg = dict(nu1=0.01, nu2=0.05) if loss == "hinge" else dict(nu1=0.01, nu2=0.0, lam1=1e-3)
+    problems = [cnsopt.CompositeProblem(SparseDataset(feats, labels, task), loss,
+                                        cnsopt.Regularizer(nu1=reg["nu1"], nu2=reg["nu2"]))
+                for feats in (sparse.csr_matrix(rows), rows)]
+    assert sparse.issparse(problems[0].features) and not sparse.issparse(problems[1].features)
+    for method, solver in (("cns-a", None), ("cns-na", None), ("cns-a", "apg"),
+                           ("cns-a", "prox-gd"), ("fobos", None), ("rda", None),
+                           ("poly-sgd", None)):
+        cfg = _config(method=method, loss=loss, solver=solver, synthetic=None,
+                      dataset="unread.libsvm", t1=30, stages=4, batch_size=20,
+                      iterations=200, eta0=1.0 if method == "rda" else 0.3, **reg)
+        xs = [bench._run_method(cfg, problem)[0] for problem in problems]
+        values = [cnsopt.objective_original(problem, x) for problem, x in zip(problems, xs)]
+        assert np.max(np.abs(xs[0] - xs[1])) <= 1e-12, (method, solver)
+        assert abs(values[0] - values[1]) <= 1e-13 * abs(values[1]), (method, solver)
 
 
 def _libsvm_config(path, **kw):
@@ -734,17 +770,18 @@ _GOLDEN_ARGS = ["--synth-n", "60", "--synth-d", "6", "--nu1", "0.01", "--nu2", "
                 "--gamma1", "0.02", "--t1", "20", "--stages", "3", "--batch-size", "10",
                 "--eta0", "0.5", "--iterations", "60", "--cadence", "15", "--seed", "3"]
 
-# sha256 of each written CSV without its wall_time_s column
+# sha256 of each written CSV without its wall_time_s column, by the method
+# and the flags the case adds; fixed smoothing is cns-a at tau = 1
 _GOLDEN_TRACES = {
     "cns-a": "4edcf4c0b6918c443e08d737f90095a5d75d68e5128051bd5688eef087bb023f",
     "cns-na": "82273b8aa6deb86cb40b102bae7dc29e04cd7a3592a988118bc090f88026f3dc",
-    "fixed-gamma": "ddf26263dca35dc58dbc8c40a90f08a20ab3e8ebaa7f141d87e32d70d7312ccf",
+    "cns-a --tau 1": "ddf26263dca35dc58dbc8c40a90f08a20ab3e8ebaa7f141d87e32d70d7312ccf",
     "fobos": "fc25af5eda5dbe65eeab65c2a728b73c6dbe539148ca2dc8a1d7550dc97466a9",
     "rda": "ee55ff7e6071dcc3f13391d8f7ea0d8727e34aaff2de4f12d989f7e61d69f28c",
     "poly-sgd": "fd95754bfcf2e17d4c842dba188d07653da75f16d62239eb961f86ef2bf11054",
 }
 
-_METHODS = ("cns-a", "cns-na", "fixed-gamma", "fobos", "rda", "poly-sgd")
+_METHODS = ("cns-a", "cns-na", "fobos", "rda", "poly-sgd")
 
 # flag -> (type name, choices) of ``cnsopt run`` (and ``tune``, less --grid)
 _RUN_FLAGS = {
@@ -786,22 +823,15 @@ def _without_wall_time(path):
                         for cells in lines)
 
 
-@pytest.mark.parametrize("method", _METHODS)
-def test_run_writes_the_golden_trace(tmp_path, method):
+@pytest.mark.parametrize("case", _GOLDEN_TRACES)
+def test_run_writes_the_golden_trace(tmp_path, case):
     out = tmp_path / "trace.csv"
+    method, *flags = case.split()
     # the rda trace was pinned at a step scale of 1
     step = ["--eta0", "1"] if method == "rda" else []
-    assert main(["run", "--method", method, *_GOLDEN_ARGS, *step, "--output", str(out)]) == 0
-    assert hashlib.sha256(_without_wall_time(out)).hexdigest() == _GOLDEN_TRACES[method]
-
-
-def test_fixed_gamma_is_continuation_at_tau_one(tmp_path):
-    # fixed smoothing is the schedule whose gamma never shrinks: cns-a at
-    # tau = 1 writes the fixed-gamma trace at the same t1
-    paths = {method: tmp_path / f"{method}.csv" for method in ("cns-a", "fixed-gamma")}
-    run_experiment(_config(method="cns-a", tau=1.0, output=str(paths["cns-a"])))
-    run_experiment(_config(method="fixed-gamma", output=str(paths["fixed-gamma"])))
-    assert _without_wall_time(paths["cns-a"]) == _without_wall_time(paths["fixed-gamma"])
+    assert main(["run", "--method", method, *_GOLDEN_ARGS, *flags, *step,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(_without_wall_time(out)).hexdigest() == _GOLDEN_TRACES[case]
 
 
 def test_run_flags_are_pinned():

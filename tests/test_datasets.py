@@ -197,6 +197,38 @@ def test_dataset_validation():
         SparseDataset(np.ones((1, 1)), np.array([1.0]), "ranking")
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_dataset_rejects_non_finite_values_at_their_row(value):
+    # a NaN label once surfaced as a non-finite iterate, an infinite feature
+    # as an overflowing Lipschitz bound, both far into a run
+    rng = np.random.default_rng(0)
+    z, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+    bad_y = y.copy()
+    bad_y[3] = value
+    with pytest.raises(ValueError, match=rf"^labels: non-finite value {value} at row 3$"):
+        SparseDataset(z, bad_y, REGRESSION)
+    with pytest.raises(ValueError, match=r"^labels: non-finite value"):
+        SparseDataset(z, np.where(np.arange(40) == 5, value, 1.0), CLASSIFICATION)
+    bad_z = z.copy()
+    bad_z[2, 1] = value
+    message = rf"^features: non-finite value {value} at row 2, column 1$"
+    with pytest.raises(ValueError, match=message):
+        SparseDataset(bad_z, y, REGRESSION)
+    # a CSR's stored values, found by row and column
+    bad_z[np.abs(bad_z) < 0.5] = 0.0
+    with pytest.raises(ValueError, match=message):
+        SparseDataset(sparse.csr_matrix(bad_z), y, REGRESSION)
+
+
+def test_dataset_accepts_finite_values_whose_sum_overflows():
+    z = np.full((3, 2), 1e308)
+    z[1, 0] = -1e308
+    ds = SparseDataset(z, np.array([1e308, 1e308, -1.0]), REGRESSION)
+    assert np.array_equal(ds.features, z)
+    ds = SparseDataset(sparse.csr_matrix(z), ds.labels, REGRESSION)
+    assert np.array_equal(ds.features.toarray(), z)
+
+
 def test_densify_and_subset():
     ds = parse_libsvm(["+1 1:1.0 2:2.0", "-1 2:3.0", "+1 1:4.0"])
     dense = ds.densify()

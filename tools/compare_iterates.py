@@ -14,15 +14,17 @@ apg (through the general convex driver) and fobos at the ``gc-libsvm`` shape
 (absolute loss + l1 on n = 600, d = 50 rows read back from LIBSVM text,
 batch size 100), ``reference_objective``,
 both continuation drivers with prox-gd and acc-prox-svrg (with a given t1, with
-the automatic t1 search, and with fixed smoothing), and every method of
-``run_experiment`` on a synthetic spec and on LIBSVM files without a test set
-(hinge and absolute rows that the problem densifies, absolute rows it keeps as
-CSR). For each it keeps the final iterate, every callback iterate, the trace
-columns except wall time (a LIBSVM run's ``test_metric`` column as an array
-of its own), and each stage report's fields except wall time. Dump under the
-reference checkout, then check under the changed one; the check exits 1 if any
-array differs in its dtype, its shape or any bit of its bytes (so -0.0 and
-+0.0 differ), and each DIFF line gives that array's largest distance in ulps
+the automatic t1 search, and with fixed smoothing), and each method of
+``RUN_METHODS`` through ``run_experiment`` on a synthetic spec and on LIBSVM
+files without a test set (hinge and absolute rows that the problem densifies,
+absolute rows it keeps as CSR). For each it keeps the final iterate, every
+callback iterate, the trace columns except wall time (a LIBSVM run's
+``test_metric`` column as an array of its own), and each stage report's
+fields except wall time. Dump under the reference checkout, then check under
+the changed one; the check exits 1 if a key is on one side only (each such
+key is named on a MISSING or EXTRA line) or if any array differs in its
+dtype, its shape or any bit of its bytes (so -0.0 and +0.0 differ), and each
+DIFF line gives that array's largest distance in ulps
 (units in the last place) and largest relative difference, so an array that
 moved only in its last bits shows as such. The dump records the OpenBLAS
 kernel that numpy runs (``SkylakeX`` on an AVX-512 host), whose summation
@@ -137,13 +139,17 @@ if __name__ == "__main__" and sys.argv[1] in ("against", "acceptance"):
 import numpy as np
 import scipy.sparse as sps
 
-import cnsopt
 from cnsopt import (BaselineSpec, CompositeProblem, ContinuationConfig, Regularizer, RunConfig,
                     SmoothedProblem, SparseDataset, SyntheticSpec, cns_general_convex,
                     cns_strongly_convex, libsvm_dumps, make_synthetic, parse_libsvm,
                     reference_objective, run_baseline, run_experiment, run_solver,
                     serialize_libsvm)
 from cnsopt.solvers import SolverSpec
+
+# the methods run through run_experiment: a list of the tool's own, not
+# cnsopt.bench.METHODS, so that a revision with another method list dumps the
+# same keys
+RUN_METHODS = ("cns-a", "cns-na", "fobos", "rda", "poly-sgd")
 
 
 def problem(loss, csr=False, n=150, d=12):
@@ -287,7 +293,7 @@ def cases():
     for loss, nu2 in (("hinge", 0.05), ("absolute", 0.0)):
         synth = SyntheticSpec(n=200, d=15, task="classification" if loss == "hinge"
                               else "regression", seed=4)
-        for method in cnsopt.bench.METHODS:
+        for method in RUN_METHODS:
             lam1 = 0.0 if nu2 > 0 else 1e-4
             cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, synthetic=synth,
                             t1=30, stages=4, lam1=lam1, batch_size=20, cadence=15,
@@ -312,7 +318,7 @@ def cases():
             nu2 = 0.05 if loss == "hinge" else 0.0
             prob = CompositeProblem(parse_libsvm(path, task=task), loss, Regularizer())
             assert sps.issparse(prob.features) == (density < 1.0)
-            for method in cnsopt.bench.METHODS:
+            for method in RUN_METHODS:
                 cfg = RunConfig(method=method, loss=loss, nu1=0.01, nu2=nu2, dataset=path,
                                 t1=30, stages=4, lam1=0.0 if nu2 > 0 else 1e-4, batch_size=20,
                                 cadence=15, iterations=200,
@@ -399,7 +405,14 @@ if __name__ == "__main__":
         kernels = f"dumped under the {ref_kernel} BLAS kernel, checked under {kernel}"
         if ref_kernel != kernel:
             print(f"BLAS kernels differ ({kernels}): that alone can move the last bits")
-        assert set(ref) == set(got), set(ref) ^ set(got)
+        missing, extra = sorted(set(ref) - set(got)), sorted(set(got) - set(ref))
+        for k in missing:
+            print(f"  MISSING {k}: in the dump, not produced by this check")
+        for k in extra:
+            print(f"  EXTRA {k}: produced by this check, not in the dump")
+        if missing or extra:
+            print(f"key sets differ: {len(missing)} missing, {len(extra)} extra; {kernels}")
+            sys.exit(1)
         bad = [k for k in ref if not same_bits(ref[k], got[k])]
         cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
         print(f"{len(ref)} arrays compared ({cb} callback iterates), "
