@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import epoch_batches, minibatches
-from .errors import check_finite
-from .prox import _soft_threshold, prox_regularizer, prox_scalars
+from .errors import check_finite, check_seed
+from .prox import prox_regularizer, prox_scalars
 from .smoothing import dual_spec, precast
 from .solvers import drive, start_point
 
@@ -49,6 +49,7 @@ class BaselineSpec:
             raise ValueError("eta0 must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_seed(self.seed)
 
 
 def subgradient_scalars(loss, count):
@@ -120,7 +121,7 @@ def _rda_step(problem, spec, x0, batches, scalars, strongly_convex):
     """
     gbar = np.zeros(problem.d)
     nu1, nu2 = problem.reg.nu1, problem.reg.nu2
-    threshold = precast(-nu1, nu1) if nu1 else None
+    threshold = precast(-nu1, nu1) if nu1 else (None, None)
 
     def step(t, x):
         g = loss_subgradient(*next(batches), scalars, x)
@@ -129,10 +130,9 @@ def _rda_step(problem, spec, x0, batches, scalars, strongly_convex):
         np.add(gbar, g, out=gbar)
         np.divide(gbar, t, out=gbar)
         quad = nu2 if strongly_convex else nu2 + spec.eta0 * math.sqrt(t) / t
-        out = gbar.copy() if threshold is None else _soft_threshold(gbar, *threshold)
-        # -p / quad as p / -quad: the same bits, in one ufunc
-        out /= -quad
-        return out
+        # -soft(gbar, nu1) / quad as the prox at gbar with shrink -quad: the
+        # same bits, in one ufunc
+        return prox_regularizer(gbar, (*threshold, -quad))
 
     return step
 

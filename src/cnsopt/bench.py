@@ -397,10 +397,16 @@ def tune_stepsize(cfg, grid):
     TuningError if every candidate is skipped. The tuned knob is ``eta0`` for
     the baselines and ``step_scale`` for the continuation methods. A pick at
     the smallest or largest value of a grid of two or more values is logged
-    as a warning, since the best step may then lie outside the grid.
+    as a warning, since the best step may then lie outside the grid. A grid
+    value that is not finite and positive raises ValueError naming it, before
+    any data is read.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
+    knob = "step_scale" if cfg.method in CONTINUATION_METHODS else "eta0"
+    for candidate in grid:
+        if not 0 < candidate < math.inf:
+            raise ValueError(f"grid value {candidate:g}: {knob} must be finite and positive")
     problem, _ = load_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_sub = max(1, math.ceil(0.2 * problem.n))

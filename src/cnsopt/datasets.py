@@ -1,5 +1,6 @@
 """Dataset containers, LIBSVM text I/O, mini-batch sampling, synthetic generators."""
 
+import contextlib
 import gzip
 import io
 import logging
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import LibsvmFormatError, check_finite
+from .errors import LibsvmFormatError, check_finite, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -105,13 +106,17 @@ def _first_nonfinite(values):
     return None if finite.all() else int(np.flatnonzero(~finite)[0])
 
 
+@contextlib.contextmanager
 def _open_maybe_gzip(source, mode):
-    if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        if path.endswith(".gz"):
-            return gzip.open(path, mode + "t"), True
-        return open(path, mode), True
-    return source, False
+    """Yield ``(stream, path)``: for a path, the file opened in text ``mode``
+    (gzip by its ``.gz`` suffix) and closed on exit; for a caller's stream or
+    iterable of lines, that object, left open, and None."""
+    if not isinstance(source, (str, os.PathLike)):
+        yield source, None
+        return
+    path = os.fspath(source)
+    with (gzip.open if path.endswith(".gz") else open)(path, mode + "t") as stream:
+        yield stream, path
 
 
 # largest 1-based feature index whose 0-based CSR index fits in int32
@@ -130,8 +135,6 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     index beyond the int32 range of the CSR indices. When ``source`` is a
     path, the error names it.
     """
-    path = os.fspath(source) if isinstance(source, (str, os.PathLike)) else None
-    stream, owned = _open_maybe_gzip(source, "r")
     labels = []
     linenos = []  # the line of each sample, for errors found after the loop
     data = []
@@ -139,7 +142,7 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
     indptr = [0]
     max_index = 0
     first_non_pm1 = None  # (lineno, token) of the first label other than +1/-1
-    try:
+    with _open_maybe_gzip(source, "r") as (stream, path):
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -180,9 +183,6 @@ def parse_libsvm(source, task=CLASSIFICATION, n_features=None):
                 )
             max_index = max(max_index, prev)
             indptr.append(len(indices))
-    finally:
-        if owned:
-            stream.close()
 
     if not labels:
         raise LibsvmFormatError(0, "no samples in input", path)
@@ -222,23 +222,19 @@ def serialize_libsvm(dataset, target):
     ``target`` is a path (gzip by suffix) or a writable text file object.
     Values are written with full round-trip precision.
     """
-    stream, owned = _open_maybe_gzip(target, "w")
-    try:
-        mat = dataset.features
-        if not sparse.issparse(mat):
-            mat = sparse.csr_matrix(mat)
-            mat.sort_indices()
-        indptr = mat.indptr.tolist()
-        cols = (mat.indices + 1).tolist()
-        vals = mat.data.tolist()
+    mat = dataset.features
+    if not sparse.issparse(mat):
+        # sorted indices, as SparseDataset keeps a CSR's
+        mat = sparse.csr_matrix(mat)
+    indptr = mat.indptr.tolist()
+    cols = (mat.indices + 1).tolist()
+    vals = mat.data.tolist()
+    with _open_maybe_gzip(target, "w") as (stream, _):
         for i, label in enumerate(dataset.labels.tolist()):
             lo, hi = indptr[i], indptr[i + 1]
             parts = [_format_label(label, dataset.task)]
             parts += [f"{j}:{v!r}" for j, v in zip(cols[lo:hi], vals[lo:hi])]
             stream.write(" ".join(parts) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def libsvm_dumps(dataset):
@@ -337,12 +333,15 @@ class SyntheticSpec:
                      norm_lo=self.norm_lo, norm_hi=self.norm_hi)
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must be in (0, 1]")
+        if self.noise < 0:
+            raise ValueError("noise must be nonnegative")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.atoms is not None and self.atoms < 1:
             raise ValueError("atoms must be >= 1")
         if not 0 < self.norm_lo <= self.norm_hi:
             raise ValueError("norm_lo and norm_hi must satisfy 0 < norm_lo <= norm_hi")
+        check_seed(self.seed)
 
 
 def make_synthetic(spec):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its one finiteness check."""
+"""Exception types shared across the package, and its finiteness and seed checks."""
 
 import math
+import numbers
 
 
 def check_finite(**values):
@@ -8,6 +9,13 @@ def check_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_seed(seed):
+    """Raise ValueError naming ``seed`` unless it is a nonnegative integer,
+    the seed that ``numpy.random.default_rng`` takes."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 class CnsError(Exception):

@@ -46,7 +46,8 @@ def prox_regularizer(v, scalars):
     Soft-threshold then shrink; exact because the quadratic weights add. The
     stage ridge term lands here (as lam_extra) rather than in the gradient so
     the update stays in closed form. Reduces to prox_l1 when both quadratic
-    weights vanish.
+    weights vanish. RDA's closed-form minimizer passes its own operands: the
+    nu1 pair and the shrink -quad, which divides and negates in one ufunc.
     """
     neg_threshold, threshold, shrink = scalars
     out = (np.array(v, dtype=float) if threshold is None

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import smoothing
 from .datasets import epoch_batches, minibatches
-from .errors import DivergenceError, InfeasibleBudgetError, check_finite
+from .errors import DivergenceError, InfeasibleBudgetError, check_finite, check_seed
 from .prox import prox_regularizer, prox_scalars
 from .smoothing import lipschitz_constant, precast
 
@@ -69,6 +69,7 @@ class SolverSpec:
             raise ValueError("batch_size must be >= 1")
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
+        check_seed(self.seed)
 
     @property
     def accelerated(self):

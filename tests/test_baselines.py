@@ -232,6 +232,9 @@ def test_baseline_spec_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="eta0 must be finite"):
             BaselineSpec(eta0=value)
+    for value in (-1, 2.5, None):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {value}"):
+            BaselineSpec(seed=value)
 
 
 def test_baseline_objective_decreases_on_suite():

@@ -107,6 +107,18 @@ def test_cli_run_rejects_a_bad_setting_before_reading_data(tmp_path):
     config.write_text(f"method = fixed-gamma\ndataset = {missing}\nnu2 = 0.05\nt1 = 20\n")
     with pytest.raises(ValueError, match="unknown method 'fixed-gamma'"):
         main(["run", "--config", str(config)])
+    # a negative seed was once checked only by numpy, after the data was read
+    for method in ("fobos", "cns-a"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            main(["run", "--method", method, "--nu2", "0.05", "--dataset", str(missing),
+                  "--seed", "-1"])
+    # ... and a bad grid value only when its candidate ran
+    for method, knob in (("fobos", "eta0"), ("cns-a", "step_scale")):
+        for value in ("-1", "0", "nan", "inf"):
+            with pytest.raises(ValueError, match=f"grid value {value}: {knob} must be finite "
+                               "and positive"):
+                main(["tune", "--method", method, "--nu2", "0.05", "--dataset", str(missing),
+                      "--grid", f"0.5,{value}"])
 
 
 def test_cli_run_names_a_malformed_dataset(tmp_path, capsys):
@@ -721,6 +733,7 @@ def test_readme_cli_walkthrough_runs(tmp_path):
 
 def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
     absent = str(tmp_path / "absent.libsvm")
+    synth_out = str(tmp_path / "synth.libsvm")
     # time-budget was a RunConfig field once: a config file naming it now fails
     stale = tmp_path / "stale.cfg"
     stale.write_text("method = fobos\nsynth-n = 40\ntime-budget = 1\n")
@@ -755,12 +768,32 @@ def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
         (["tune", "--method", "cns-a", "--synth-n", "40", "--t1", "5", "--grid", "0.5,1"],
          no_driver),
         (["run", "--config", str(stale)], f"{stale}: unknown config keys: ['time_budget']"),
+        # a negative seed once failed in numpy ("expected non-negative
+        # integer"), naming no setting, after the data was read or generated
+        (["run", "--method", "fobos", "--seed", "-1", "--dataset", absent],
+         "seed must be a nonnegative integer, got -1"),
+        (["run", "--method", "cns-a", "--nu2", "0.1", "--t1", "5", "--stages", "2", "--seed",
+          "-1", "--synth-n", "40"], "seed must be a nonnegative integer, got -1"),
+        (["synth", "--n", "10", "--seed", "-1", "--output", synth_out],
+         "seed must be a nonnegative integer, got -1"),
+        # a bad grid value once failed only when its candidate ran, and after
+        # a missing file's error
+        (["tune", "--method", "fobos", "--synth-n", "60", "--grid", "0.5,1,-1"],
+         "grid value -1: eta0 must be finite and positive"),
+        (["tune", "--method", "fobos", "--dataset", absent, "--grid", "-1"],
+         "grid value -1: eta0 must be finite and positive"),
+        # a negative noise once failed in numpy ("scale < 0"), or generated data
+        (["synth", "--n", "10", "--task", "regression", "--noise", "-1", "--output", synth_out],
+         "noise must be nonnegative"),
+        (["synth", "--n", "10", "--noise", "-1", "--output", synth_out],
+         "noise must be nonnegative"),
     ]
     for args, message in cases:
         proc = _python_m_cnsopt(*args)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"cnsopt: error: {message}"]
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not os.path.exists(synth_out)
 
 
 # --- golden: the written traces and the run flags ----------------------------

@@ -355,3 +355,12 @@ def test_synthetic_spec_validation():
                          dict(norm_lo=value), dict(norm_hi=value)):
             with pytest.raises(ValueError, match=next(iter(settings))):
                 SyntheticSpec(n=5, d=5, **settings)
+    # a negative noise once reached make_synthetic: the regression task
+    # failed there (numpy's "scale < 0"), the classification one ran
+    for task in ("classification", "regression"):
+        with pytest.raises(ValueError, match="noise must be nonnegative"):
+            SyntheticSpec(n=5, d=5, task=task, noise=-1.0)
+    # ... and a seed that is not a nonnegative integer, at its first draw
+    for value in (-1, 2.5, None):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {value}"):
+            SyntheticSpec(n=5, d=5, seed=value)

@@ -58,3 +58,14 @@ def test_a_name_in_a_string_annotation_counts_as_used():
     source = ("import numpy.linalg\nfrom a import Spec, Unused as U\n\n\n"
               "def f(x: \"Spec | None\") -> 'list[int]': ...\n")
     assert unused_imports(source) == [("numpy", 1), ("U", 2)]
+
+
+def test_no_package_module_imports_a_private_name():
+    # a private helper has one home: RDA once imported prox._soft_threshold
+    # and kept a second copy of the prox around it
+    private = [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+               for path in sorted((ROOT / "src" / "cnsopt").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private

@@ -421,6 +421,9 @@ def test_solver_spec_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 SolverSpec(**{field: value})
+    for value in (-1, 2.5, None):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {value}"):
+            SolverSpec(seed=value)
 
 
 def test_trace_recording():
@@ -482,7 +485,7 @@ def test_step_kernels_are_called_through_their_module_globals(monkeypatch, metho
         spec = BaselineSpec(method=method, eta0=0.1, batch_size=8)
         run_baseline(prob, spec, budget)
         expected.update(loss_subgradient=budget, sample_minibatch=draws,
-                        prox_regularizer=budget if method == "fobos" else 0)
+                        prox_regularizer=0 if method == "poly-sgd" else budget)
     else:
         run_solver(SolverSpec(solver=method, batch_size=8), SmoothedProblem(prob, 0.1),
                    None, budget)

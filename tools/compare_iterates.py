@@ -17,10 +17,10 @@ both continuation drivers with prox-gd and acc-prox-svrg (with a given t1, with
 the automatic t1 search, and with fixed smoothing), and each method of
 ``RUN_METHODS`` through ``run_experiment`` on a synthetic spec and on LIBSVM
 files without a test set (hinge and absolute rows that the problem densifies,
-absolute rows it keeps as CSR). For each it keeps the final iterate, every
-callback iterate, the trace columns except wall time (a LIBSVM run's
-``test_metric`` column as an array of its own), and each stage report's
-fields except wall time. Dump under the reference checkout, then check under
+absolute rows it keeps as CSR, with labels fitted to the kept entries). For
+each it keeps the final iterate, every callback iterate, the trace columns
+except wall time (a LIBSVM run's ``test_metric`` column as an array of its
+own), and each stage report's fields except wall time. Dump under the reference checkout, then check under
 the changed one; the check exits 1 if a key is on one side only (each such
 key is named on a MISSING or EXTRA line) or if any array differs in its
 dtype, its shape or any bit of its bytes (so -0.0 and +0.0 differ), and each
@@ -309,10 +309,16 @@ def cases():
         for case, loss, density in (("hinge", "hinge", 1.0), ("absolute", "absolute", 1.0),
                                     ("absolute-csr", "absolute", 0.1)):
             task = "classification" if loss == "hinge" else "regression"
-            data, _ = make_synthetic(SyntheticSpec(n=200, d=15, task=task, seed=4))
+            data, w = make_synthetic(SyntheticSpec(n=200, d=15, task=task, seed=4))
             if density < 1.0:
                 keep = np.random.default_rng(5).random(data.features.shape) < density
-                data = SparseDataset(sps.csr_matrix(data.features * keep), data.labels, task)
+                rows = data.features * keep
+                # the planted model's standardized scores on the kept entries,
+                # with the same noise: labels that the full rows fit leave
+                # x = 0 nearly optimal, so the iterate barely moves
+                scores = rows.dot(w)
+                labels = data.labels - data.features.dot(w) + scores / scores.std()
+                data = SparseDataset(sps.csr_matrix(rows), labels, task)
             path = f"{tmp}/{case}.libsvm"
             serialize_libsvm(data, path)
             nu2 = 0.05 if loss == "hinge" else 0.0
@@ -393,6 +399,33 @@ def distance(ref, got):
     return ulps, float(rel.max())
 
 
+def check(ref, got, kernel):
+    """Compare a dump ``ref`` (arrays by key, the dump's BLAS kernel name under
+    ``KERNEL_KEY``, if any) with the arrays ``got`` computed under the BLAS
+    ``kernel``; return (exit status, the lines to print)."""
+    ref = dict(ref)
+    ref_kernel = str(ref.pop(KERNEL_KEY, "unknown"))
+    kernels = f"dumped under the {ref_kernel} BLAS kernel, checked under {kernel}"
+    lines = []
+    if ref_kernel != kernel:
+        lines.append(f"BLAS kernels differ ({kernels}): that alone can move the last bits")
+    missing, extra = sorted(set(ref) - set(got)), sorted(set(got) - set(ref))
+    lines += [f"  MISSING {k}: in the dump, not produced by this check" for k in missing]
+    lines += [f"  EXTRA {k}: produced by this check, not in the dump" for k in extra]
+    if missing or extra:
+        lines.append(f"key sets differ: {len(missing)} missing, {len(extra)} extra; {kernels}")
+        return 1, lines
+    bad = [k for k in ref if not same_bits(ref[k], got[k])]
+    cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
+    lines.append(f"{len(ref)} arrays compared ({cb} callback iterates), "
+                 f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ; {kernels}")
+    for k in bad:
+        ulps, rel = distance(ref[k], got[k])
+        dtypes = "" if ref[k].dtype == got[k].dtype else f", {ref[k].dtype} -> {got[k].dtype}"
+        lines.append(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}{dtypes}")
+    return (1 if bad else 0), lines
+
+
 if __name__ == "__main__":
     mode, path = sys.argv[1], sys.argv[2]
     got, kernel = cases(), blas_kernel()
@@ -400,25 +433,6 @@ if __name__ == "__main__":
         np.savez(path, **got, **{KERNEL_KEY: np.array(kernel)})
         print(f"dumped {len(got)} arrays under the {kernel} BLAS kernel")
     else:
-        ref = dict(np.load(path))
-        ref_kernel = str(ref.pop(KERNEL_KEY, "unknown"))
-        kernels = f"dumped under the {ref_kernel} BLAS kernel, checked under {kernel}"
-        if ref_kernel != kernel:
-            print(f"BLAS kernels differ ({kernels}): that alone can move the last bits")
-        missing, extra = sorted(set(ref) - set(got)), sorted(set(got) - set(ref))
-        for k in missing:
-            print(f"  MISSING {k}: in the dump, not produced by this check")
-        for k in extra:
-            print(f"  EXTRA {k}: produced by this check, not in the dump")
-        if missing or extra:
-            print(f"key sets differ: {len(missing)} missing, {len(extra)} extra; {kernels}")
-            sys.exit(1)
-        bad = [k for k in ref if not same_bits(ref[k], got[k])]
-        cb = sum(len(ref[k]) for k in ref if k.endswith("/cb"))
-        print(f"{len(ref)} arrays compared ({cb} callback iterates), "
-              f"{len(ref) - len(bad)} bit-identical, {len(bad)} differ; {kernels}")
-        for k in bad:
-            ulps, rel = distance(ref[k], got[k])
-            dtypes = "" if ref[k].dtype == got[k].dtype else f", {ref[k].dtype} -> {got[k].dtype}"
-            print(f"  DIFF {k}: max {ulps} ulps, max relative difference {rel:.3g}{dtypes}")
-        sys.exit(1 if bad else 0)
+        status, lines = check(np.load(path), got, kernel)
+        print("\n".join(lines))
+        sys.exit(status)
