@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import epoch_batches, minibatches
-from .errors import check_finite, check_seed
+from .errors import COUNT, POSITIVE, SEED, check_fields
 from .prox import prox_regularizer, prox_scalars
 from .smoothing import dual_spec, precast
 from .solvers import drive, start_point
@@ -37,19 +37,14 @@ class BaselineSpec:
     """
 
     method: str = FOBOS
-    eta0: float = 1.0
-    batch_size: int = 50
-    seed: int = 0
+    eta0: POSITIVE = 1.0
+    batch_size: COUNT = 50
+    seed: SEED = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in (FOBOS, RDA, POLY_SGD):
             raise ValueError(f"unknown baseline {self.method!r}")
-        check_finite(eta0=self.eta0)
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        check_seed(self.seed)
 
 
 def subgradient_scalars(loss, count):

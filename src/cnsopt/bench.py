@@ -31,7 +31,8 @@ from .datasets import (
     make_synthetic,
     parse_libsvm,
 )
-from .errors import CnsError, TuningError, check_finite
+from .errors import (COUNT, NONNEGATIVE, POSITIVE, SEED, CnsError, TuningError, check_fields,
+                     check_finite)
 from .problem import CompositeProblem, Regularizer, objective_original
 from .smoothing import HINGE, dual_spec
 from .solvers import ACC_PROX_SVRG, PROX_SVRG, SolverSpec
@@ -63,37 +64,38 @@ class RunConfig:
 
     Exactly one of ``dataset`` (a path) or ``synthetic`` must be given, and
     ``test_dataset`` only with ``dataset``. The continuation-specific fields
-    are ignored by the baselines and vice versa; every float field must be
-    finite, and the method's own fields are checked here, by building its
-    ContinuationConfig (nu2 > 0 or lam1 > 0 to fit a driver) or BaselineSpec,
-    before any data is read.
+    are ignored by the baselines and vice versa; every field is checked
+    against its annotation (``errors.check_fields``), and the method's own
+    settings by building its ContinuationConfig (nu2 > 0 or lam1 > 0 to fit
+    a driver) or BaselineSpec, before any data is read.
     ``cadence`` is the number of inner iterations between metric snapshots;
     snapshot evaluation is excluded from the reported wall times.
     """
 
     method: str
     loss: str = HINGE
-    nu1: float = 0.0
-    nu2: float = 0.0
+    nu1: NONNEGATIVE = 0.0
+    nu2: NONNEGATIVE = 0.0
     dataset: "str | None" = None
     test_dataset: "str | None" = None
     synthetic: "SyntheticSpec | None" = None
-    gamma1: float = 0.01
+    gamma1: POSITIVE = 0.01
     tau: float = 2.0
-    t1: "int | None" = None
-    lam1: float = 0.0
-    stages: int = 6
+    t1: "COUNT | None" = None
+    lam1: NONNEGATIVE = 0.0
+    stages: COUNT = 6
     solver: "str | None" = None
     theta: float = 0.1
-    batch_size: int = 50
-    step_scale: float = 1.0
-    eta0: float = 1.0
-    iterations: int = 1000
-    cadence: int = 100
+    batch_size: COUNT = 50
+    step_scale: POSITIVE = 1.0
+    eta0: POSITIVE = 1.0
+    iterations: COUNT = 1000
+    cadence: COUNT = 100
     output: "str | None" = None
-    seed: int = 0
+    seed: SEED = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if (self.dataset is None) == (self.synthetic is None):
@@ -101,13 +103,9 @@ class RunConfig:
         if self.test_dataset is not None and self.dataset is None:
             raise ValueError("test_dataset needs a dataset: a synthetic run tests on "
                              "its spec at seed + 1")
-        if self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
-        check_finite(**{name: v for name, v in vars(self).items() if isinstance(v, float)})
         task = dual_spec(self.loss).task  # raises ValueError for a loss not in the table
         if self.synthetic is not None and self.synthetic.task != task:
             raise ValueError(f"{self.loss} loss requires a {task} dataset")
-        Regularizer(nu1=self.nu1, nu2=self.nu2)
         if self.method in CONTINUATION_METHODS:
             continuation_config(self)
             if self.nu2 == 0 and self.lam1 == 0:
@@ -115,8 +113,6 @@ class RunConfig:
                                  "driver) or lam1 > 0 (the general convex one)")
         else:
             baseline_spec_for(self)
-            if self.iterations < 1:
-                raise ValueError(f"iteration budget must be >= 1, got {self.iterations}")
 
 
 # the datasets of the last two inputs built (a training set and its test
@@ -418,7 +414,7 @@ def tune_stepsize(cfg, grid):
     for candidate in grid:
         # each method reads only its own knobs: step_scale and t1, or eta0 and
         # iterations
-        trial = replace(cfg, step_scale=candidate, t1=max(1, budget // max(cfg.stages, 1)),
+        trial = replace(cfg, step_scale=candidate, t1=max(1, budget // cfg.stages),
                         eta0=candidate, iterations=budget)
         try:
             x = _run_method(trial, sub_problem)[0]

@@ -13,9 +13,7 @@ and explicit flags win over the file.
 import argparse
 import os
 import sys
-import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 
 from .bench import (
     METHODS,
@@ -27,30 +25,23 @@ from .bench import (
     tune_stepsize,
 )
 from .datasets import CLASSIFICATION, REGRESSION, SyntheticSpec, make_synthetic, serialize_libsvm
-from .errors import CnsError
+from .errors import CnsError, field_rules
 from .smoothing import LOSSES, dual_spec
 
 # SyntheticSpec options that ``synth --<name>`` and ``run --synth-<name>`` both
 # take; one left out keeps SyntheticSpec's default
 _SYNTH_OPTIONS = ("sparsity", "noise", "norm_lo", "norm_hi")
-_SYNTH_TYPES = {"synth_n": int, "synth_d": int,
-                **{f"synth_{name}": float for name in _SYNTH_OPTIONS}}
+_SYNTH_TYPES = {f"synth_{name}": kind for name, kind, _, _ in field_rules(SyntheticSpec)
+                if name in ("n", "d", *_SYNTH_OPTIONS)}
 
 # the errors a bad input raises: one line each, from ``run_cli`` and ``sweep``
 _INPUT_ERRORS = (CnsError, ValueError, OSError)
 
 
-def _option_type(hint):
-    """(parse type, optional) of an annotation such as ``float`` or ``int | None``."""
-    kinds = [kind for kind in typing.get_args(hint) if kind is not type(None)]
-    return (kinds[0], True) if kinds else (hint, False)
-
-
-# every run/tune option: the RunConfig fields (``synthetic`` is built from the
-# synth_* ones), then the synthetic options, which may all be left unset
-_HINTS = typing.get_type_hints(RunConfig)
-_RUN_OPTIONS = {f.name: _option_type(_HINTS[f.name])
-                for f in fields(RunConfig) if f.name != "synthetic"}
+# every run/tune option as (parse type, optional): the RunConfig fields (``synthetic``
+# is built from the synth_* ones), then the synthetic options, which may all be unset
+_RUN_OPTIONS = {name: (kind, optional) for name, kind, optional, _ in field_rules(RunConfig)
+                if name != "synthetic"}
 _RUN_OPTIONS.update({key: (kind, True) for key, kind in _SYNTH_TYPES.items()})
 _CHOICES = {"method": METHODS, "loss": LOSSES}
 _HELP = {
@@ -168,7 +159,12 @@ def _cmd_sweep(args):
 
 def _cmd_tune(args):
     cfg = build_run_config(args)
-    grid = [float(v) for v in args.grid.split(",") if v]
+    grid = []
+    for token in filter(None, args.grid.split(",")):
+        try:
+            grid.append(float(token))
+        except ValueError:
+            raise ValueError(f"--grid: expected float, got {token!r}") from None
     best = tune_stepsize(cfg, grid)
     print(f"best step scale: {best:g}")
     return 0

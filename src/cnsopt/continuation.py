@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetEstimationError, StageConvergedError, WrongDriverError, check_finite
+from .errors import (COUNT, NONNEGATIVE, POSITIVE, BudgetEstimationError, StageConvergedError,
+                     WrongDriverError, check_fields)
 from .problem import SmoothedProblem, objective_original, objective_smoothed
 from .solvers import APG, SolverSpec, run_solver, solver_family
 
@@ -37,28 +38,20 @@ class ContinuationConfig:
     non-accelerated one and II for an accelerated one; None sets it.
     """
 
-    gamma1: float = 0.01
+    gamma1: POSITIVE = 0.01
     tau: float = 2.0
-    t1: "int | None" = None
-    lam1: float = 0.0
-    stages: int = 1
+    t1: "COUNT | None" = None
+    lam1: NONNEGATIVE = 0.0
+    stages: COUNT = 1
     solver: SolverSpec = field(default_factory=SolverSpec)
     budget_option: "str | None" = None
 
     def __post_init__(self):
-        check_finite(gamma1=self.gamma1, tau=self.tau, lam1=self.lam1)
-        if self.gamma1 <= 0:
-            raise ValueError("gamma1 must be positive")
+        check_fields(self)
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         if self.t1 is None and self.tau == 1:
             raise ValueError("tau = 1 (fixed smoothing) needs a t1: auto t1 seeks a 1/tau^2 cut")
-        if self.t1 is not None and self.t1 < 1:
-            raise ValueError("t1 must be >= 1")
-        if self.lam1 < 0:
-            raise ValueError("lam1 must be nonnegative")
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
         option = OPTION_II if self.solver.accelerated else OPTION_I
         if self.budget_option not in (None, option):
             raise ValueError(f"budget option {self.budget_option!r} does not match "

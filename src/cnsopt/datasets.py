@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import LibsvmFormatError, check_finite, check_seed
+from .errors import COUNT, NONNEGATIVE, SEED, LibsvmFormatError, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -315,33 +315,23 @@ class SyntheticSpec:
     smoothed subproblems.
     """
 
-    n: int
-    d: int = 50
+    n: COUNT
+    d: COUNT = 50
     task: str = CLASSIFICATION
     sparsity: float = 0.2
-    noise: float = 0.1
-    separation: float = 1.0
-    atoms: "int | None" = None
-    seed: int = 0
+    noise: NONNEGATIVE = 0.1
+    separation: NONNEGATIVE = 1.0
+    atoms: "COUNT | None" = None
+    seed: SEED = 0
     norm_lo: float = 1.0
     norm_hi: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be >= 1")
-        check_finite(sparsity=self.sparsity, noise=self.noise, separation=self.separation,
-                     norm_lo=self.norm_lo, norm_hi=self.norm_hi)
+        check_fields(self)
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must be in (0, 1]")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
-        if self.separation < 0:
-            raise ValueError("separation must be nonnegative")
-        if self.atoms is not None and self.atoms < 1:
-            raise ValueError("atoms must be >= 1")
         if not 0 < self.norm_lo <= self.norm_hi:
             raise ValueError("norm_lo and norm_hi must satisfy 0 < norm_lo <= norm_hi")
-        check_seed(self.seed)
 
 
 def make_synthetic(spec):

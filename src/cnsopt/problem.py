@@ -8,20 +8,18 @@ import scipy.sparse as sparse
 
 from . import smoothing
 from .datasets import CLASSIFICATION, SparseDataset
-from .errors import check_finite
+from .errors import NONNEGATIVE, POSITIVE, check_fields
 
 
 @dataclass(frozen=True)
 class Regularizer:
     """l1 or elastic-net penalty nu1 ||x||_1 + (nu2 / 2) ||x||_2^2."""
 
-    nu1: float = 0.0
-    nu2: float = 0.0
+    nu1: NONNEGATIVE = 0.0
+    nu2: NONNEGATIVE = 0.0
 
     def __post_init__(self):
-        check_finite(nu1=self.nu1, nu2=self.nu2)
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        check_fields(self)
 
     def value(self, x):
         v = self.nu1 * float(np.sum(np.abs(x)))
@@ -120,18 +118,14 @@ class SmoothedProblem:
     """
 
     base: CompositeProblem
-    gamma: float
-    lam: float = 0.0
+    gamma: POSITIVE
+    lam: NONNEGATIVE = 0.0
 
     def __post_init__(self):
-        check_finite(gamma=self.gamma, lam=self.lam)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        check_fields(self)
         if not np.isfinite(self.base.max_row_sq_norm / self.gamma):
             raise ValueError(f"gamma = {self.gamma:g} is too small: the Lipschitz bound "
                              "max ||z_i||^2 / gamma overflows")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
     @cached_property
     def kernel_scalars(self):

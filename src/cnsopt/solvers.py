@@ -14,7 +14,7 @@ import numpy as np
 
 from . import smoothing
 from .datasets import epoch_batches, minibatches
-from .errors import DivergenceError, InfeasibleBudgetError, check_finite, check_seed
+from .errors import COUNT, POSITIVE, SEED, DivergenceError, InfeasibleBudgetError, check_fields
 from .prox import prox_regularizer, prox_scalars
 from .smoothing import lipschitz_constant, precast
 
@@ -56,20 +56,15 @@ class SolverSpec:
 
     solver: str = PROX_GD
     theta: float = 0.1
-    batch_size: int = 50
-    step_scale: float = 1.0
-    seed: int = 0
+    batch_size: COUNT = 50
+    step_scale: POSITIVE = 1.0
+    seed: SEED = 0
 
     def __post_init__(self):
+        check_fields(self)
         solver_family(self.solver)
-        check_finite(theta=self.theta, step_scale=self.step_scale)
         if not 0.0 < self.theta < 0.25:
             raise ValueError(f"theta must be in (0, 0.25), got {self.theta}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-        check_seed(self.seed)
 
     @property
     def accelerated(self):

@@ -6,8 +6,10 @@ cached per seed for the whole session. ``problem_from_rows`` and
 ``random_problem`` build the small problems of the unit tests.
 """
 
+import importlib.util
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +32,19 @@ from cnsopt import (
 SC_NU1, SC_NU2 = 0.002, 0.08
 REG_NU1 = 0.005
 
+# the bit gate's tool, loaded as a module (its seeded cases run only when called)
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_iterates.py"
+_SPEC = importlib.util.spec_from_file_location("compare_iterates", _TOOL)
+compare_iterates = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_iterates)
+
 
 def pytest_report_header(config):
-    # pyproject.toml puts this checkout's src ahead of PYTHONPATH
-    return f"cnsopt: {os.path.dirname(cnsopt.__file__)}"
+    # pyproject.toml puts this checkout's src ahead of PYTHONPATH; the golden
+    # literals pin the summation order of the OpenBLAS kernel they were
+    # recorded under, so the header names the kernel that ran
+    return (f"cnsopt: {os.path.dirname(cnsopt.__file__)}; "
+            f"BLAS kernel: {compare_iterates.blas_kernel()}")
 
 
 def problem_from_rows(rows, labels, loss, nu1=0.0, nu2=0.0):

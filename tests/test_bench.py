@@ -56,7 +56,7 @@ def test_run_config_validation():
     # both once failed only after the run had generated its datasets
     with pytest.raises(ValueError, match="hinge loss requires a classification dataset"):
         _config(synthetic=SyntheticSpec(n=20, d=3, task="regression"))
-    with pytest.raises(ValueError, match="iteration budget must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
         _config(method="fobos", iterations=0)
     # a synthetic run's test set is its spec at seed + 1: a test file was
     # once accepted and never opened
@@ -731,12 +731,14 @@ def test_readme_cli_walkthrough_runs(tmp_path):
     assert cns_a < fobos
 
 
-def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
+def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path, capsys):
     absent = str(tmp_path / "absent.libsvm")
     synth_out = str(tmp_path / "synth.libsvm")
     # time-budget was a RunConfig field once: a config file naming it now fails
     stale = tmp_path / "stale.cfg"
     stale.write_text("method = fobos\nsynth-n = 40\ntime-budget = 1\n")
+    fractional = tmp_path / "fractional.cfg"
+    fractional.write_text("method = cns-a\nnu2 = 0.1\nsynth-n = 40\nt1 = 2.5\n")
     no_driver = ("a continuation run needs nu2 > 0 (the strongly convex driver) "
                  "or lam1 > 0 (the general convex one)")
     cases = [
@@ -784,15 +786,31 @@ def test_cli_entry_point_reports_an_input_error_in_one_line(tmp_path):
          "grid value -1: eta0 must be finite and positive"),
         # a negative noise once failed in numpy ("scale < 0"), or generated data
         (["synth", "--n", "10", "--task", "regression", "--noise", "-1", "--output", synth_out],
-         "noise must be nonnegative"),
+         "noise must be nonnegative, got -1.0"),
         (["synth", "--n", "10", "--noise", "-1", "--output", synth_out],
-         "noise must be nonnegative"),
+         "noise must be nonnegative, got -1.0"),
+        # a grid token that is not a number once named neither the flag nor the token
+        (["tune", "--method", "fobos", "--synth-n", "40", "--grid", "0.5,abc"],
+         "--grid: expected float, got 'abc'"),
+        # each setting is checked by its declared domain, before any data is made
+        (["run", "--config", str(fractional)],
+         f"{fractional}: line 4: t1: expected int, got '2.5'"),
+        (["run", "--method", "fobos", "--synth-n", "0"], "n must be >= 1, got 0"),
+        (["run", "--method", "fobos", "--dataset", absent, "--iterations", "0"],
+         "iterations must be >= 1, got 0"),
+        (["run", "--method", "cns-a", "--dataset", absent, "--nu2", "-1"],
+         "nu2 must be nonnegative, got -1.0"),
     ]
-    for args, message in cases:
-        proc = _python_m_cnsopt(*args)
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [f"cnsopt: error: {message}"]
-        assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # one case through ``python -m cnsopt`` proves the entry point runs ``run_cli``
+    args, message = cases[0]
+    proc = _python_m_cnsopt(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"cnsopt: error: {message}"]
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    for args, message in cases[1:]:
+        assert run_cli(args) == 1, args
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"cnsopt: error: {message}"] and out == ""
     assert not os.path.exists(synth_out)
 
 

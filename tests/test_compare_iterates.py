@@ -4,15 +4,9 @@
 with; its seeded cases are not run here.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_iterates.py"
-_SPEC = importlib.util.spec_from_file_location("compare_iterates", _PATH)
-compare_iterates = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_iterates)
+from tests.conftest import compare_iterates
 
 KERNEL = "SkylakeX"
 
